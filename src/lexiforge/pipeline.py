@@ -89,6 +89,8 @@ class RunSettings:
         self.gold = {k: Path(v) for k, v in self.gold.items()}
         if self.model not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model!r}")
+        if self.max_vocab is not None and self.max_vocab < 1:
+            raise ValueError(f"max_vocab must be at least 1, got {self.max_vocab}")
         if not self.skip_translation and self.table is None:
             raise LexiforgeError(
                 "a translation table is required unless translation is skipped"

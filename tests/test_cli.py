@@ -1,4 +1,5 @@
 import json
+import unicodedata
 
 import pytest
 
@@ -226,6 +227,42 @@ def test_evaluate_recomputes_from_files(tmp_path, small_bundle, capsys):
     assert (eval_out / "mt_vs_pred_g1.json").exists()
     printed = capsys.readouterr().out
     assert "silver evaluation" in printed and "gold evaluation" in printed
+
+
+def test_evaluate_reproduces_run_with_nfc_nfd_twin_words(tmp_path, small_bundle):
+    vectors = small_bundle["embeddings"]
+    header, *lines = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
+    count, dim = header.split()
+    twins = [
+        unicodedata.normalize(form, "schön") + " " + " ".join(["0.5"] * int(dim)) + "\n"
+        for form in ("NFC", "NFD")
+    ]
+    vectors.write_text(f"{int(count) + 2} {dim}\n" + "".join(lines + twins), encoding="utf-8")
+    config = _write_fast_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(_run_args(small_bundle, out, config, ["--gold", f"g1={small_bundle['gold']}"])) == 0
+
+    eval_out = tmp_path / "eval_reports"
+    assert main([
+        "evaluate", "--mt", str(out / "target_mt.tsv"),
+        "--pred", str(out / "target_pred.tsv"),
+        "--gold", f"g1={small_bundle['gold']}",
+        "--out", str(eval_out),
+    ]) == 0
+    for name in ("silver.json", "gold_g1.json"):
+        run_reports = json.loads((out / "reports" / name).read_text(encoding="utf-8"))
+        redone = json.loads((eval_out / name).read_text(encoding="utf-8"))
+        assert [(r["n_shared"], r["r"]) for r in redone] == [
+            (r["n_shared"], r["r"]) for r in run_reports
+        ]
+
+
+def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle):
+    config = _write_fast_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="max_vocab"):
+        main(_run_args(small_bundle, out, config, ["--max-vocab", "-1"]))
+    assert not out.exists()
 
 
 def test_report_renders_and_meta(tmp_path, capsys):
