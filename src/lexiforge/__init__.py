@@ -51,7 +51,6 @@ from .lexicon import (
     VAD_NAMES,
     VAD_SCALE,
     Lexicon,
-    LexiconEntry,
     ScaleSpec,
     SplitSets,
     VariableSet,

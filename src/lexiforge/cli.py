@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import LexiforgeError, SchemaError
-from .evaluation import (
+from .evaluation import (  # noqa: F401 -- perfbench/tracer.py wraps the protocols here too
     gold_eval,
     isr_compare,
     load_reports,
@@ -35,7 +36,7 @@ from .evaluation import (
 )
 from .lexicon import SplitSets, load_lexicon
 from .models import TrainConfig, grad_check
-from .pipeline import RunSettings, prepare_source, run_pipeline
+from .pipeline import Evaluation, RunSettings, evaluate_protocols, prepare_source, run_pipeline
 from .reporting import (
     render_isr_table,
     render_meta_table,
@@ -47,21 +48,21 @@ from .translation import HttpTranslationClient, fetch_missing
 
 log = logging.getLogger(__name__)
 
+# Config-file keys: the training hyperparameters except Adam's, six run
+# settings and the translation endpoint; a key left unset takes the
+# dataclass default.
+_TRAIN_KEYS = {
+    f.name: type(f.default) for f in fields(TrainConfig) if not f.name.startswith("adam_")
+}
+_RUN_KEYS = {
+    f.name: type(f.default) for f in fields(RunSettings)
+    if f.name in ("model", "alpha", "max_vocab", "duplicate_tol", "source_lang", "target_lang")
+}
 _CONFIG_KEYS = {
-    "seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "input_dropout": float,
-    "hidden_dropout": float,
-    "leaky_slope": float,
-    "hidden": str,
-    "model": str,
-    "alpha": float,
+    **_TRAIN_KEYS,
+    **_RUN_KEYS,
+    "hidden": lambda text: tuple(int(h) for h in text.split(",")),
     "max_vocab": int,
-    "duplicate_tol": float,
-    "source_lang": str,
-    "target_lang": str,
     "endpoint": str,
 }
 
@@ -90,13 +91,13 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _setting(args, config: dict, key: str, default):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
+def _given(args, config: dict, keys) -> dict:
+    """The keys set on the command line or, failing that, in the config file."""
+    values = {key: config[key] for key in keys if key in config}
+    values.update(
+        (key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None
+    )
+    return values
 
 
 def _parse_gold_args(pairs: list[str]) -> dict[str, Path]:
@@ -197,12 +198,9 @@ def _cmd_prepare_source(args) -> int:
 
 def _cmd_fetch_translations(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
-    endpoint = _setting(args, config, "endpoint", None)
-    if not endpoint:
+    options = _given(args, config, ("endpoint", "source_lang", "target_lang", "batch_size"))
+    if not options.get("endpoint"):
         raise LexiforgeError("an --endpoint (or config endpoint) is required")
-    source_lang = _setting(args, config, "source_lang", "und")
-    target_lang = _setting(args, config, "target_lang", "und")
-    batch_size = _setting(args, config, "batch_size", 128)
     if args.words:
         from .lexicon import load_word_list
 
@@ -211,30 +209,15 @@ def _cmd_fetch_translations(args) -> int:
         words = set(load_lexicon(args.source).words)
     else:
         raise LexiforgeError("either --words or --source is required")
-    client = HttpTranslationClient(endpoint)
+    client = HttpTranslationClient(options.pop("endpoint"))
     before = len(words)
-    table = fetch_missing(
-        words, client, args.cache,
-        source_lang=source_lang, target_lang=target_lang, batch_size=batch_size,
-    )
+    table = fetch_missing(words, client, args.cache, **options)
     print(f"cache {args.cache} now covers {len(table)} words ({before} requested)")
     return 0
 
 
 def _cmd_run(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
-    train = TrainConfig(
-        hidden=tuple(
-            int(h) for h in str(_setting(args, config, "hidden", "256,128")).split(",")
-        ),
-        input_dropout=_setting(args, config, "input_dropout", 0.2),
-        hidden_dropout=_setting(args, config, "hidden_dropout", 0.5),
-        leaky_slope=_setting(args, config, "leaky_slope", 0.01),
-        learning_rate=_setting(args, config, "learning_rate", 1e-3),
-        batch_size=_setting(args, config, "batch_size", 128),
-        epochs=_setting(args, config, "epochs", 168),
-        seed=_setting(args, config, "seed", 0),
-    )
     settings = RunSettings(
         source=Path(args.source),
         embeddings=Path(args.embeddings),
@@ -242,18 +225,29 @@ def _cmd_run(args) -> int:
         table=Path(args.table) if args.table else None,
         skip_translation=bool(args.skip_translation),
         gold=_parse_gold_args(args.gold),
-        source_lang=_setting(args, config, "source_lang", "und"),
-        target_lang=_setting(args, config, "target_lang", "und"),
-        model=_setting(args, config, "model", "mtlffn"),
-        alpha=_setting(args, config, "alpha", 1.0),
-        train=train,
-        max_vocab=_setting(args, config, "max_vocab", None),
+        train=TrainConfig(**_given(args, config, _TRAIN_KEYS)),
         joint_mtl=bool(args.joint_mtl),
-        duplicate_tol=_setting(args, config, "duplicate_tol", 1e-6),
         missing_policy="strict" if args.strict_missing else "skip",
+        **_given(args, config, _RUN_KEYS),
     )
     result = run_pipeline(settings)
     print(f"run complete: {result.out}")
+    _print_tables(result)
+    return 0
+
+
+def _cmd_evaluate(args) -> int:
+    mt = load_lexicon(args.mt, provenance="translated", language=args.target_lang)
+    pred = load_lexicon(args.pred, provenance="predicted", language=args.target_lang)
+    result = evaluate_protocols(
+        mt, pred, SplitSets.from_lexicons(mt, pred), _parse_gold_args(args.gold),
+        Path(args.out) if args.out else None, lang=args.target_lang,
+    )
+    _print_tables(result)
+    return 0
+
+
+def _print_tables(result: Evaluation) -> None:
     print(render_pair_table([result.silver], title="silver evaluation"))
     if result.gold:
         print(render_pair_table(list(result.gold.values()), title="gold evaluation"))
@@ -261,61 +255,6 @@ def _cmd_run(args) -> int:
         print(render_isr_table(result.isr))
     if result.mt_vs_pred:
         print(render_mt_vs_pred_table(result.mt_vs_pred.values()))
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    mt = load_lexicon(args.mt, provenance="translated", language=args.target_lang)
-    pred = load_lexicon(args.pred, provenance="predicted", language=args.target_lang)
-    splits = SplitSets.from_lexicons(mt, pred)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    silver = silver_eval(mt, pred, splits)
-    print(render_pair_table([silver], title="silver evaluation"))
-    if out_dir:
-        save_reports([silver], out_dir / "silver.json")
-
-    golds = {gid: load_lexicon(path, language=args.target_lang)
-             for gid, path in _parse_gold_args(args.gold).items()}
-    gold_reports = []
-    for gid, gold in golds.items():
-        report = gold_eval(gold, pred, splits, gold_id=gid)
-        gold_reports.append(report)
-        if out_dir:
-            save_reports([report], out_dir / f"gold_{gid}.json")
-    if gold_reports:
-        print(render_pair_table(gold_reports, title="gold evaluation"))
-
-    gold_ids = list(golds)
-    isr_results = []
-    for i in range(len(gold_ids)):
-        for j in range(i + 1, len(gold_ids)):
-            id_a, id_b = gold_ids[i], gold_ids[j]
-            if not any(n in golds[id_b].variables for n in golds[id_a].variables.names):
-                continue
-            result = isr_compare(
-                golds[id_a], golds[id_b], restrict_to_test_predictions(pred, splits),
-                ids=(id_a, id_b, f"{pred.language}-pred"),
-            )
-            isr_results.append(result)
-            if out_dir:
-                save_reports(list(result.reports), out_dir / f"isr_{id_a}_{id_b}.json")
-    if isr_results:
-        print(render_isr_table(isr_results))
-
-    comparisons = []
-    for gid, gold in golds.items():
-        result = mt_vs_pred(gold, mt, pred, splits, gold_id=gid)
-        comparisons.append(result)
-        if out_dir:
-            save_reports(
-                [result.pred_report, result.mt_report], out_dir / f"mt_vs_pred_{gid}.json"
-            )
-    if comparisons:
-        print(render_mt_vs_pred_table(comparisons))
-    return 0
 
 
 def _collect_report_paths(paths: list[str]) -> list[Path]:
@@ -347,13 +286,7 @@ def _cmd_report(args) -> int:
             file_reports = [r for r in file_reports if r.protocol != "isr"]
         duo = [r for r in file_reports if r.protocol == "mt_vs_pred"]
         if len(duo) == 2:
-            pred_report, mt_report = duo
-            diff = {
-                v: pred_report.r[v] - mt_report.r[v]
-                for v in pred_report.r
-                if v in mt_report.r
-            }
-            comparisons.append(MtVsPredResult(pred_report, mt_report, diff))
+            comparisons.append(MtVsPredResult(*duo))
             file_reports = [r for r in file_reports if r.protocol != "mt_vs_pred"]
         for report in file_reports:
             if report.protocol == "silver":

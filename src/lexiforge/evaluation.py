@@ -24,7 +24,14 @@ from .errors import (
     InsufficientOverlapError,
     SchemaError,
 )
-from .lexicon import Lexicon, SplitSets, canonical_variable_order, restrict_to_words
+from .lexicon import (
+    Lexicon,
+    SplitSets,
+    _take,
+    canonical_variable_order,
+    restrict_to_split,
+    restrict_to_words,
+)
 
 PROTOCOLS = ("pairwise", "silver", "gold", "isr", "mt_vs_pred", "meta")
 
@@ -113,25 +120,57 @@ def pearson(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _correlate_columns(
-    a_values: np.ndarray,
-    b_values: np.ndarray,
-    variables: Sequence[str],
-    a_index: Mapping[str, int],
-    b_index: Mapping[str, int],
-) -> tuple[dict[str, float], dict[str, str]]:
+def _align(a: Lexicon, b: Lexicon, shared: str) -> tuple[Lexicon, Lexicon]:
+    """Pair each entry of ``a`` whose word ``b`` holds with ``b``'s entry
+    for that word, in ``a``'s order; row i of one result pairs with row i
+    of the other.
+
+    ``a`` may repeat a word (partial duplicates each contribute a pair);
+    ``b`` gives the first entry of a word. Fewer than two shared word
+    types raises InsufficientOverlapError, saying ``only <n> <shared>``.
+    """
+    b_rows = b.row_index
+    keep = [i for i, w in enumerate(a.words) if w in b_rows]
+    n = len({a.words[i] for i in keep})
+    if n < 2:
+        raise InsufficientOverlapError(f"only {n} {shared}; need at least 2")
+    return _take(a, keep), _take(b, [b_rows[a.words[i]] for i in keep])
+
+
+def _correlate(
+    protocol: str,
+    x: Lexicon,
+    y: Lexicon,
+    names: Sequence[str],
+    ids: tuple[str, str],
+    language: str,
+    *,
+    n_shared: int | None = None,
+    coverage: float | None = None,
+) -> EvalReport:
+    """Report of two aligned lexicons: Pearson r of each variable in
+    ``names``, in that order, over the rows of ``x`` paired with those of
+    ``y``. Degenerate variance is annotated in the notes. ``n_shared``
+    defaults to the number of word types in ``x``.
+    """
     r: dict[str, float] = {}
     notes: dict[str, str] = {}
-    for name in variables:
+    for name in names:
         try:
-            r[name] = pearson(a_values[:, a_index[name]], b_values[:, b_index[name]])
+            r[name] = pearson(
+                x.values[:, x.variables.index(name)], y.values[:, y.variables.index(name)]
+            )
         except DegenerateVarianceError as exc:
             notes[name] = f"undefined: {exc}"
-    return r, notes
-
-
-def _column_index(lex: Lexicon) -> dict[str, int]:
-    return {name: i for i, name in enumerate(lex.variables.names)}
+    return EvalReport(
+        protocol=protocol,
+        lexicons=ids,
+        language=language,
+        n_shared=len(x.word_types) if n_shared is None else n_shared,
+        r=r,
+        coverage=coverage,
+        notes=notes,
+    )
 
 
 def correlate_lexicons(
@@ -162,26 +201,12 @@ def correlate_lexicons(
             raise SchemaError(f"variables absent from one lexicon: {missing}")
     if not names:
         raise SchemaError("the lexicons share no variables")
-
-    b_rows = b.row_index
-    shared = [(a.row_index[w], b_rows[w]) for w in a.words if w in b_rows]
-    if len(shared) < 2:
-        raise InsufficientOverlapError(
-            f"only {len(shared)} shared word(s); need at least 2"
-        )
-    a_idx = [i for i, _ in shared]
-    b_idx = [j for _, j in shared]
-    r, notes = _correlate_columns(
-        a.values[a_idx], b.values[b_idx], names, _column_index(a), _column_index(b)
-    )
-    return EvalReport(
-        protocol=protocol,
-        lexicons=ids if ids is not None else (_lexicon_id(a), _lexicon_id(b)),
-        language=language if language is not None else b.language,
-        n_shared=len(shared),
-        r=r,
+    x, y = _align(a, b, "shared word(s)")
+    return _correlate(
+        protocol, x, y, names,
+        ids if ids is not None else (_lexicon_id(a), _lexicon_id(b)),
+        language if language is not None else b.language,
         coverage=coverage,
-        notes=notes,
     )
 
 
@@ -201,31 +226,16 @@ def silver_eval(
     training time can enter this comparison.
     """
     pred.require_unique("silver_eval")
-    common = splits.mt_test & splits.pred_test
-    pred_rows = pred.row_index
-    mt_idx: list[int] = []
-    pred_idx: list[int] = []
-    for i, w in enumerate(mt.words):
-        if w in common and w in pred_rows:
-            mt_idx.append(i)
-            pred_idx.append(pred_rows[w])
-    n = len({mt.words[i] for i in mt_idx})
-    if n < 2:
-        raise InsufficientOverlapError(f"only {n} shared test word(s); need at least 2")
+    x, y = _align(
+        restrict_to_words(mt, splits.mt_test & splits.pred_test), pred,
+        "shared test word(s)",
+    )
     names = [v for v in mt.variables.names if v in pred.variables]
     if not names:
         raise SchemaError("the lexicons share no variables")
-    r, notes = _correlate_columns(
-        mt.values[mt_idx], pred.values[pred_idx], names,
-        _column_index(mt), _column_index(pred),
-    )
-    return EvalReport(
-        protocol="silver",
-        lexicons=ids if ids is not None else (_lexicon_id(mt), _lexicon_id(pred)),
-        language=pred.language,
-        n_shared=n,
-        r=r,
-        notes=notes,
+    return _correlate(
+        "silver", x, y, names,
+        ids if ids is not None else (_lexicon_id(mt), _lexicon_id(pred)), pred.language,
     )
 
 
@@ -248,31 +258,14 @@ def gold_eval(
     names = [v for v in gold.variables.names if v in pred.variables]
     if not names:
         raise SchemaError("gold lexicon shares no variables with the predictions")
-    pred_rows = pred.row_index
-    test_words = splits.pred_test
-    gold_idx: list[int] = []
-    pred_idx: list[int] = []
-    for i, w in enumerate(gold.words):
-        if w in test_words and w in pred_rows:
-            gold_idx.append(i)
-            pred_idx.append(pred_rows[w])
-    n = len(gold_idx)
-    if n < 2:
-        raise InsufficientOverlapError(
-            f"only {n} gold word(s) inside the prediction test split; need at least 2"
-        )
-    r, notes = _correlate_columns(
-        gold.values[gold_idx], pred.values[pred_idx], names,
-        _column_index(gold), _column_index(pred),
+    x, y = _align(
+        restrict_to_words(gold, splits.pred_test), pred,
+        "gold word(s) inside the prediction test split",
     )
-    return EvalReport(
-        protocol="gold",
-        lexicons=(gold_id if gold_id is not None else _lexicon_id(gold), _lexicon_id(pred)),
-        language=gold.language,
-        n_shared=n,
-        r=r,
-        coverage=n / len(gold),
-        notes=notes,
+    return _correlate(
+        "gold", x, y, names,
+        (gold_id if gold_id is not None else _lexicon_id(gold), _lexicon_id(pred)),
+        gold.language, coverage=len(x) / len(gold),
     )
 
 
@@ -306,38 +299,18 @@ def isr_compare(
     id1, id2, idp = ids if ids is not None else (
         _lexicon_id(gold1), _lexicon_id(gold2), _lexicon_id(pred)
     )
-    rows2, rowsp = gold2.row_index, pred.row_index
-    triples = [
-        (gold1.row_index[w], rows2[w], rowsp[w])
-        for w in gold1.words
-        if w in rows2 and w in rowsp
-    ]
-    if len(triples) < 2:
-        raise InsufficientOverlapError(
-            f"only {len(triples)} words shared by all three lexicons; need at least 2"
-        )
+    shared = "words shared by all three lexicons"
+    g1, g2 = _align(restrict_to_words(gold1, pred.word_types), gold2, shared)
+    _, p = _align(g1, pred, shared)
     names = [
         v for v in gold1.variables.names if v in gold2.variables and v in pred.variables
     ]
     if not names:
         raise SchemaError("no variable is shared by all three lexicons")
-    i1 = [t[0] for t in triples]
-    i2 = [t[1] for t in triples]
-    ip = [t[2] for t in triples]
-    n = len(triples)
-
-    def pair(av, ai, bv, bi, pair_ids) -> EvalReport:
-        r, notes = _correlate_columns(av, bv, names, ai, bi)
-        return EvalReport(
-            protocol="isr", lexicons=pair_ids, language=pred.language,
-            n_shared=n, r=r, notes=notes,
-        )
-
-    c1, c2, cp = _column_index(gold1), _column_index(gold2), _column_index(pred)
     return IsrResult(
-        gold1_vs_gold2=pair(gold1.values[i1], c1, gold2.values[i2], c2, (id1, id2)),
-        gold1_vs_pred=pair(gold1.values[i1], c1, pred.values[ip], cp, (id1, idp)),
-        gold2_vs_pred=pair(gold2.values[i2], c2, pred.values[ip], cp, (id2, idp)),
+        gold1_vs_gold2=_correlate("isr", g1, g2, names, (id1, id2), pred.language),
+        gold1_vs_pred=_correlate("isr", g1, p, names, (id1, idp), pred.language),
+        gold2_vs_pred=_correlate("isr", g2, p, names, (id2, idp), pred.language),
     )
 
 
@@ -347,7 +320,12 @@ class MtVsPredResult:
 
     pred_report: EvalReport
     mt_report: EvalReport
-    diff: dict[str, float]
+
+    @property
+    def diff(self) -> dict[str, float]:
+        """r(pred) - r(mt) for each variable with both correlations defined."""
+        pred_r, mt_r = self.pred_report.r, self.mt_report.r
+        return {v: pred_r[v] - mt_r[v] for v in pred_r if v in mt_r}
 
 
 def mt_vs_pred(
@@ -372,46 +350,17 @@ def mt_vs_pred(
     ]
     if not names:
         raise SchemaError("no variable is shared by gold, MT, and predictions")
-    gold_rows = gold.row_index
-    pred_rows = pred.row_index
-    common = {
-        w for w in gold.words
-        if w in splits.pred_train and w in pred_rows and w in mt.word_types
-    }
-    if len(common) < 2:
-        raise InsufficientOverlapError(
-            f"only {len(common)} gold words inside the train split; need at least 2"
-        )
+    common = splits.pred_train & pred.word_types & mt.word_types
+    shared = "gold words inside the train split"
+    g, p = _align(restrict_to_words(gold, common), pred, shared)
     gid = gold_id if gold_id is not None else _lexicon_id(gold)
-
-    # predictions: one pair per shared word type
-    g_idx = [gold_rows[w] for w in gold.words if w in common]
-    p_idx = [pred_rows[w] for w in gold.words if w in common]
-    r_pred, notes_pred = _correlate_columns(
-        gold.values[g_idx], pred.values[p_idx], names,
-        _column_index(gold), _column_index(pred),
-    )
-    pred_report = EvalReport(
-        protocol="mt_vs_pred", lexicons=(gid, "pred-train"), language=pred.language,
-        n_shared=len(common), r=r_pred, notes=notes_pred,
-    )
-
+    pred_report = _correlate("mt_vs_pred", g, p, names, (gid, "pred-train"), pred.language)
     # MT: one pair per train-tagged entry of a shared word
-    mt_idx = [
-        i for i, (w, s) in enumerate(zip(mt.words, mt.splits))
-        if s == "train" and w in common
-    ]
-    g_for_mt = [gold_rows[mt.words[i]] for i in mt_idx]
-    r_mt, notes_mt = _correlate_columns(
-        gold.values[g_for_mt], mt.values[mt_idx], names,
-        _column_index(gold), _column_index(mt),
+    m, g_for_mt = _align(restrict_to_words(restrict_to_split(mt, "train"), common), gold, shared)
+    mt_report = _correlate(
+        "mt_vs_pred", g_for_mt, m, names, (gid, "mt-train"), mt.language, n_shared=len(g)
     )
-    mt_report = EvalReport(
-        protocol="mt_vs_pred", lexicons=(gid, "mt-train"), language=mt.language,
-        n_shared=len(common), r=r_mt, notes=notes_mt,
-    )
-    diff = {v: r_pred[v] - r_mt[v] for v in names if v in r_pred and v in r_mt}
-    return MtVsPredResult(pred_report=pred_report, mt_report=mt_report, diff=diff)
+    return MtVsPredResult(pred_report=pred_report, mt_report=mt_report)
 
 
 def meta_agreement(

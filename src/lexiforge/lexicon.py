@@ -11,7 +11,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -112,16 +112,6 @@ def canonical_variable_order(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(known + extra)
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    """One word with its ratings; a read-only view into a Lexicon."""
-
-    word: str
-    values: np.ndarray
-    split: str
-    provenance: str
-
-
 @dataclass(frozen=True, eq=False)
 class Lexicon:
     """Immutable word-to-ratings table.
@@ -138,7 +128,6 @@ class Lexicon:
     splits: tuple[str, ...]
     provenance: str
     language: str = "und"
-    scale: ScaleSpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
@@ -165,13 +154,6 @@ class Lexicon:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __iter__(self) -> Iterator[LexiconEntry]:
-        for i in range(len(self.words)):
-            yield self.entry(i)
-
-    def entry(self, i: int) -> LexiconEntry:
-        return LexiconEntry(self.words[i], self.values[i], self.splits[i], self.provenance)
 
     @cached_property
     def unique_words(self) -> bool:
@@ -211,9 +193,6 @@ class Lexicon:
             raise IntegrityError(
                 f"{context} requires unique word types; found {n_dup} duplicate entries"
             )
-
-    def column(self, variable: str) -> np.ndarray:
-        return self.values[:, self.variables.index(variable)]
 
 
 @dataclass(frozen=True)
@@ -392,7 +371,6 @@ def parse_lexicon(
         splits=tuple(splits),
         provenance=provenance,
         language=language,
-        scale=scale,
     )
 
 

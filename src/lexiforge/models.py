@@ -456,7 +456,6 @@ def predict_lexicon(
         splits=tuple(pred_tag(w) for w in words),
         provenance="predicted",
         language=mt.language,
-        scale=None,
     )
 
 

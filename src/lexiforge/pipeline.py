@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -38,6 +39,7 @@ from .evaluation import (
 from .lexicon import (
     DEFAULT_DUPLICATE_TOL,
     Lexicon,
+    SplitSets,
     derive_prediction_splits,
     filter_source_entries,
     load_lexicon,
@@ -98,17 +100,23 @@ class RunSettings:
 
 
 @dataclass
-class RunResult:
+class Evaluation:
+    """Reports of the evaluation protocols run on one MT and predicted lexicon."""
+
+    silver: EvalReport
+    gold: dict[str, EvalReport] = field(default_factory=dict)
+    isr: list[IsrResult] = field(default_factory=list)
+    mt_vs_pred: dict[str, MtVsPredResult] = field(default_factory=dict)
+
+
+@dataclass(kw_only=True)
+class RunResult(Evaluation):
     """Paths and reports produced by a completed run."""
 
     out: Path
     manifest_path: Path
     mt_path: Path
     pred_path: Path
-    silver: EvalReport
-    gold: dict[str, EvalReport] = field(default_factory=dict)
-    isr: list[IsrResult] = field(default_factory=list)
-    mt_vs_pred: dict[str, MtVsPredResult] = field(default_factory=dict)
 
 
 def file_sha256(path) -> str:
@@ -180,6 +188,31 @@ def _output_lock(out_dir: Path):
             os.unlink(lock_path)
 
 
+@contextlib.contextmanager
+def _stage(manifest: _Manifest | None, name: str):
+    """Run one named stage; its failure is raised as a PipelineError.
+
+    With a manifest, the stage's status and seconds (or its error) are
+    appended to the manifest's stage list and the manifest is rewritten.
+    """
+    started = time.perf_counter()
+    log.info("stage %s ...", name)
+    try:
+        yield
+    except Exception as exc:
+        if manifest is not None:
+            manifest.data["stages"].append({"name": name, "status": "failed",
+                                            "error": str(exc)})
+            manifest.write()
+        raise PipelineError(name, exc) from exc
+    if manifest is not None:
+        manifest.data["stages"].append({
+            "name": name, "status": "ok",
+            "seconds": round(time.perf_counter() - started, 3),
+        })
+        manifest.write()
+
+
 def prepare_source(
     source_path, test_ref_path, dev_ref_path, out_path, *, language: str = "und"
 ) -> Lexicon:
@@ -203,7 +236,6 @@ def run_pipeline(settings: RunSettings) -> RunResult:
     """Execute the full generation-and-evaluation pipeline."""
     out = settings.out
     out.mkdir(parents=True, exist_ok=True)
-    reports_dir = out / "reports"
     checkpoints_dir = out / "checkpoints"
 
     with _output_lock(out):
@@ -216,26 +248,7 @@ def run_pipeline(settings: RunSettings) -> RunResult:
             manifest.add_input(f"gold:{gold_id}", path)
         manifest.write()
 
-        state: dict = {}
-
-        @contextlib.contextmanager
-        def stage(name: str):
-            started = time.perf_counter()
-            log.info("stage %s ...", name)
-            try:
-                yield
-            except Exception as exc:
-                manifest.data["stages"].append({"name": name, "status": "failed",
-                                                "error": str(exc)})
-                manifest.write()
-                raise PipelineError(name, exc) from exc
-            manifest.data["stages"].append({
-                "name": name, "status": "ok",
-                "seconds": round(time.perf_counter() - started, 3),
-            })
-            manifest.write()
-
-        with stage("load-source"):
+        with _stage(manifest, "load-source"):
             source = load_lexicon(
                 settings.source, language=settings.source_lang, provenance="human"
             )
@@ -244,7 +257,7 @@ def run_pipeline(settings: RunSettings) -> RunResult:
                     "source lexicon has no train-tagged entries; run prepare-source first"
                 )
 
-        with stage("translate"):
+        with _stage(manifest, "translate"):
             if settings.skip_translation:
                 table = TranslationTable.identity(source.words, settings.target_lang)
             else:
@@ -254,22 +267,17 @@ def run_pipeline(settings: RunSettings) -> RunResult:
                     target_lang=settings.target_lang,
                 )
             mt = project_lexicon(source, table, missing=settings.missing_policy)
-            state["mt"] = mt
             mt_path = out / "target_mt.tsv"
             save_lexicon(mt, mt_path)
             manifest.add_output("target_mt", mt_path)
 
-        with stage("embeddings"):
+        with _stage(manifest, "embeddings"):
             store = load_embedding_store(settings.embeddings, settings.max_vocab)
-            state["store"] = store
 
-        with stage("splits"):
-            splits = derive_prediction_splits(state["mt"], state["store"].words)
-            state["splits"] = splits
+        with _stage(manifest, "splits"):
+            splits = derive_prediction_splits(mt, store.words)
 
-        with stage("train"):
-            mt = state["mt"]
-            store = state["store"]
+        with _stage(manifest, "train"):
             train_rows = [i for i, s in enumerate(mt.splits) if s == "train"]
             train_words = [mt.words[i] for i in train_rows]
             X, _ = embed_matrix(store, train_words)
@@ -287,81 +295,85 @@ def run_pipeline(settings: RunSettings) -> RunResult:
                 ckpt = checkpoints_dir / f"{settings.model}_{label}.ckpt"
                 save_checkpoint(model, ckpt)
                 manifest.add_output(f"checkpoint:{settings.model}_{label}", ckpt)
-            state["models"] = models
 
-        with stage("expand"):
-            pred = expand_lexicon(
-                state["models"], state["store"], state["mt"], state["splits"],
-                duplicate_tol=settings.duplicate_tol,
-            )
-            state["pred"] = pred
+        with _stage(manifest, "expand"):
+            pred = expand_lexicon(models, store, mt, splits, duplicate_tol=settings.duplicate_tol)
             pred_path = out / "target_pred.tsv"
             save_lexicon(pred, pred_path)
             manifest.add_output("target_pred", pred_path)
 
-        reports_dir.mkdir(exist_ok=True)
-
-        with stage("silver-eval"):
-            silver = silver_eval(
-                state["mt"], state["pred"], state["splits"],
-                ids=(f"{settings.target_lang}-mt", f"{settings.target_lang}-pred"),
-            )
-            silver_path = reports_dir / "silver.json"
-            save_reports([silver], silver_path)
-            manifest.add_output("report:silver", silver_path)
-
-        gold_reports: dict[str, EvalReport] = {}
-        gold_lexicons: dict[str, Lexicon] = {}
-        for gold_id, gold_path in settings.gold.items():
-            with stage(f"gold-eval-{gold_id}"):
-                gold = load_lexicon(gold_path, language=settings.target_lang)
-                gold_lexicons[gold_id] = gold
-                report = gold_eval(gold, state["pred"], state["splits"], gold_id=gold_id)
-                path = reports_dir / f"gold_{gold_id}.json"
-                save_reports([report], path)
-                manifest.add_output(f"report:gold_{gold_id}", path)
-                gold_reports[gold_id] = report
-
-        isr_results: list[IsrResult] = []
-        gold_ids = list(gold_lexicons)
-        for a_pos in range(len(gold_ids)):
-            for b_pos in range(a_pos + 1, len(gold_ids)):
-                id_a, id_b = gold_ids[a_pos], gold_ids[b_pos]
-                g_a, g_b = gold_lexicons[id_a], gold_lexicons[id_b]
-                if not any(n in g_b.variables for n in g_a.variables.names):
-                    continue
-                with stage(f"isr-{id_a}-{id_b}"):
-                    pred_test = restrict_to_test_predictions(state["pred"], state["splits"])
-                    result = isr_compare(
-                        g_a, g_b, pred_test,
-                        ids=(id_a, id_b, f"{settings.target_lang}-pred"),
-                    )
-                    path = reports_dir / f"isr_{id_a}_{id_b}.json"
-                    save_reports(list(result.reports), path)
-                    manifest.add_output(f"report:isr_{id_a}_{id_b}", path)
-                    isr_results.append(result)
-
-        mt_vs_pred_results: dict[str, MtVsPredResult] = {}
-        for gold_id, gold in gold_lexicons.items():
-            with stage(f"mt-vs-pred-{gold_id}"):
-                result = mt_vs_pred(
-                    gold, state["mt"], state["pred"], state["splits"], gold_id=gold_id
-                )
-                path = reports_dir / f"mt_vs_pred_{gold_id}.json"
-                save_reports([result.pred_report, result.mt_report], path)
-                manifest.add_output(f"report:mt_vs_pred_{gold_id}", path)
-                mt_vs_pred_results[gold_id] = result
-
+        evaluation = evaluate_protocols(
+            mt, pred, splits, settings.gold, out / "reports",
+            lang=settings.target_lang, manifest=manifest,
+        )
         manifest.data["status"] = "complete"
         manifest.write()
 
     return RunResult(
+        **vars(evaluation),
         out=out,
         manifest_path=manifest.path,
         mt_path=out / "target_mt.tsv",
         pred_path=out / "target_pred.tsv",
-        silver=silver,
-        gold=gold_reports,
-        isr=isr_results,
-        mt_vs_pred=mt_vs_pred_results,
     )
+
+
+def evaluate_protocols(
+    mt: Lexicon,
+    pred: Lexicon,
+    splits: SplitSets,
+    gold_paths: dict[str, Path],
+    out_dir: Path | None,
+    *,
+    lang: str,
+    manifest: _Manifest | None = None,
+) -> Evaluation:
+    """Run every evaluation protocol on an MT and a predicted lexicon.
+
+    In order: silver; gold for each gold lexicon (read as language
+    ``lang``); inter-study reliability for each pair of golds sharing a
+    variable; MT vs. prediction for each gold. Each comparison is one
+    stage and, unless ``out_dir`` is None, one report file there:
+    ``silver.json``, ``gold_<id>.json``, ``isr_<id1>_<id2>.json`` and
+    ``mt_vs_pred_<id>.json``. A manifest records the stages and files.
+    """
+
+    def save(name: str, reports: list[EvalReport]) -> None:
+        if out_dir is not None:
+            path = out_dir / f"{name}.json"
+            save_reports(reports, path)
+            if manifest is not None:
+                manifest.add_output(f"report:{name}", path)
+
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    with _stage(manifest, "silver-eval"):
+        result = Evaluation(
+            silver_eval(mt, pred, splits, ids=(f"{lang}-mt", f"{lang}-pred"))
+        )
+        save("silver", [result.silver])
+
+    golds: dict[str, Lexicon] = {}
+    for gold_id, gold_path in gold_paths.items():
+        with _stage(manifest, f"gold-eval-{gold_id}"):
+            gold = golds[gold_id] = load_lexicon(gold_path, language=lang)
+            result.gold[gold_id] = gold_eval(gold, pred, splits, gold_id=gold_id)
+            save(f"gold_{gold_id}", [result.gold[gold_id]])
+
+    pred_test = restrict_to_test_predictions(pred, splits) if len(golds) > 1 else None
+    for id_a, id_b in itertools.combinations(golds, 2):
+        if not any(n in golds[id_b].variables for n in golds[id_a].variables.names):
+            continue
+        with _stage(manifest, f"isr-{id_a}-{id_b}"):
+            isr = isr_compare(
+                golds[id_a], golds[id_b], pred_test, ids=(id_a, id_b, f"{lang}-pred")
+            )
+            save(f"isr_{id_a}_{id_b}", list(isr.reports))
+            result.isr.append(isr)
+
+    for gold_id, gold in golds.items():
+        with _stage(manifest, f"mt-vs-pred-{gold_id}"):
+            comparison = mt_vs_pred(gold, mt, pred, splits, gold_id=gold_id)
+            save(f"mt_vs_pred_{gold_id}", [comparison.pred_report, comparison.mt_report])
+            result.mt_vs_pred[gold_id] = comparison
+    return result

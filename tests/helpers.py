@@ -20,7 +20,6 @@ def build_lexicon(
     variables=("Val", "Aro"),
     provenance="human",
     language="und",
-    scale=None,
 ):
     """Build a lexicon from (word, values) or (word, values, split) rows."""
     words = []
@@ -43,7 +42,6 @@ def build_lexicon(
         splits=tuple(splits),
         provenance=provenance,
         language=language,
-        scale=scale,
     )
 
 

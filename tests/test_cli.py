@@ -1,11 +1,16 @@
+import importlib
+import importlib.util
 import json
 import unicodedata
+from dataclasses import asdict
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lexiforge import EvalReport, save_reports
+from lexiforge import EvalReport, LexiforgeError, TrainConfig, save_lexicon, save_reports
 from lexiforge.cli import main, parse_config_file
-from helpers import write_pipeline_bundle
+from helpers import build_lexicon, write_pipeline_bundle
 
 
 RAW_SOURCE = (
@@ -257,6 +262,32 @@ def test_evaluate_reproduces_run_with_nfc_nfd_twin_words(tmp_path, small_bundle)
         ]
 
 
+def test_evaluate_rewrites_the_run_report_files(tmp_path, small_bundle):
+    rng = np.random.default_rng(0)
+    gold2 = tmp_path / "gold2.tsv"
+    save_lexicon(build_lexicon(
+        [(w, (v + rng.standard_normal(2)).tolist())
+         for w, v in zip(small_bundle["words"][::2], small_bundle["clean"][::2])],
+        variables=small_bundle["variables"],
+    ), gold2)
+    golds = ["--gold", f"g1={small_bundle['gold']}", "--gold", f"g2={gold2}"]
+    out = tmp_path / "out"
+    assert main(_run_args(small_bundle, out, _write_fast_config(tmp_path), golds)) == 0
+
+    eval_out = tmp_path / "eval_reports"
+    assert main([
+        "evaluate", "--mt", str(out / "target_mt.tsv"),
+        "--pred", str(out / "target_pred.tsv"), *golds, "--out", str(eval_out),
+    ]) == 0
+    run_files = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+    assert sorted(run_files) == [
+        "gold_g1.json", "gold_g2.json", "isr_g1_g2.json",
+        "mt_vs_pred_g1.json", "mt_vs_pred_g2.json", "silver.json",
+    ]
+    assert {p.name: p.read_bytes() for p in eval_out.iterdir()} == run_files
+    assert json.loads(run_files["silver.json"])[0]["lexicons"] == ["und-mt", "und-pred"]
+
+
 def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle):
     config = _write_fast_config(tmp_path)
     out = tmp_path / "out"
@@ -345,3 +376,56 @@ def test_config_precedence_defaults_file_cli(tmp_path, small_bundle):
     assert manifest["train_config"]["epochs"] == 1  # CLI beats config file
     assert manifest["train_config"]["hidden"] == [8, 4]  # config beats default
     assert manifest["train_config"]["learning_rate"] == 1e-3  # default
+
+
+def test_bare_run_records_the_default_train_config(tmp_path, small_bundle):
+    out = tmp_path / "out"
+    assert main([
+        "run", "--source", str(small_bundle["source"]), "--table", str(small_bundle["table"]),
+        "--embeddings", str(small_bundle["embeddings"]), "--out", str(out),
+    ]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["train_config"] == json.loads(json.dumps(asdict(TrainConfig())))
+
+
+def test_every_config_key_reaches_the_manifest(tmp_path, small_bundle):
+    config = tmp_path / "cfg"
+    config.write_text(
+        "seed = 3\nepochs = 2\nbatch_size = 8\nlearning_rate = 0.002\n"
+        "input_dropout = 0.1\nhidden_dropout = 0.25\nleaky_slope = 0.05\nhidden = 8,4\n"
+        "model = mtlffn\nalpha = 0.5\nmax_vocab = 150\nduplicate_tol = 1e-5\n"
+        "source_lang = en\ntarget_lang = de\nendpoint = http://localhost:1\n",
+        encoding="utf-8",
+    )
+    assert len(parse_config_file(config)) == 15  # every accepted key
+    out = tmp_path / "out"
+    assert main([
+        "run", "--source", str(small_bundle["source"]), "--table", str(small_bundle["table"]),
+        "--embeddings", str(small_bundle["embeddings"]), "--out", str(out),
+        "--config", str(config),
+    ]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    expected = TrainConfig(seed=3, epochs=2, batch_size=8, learning_rate=0.002,
+                           input_dropout=0.1, hidden_dropout=0.25, leaky_slope=0.05,
+                           hidden=(8, 4))
+    assert manifest["train_config"] == json.loads(json.dumps(asdict(expected)))
+    assert manifest["model"] == "mtlffn"
+    assert manifest["language_pair"] == {"source": "en", "target": "de"}
+    settings = manifest["settings"]
+    assert (settings["alpha"], settings["max_vocab"], settings["duplicate_tol"]) == \
+        (0.5, 150, 1e-5)
+    adam = tmp_path / "adam"
+    adam.write_text("adam_beta1 = 0.5\n", encoding="utf-8")
+    with pytest.raises(LexiforgeError, match="unknown config key"):
+        parse_config_file(adam)
+
+
+def test_traced_attributes_exist():
+    """perfbench/tracer.py wraps each (module, attribute) it lists; all must exist."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)  # defines TRACED and the tracer; runs no command
+    for caller, attr, _, _ in tracer.TRACED:
+        module = importlib.import_module(f"lexiforge.{caller}")
+        assert callable(getattr(module, attr, None)), f"lexiforge.{caller}.{attr}"

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from lexiforge import (
     DegenerateVarianceError,
     EvalReport,
     InsufficientOverlapError,
+    IsrResult,
+    LexiforgeError,
+    MtVsPredResult,
     SchemaError,
     correlate_lexicons,
     derive_prediction_splits,
@@ -448,6 +453,246 @@ def test_mt_vs_pred_duplicates_pair_against_gold():
     result = mt_vs_pred(gold, mt, pred, splits)
     expected_mt = pearson_oracle([1.0, 1.0, 2.0, 3.0], [1.1, 0.9, 2.2, 2.9])
     assert abs(result.mt_report.r["y1"] - expected_mt) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: each protocol with its own index-pair loop
+# ---------------------------------------------------------------------------
+
+
+def _ref_correlate_columns(a_values, b_values, variables, a_index, b_index):
+    r, notes = {}, {}
+    for name in variables:
+        try:
+            r[name] = pearson(a_values[:, a_index[name]], b_values[:, b_index[name]])
+        except DegenerateVarianceError as exc:
+            notes[name] = f"undefined: {exc}"
+    return r, notes
+
+
+def _ref_column_index(lex):
+    return {name: i for i, name in enumerate(lex.variables.names)}
+
+
+def _ref_lexicon_id(lex):
+    return f"{lex.language}-{lex.provenance}"
+
+
+def reference_silver_eval(mt, pred, splits, *, ids=None):
+    pred.require_unique("silver_eval")
+    common = splits.mt_test & splits.pred_test
+    pred_rows = pred.row_index
+    mt_idx, pred_idx = [], []
+    for i, w in enumerate(mt.words):
+        if w in common and w in pred_rows:
+            mt_idx.append(i)
+            pred_idx.append(pred_rows[w])
+    n = len({mt.words[i] for i in mt_idx})
+    if n < 2:
+        raise InsufficientOverlapError(f"only {n} shared test word(s); need at least 2")
+    names = [v for v in mt.variables.names if v in pred.variables]
+    if not names:
+        raise SchemaError("the lexicons share no variables")
+    r, notes = _ref_correlate_columns(
+        mt.values[mt_idx], pred.values[pred_idx], names,
+        _ref_column_index(mt), _ref_column_index(pred),
+    )
+    return EvalReport(
+        protocol="silver",
+        lexicons=ids if ids is not None else (_ref_lexicon_id(mt), _ref_lexicon_id(pred)),
+        language=pred.language, n_shared=n, r=r, notes=notes,
+    )
+
+
+def reference_gold_eval(gold, pred, splits, *, gold_id=None):
+    gold.require_unique("gold_eval")
+    pred.require_unique("gold_eval")
+    names = [v for v in gold.variables.names if v in pred.variables]
+    if not names:
+        raise SchemaError("gold lexicon shares no variables with the predictions")
+    pred_rows = pred.row_index
+    gold_idx, pred_idx = [], []
+    for i, w in enumerate(gold.words):
+        if w in splits.pred_test and w in pred_rows:
+            gold_idx.append(i)
+            pred_idx.append(pred_rows[w])
+    n = len(gold_idx)
+    if n < 2:
+        raise InsufficientOverlapError(
+            f"only {n} gold word(s) inside the prediction test split; need at least 2"
+        )
+    r, notes = _ref_correlate_columns(
+        gold.values[gold_idx], pred.values[pred_idx], names,
+        _ref_column_index(gold), _ref_column_index(pred),
+    )
+    return EvalReport(
+        protocol="gold",
+        lexicons=(gold_id if gold_id is not None else _ref_lexicon_id(gold),
+                  _ref_lexicon_id(pred)),
+        language=gold.language, n_shared=n, r=r, coverage=n / len(gold), notes=notes,
+    )
+
+
+def reference_isr_compare(gold1, gold2, pred, *, ids=None):
+    for lex in (gold1, gold2, pred):
+        lex.require_unique("isr_compare")
+    id1, id2, idp = ids if ids is not None else (
+        _ref_lexicon_id(gold1), _ref_lexicon_id(gold2), _ref_lexicon_id(pred)
+    )
+    rows2, rowsp = gold2.row_index, pred.row_index
+    triples = [
+        (gold1.row_index[w], rows2[w], rowsp[w])
+        for w in gold1.words
+        if w in rows2 and w in rowsp
+    ]
+    if len(triples) < 2:
+        raise InsufficientOverlapError(
+            f"only {len(triples)} words shared by all three lexicons; need at least 2"
+        )
+    names = [
+        v for v in gold1.variables.names if v in gold2.variables and v in pred.variables
+    ]
+    if not names:
+        raise SchemaError("no variable is shared by all three lexicons")
+    i1 = [t[0] for t in triples]
+    i2 = [t[1] for t in triples]
+    ip = [t[2] for t in triples]
+
+    def pair(av, ai, bv, bi, pair_ids):
+        r, notes = _ref_correlate_columns(av, bv, names, ai, bi)
+        return EvalReport(protocol="isr", lexicons=pair_ids, language=pred.language,
+                          n_shared=len(triples), r=r, notes=notes)
+
+    c1, c2, cp = _ref_column_index(gold1), _ref_column_index(gold2), _ref_column_index(pred)
+    return IsrResult(
+        gold1_vs_gold2=pair(gold1.values[i1], c1, gold2.values[i2], c2, (id1, id2)),
+        gold1_vs_pred=pair(gold1.values[i1], c1, pred.values[ip], cp, (id1, idp)),
+        gold2_vs_pred=pair(gold2.values[i2], c2, pred.values[ip], cp, (id2, idp)),
+    )
+
+
+def reference_mt_vs_pred(gold, mt, pred, splits, *, gold_id=None):
+    gold.require_unique("mt_vs_pred")
+    pred.require_unique("mt_vs_pred")
+    names = [v for v in gold.variables.names if v in mt.variables and v in pred.variables]
+    if not names:
+        raise SchemaError("no variable is shared by gold, MT, and predictions")
+    gold_rows, pred_rows = gold.row_index, pred.row_index
+    common = {
+        w for w in gold.words
+        if w in splits.pred_train and w in pred_rows and w in mt.word_types
+    }
+    if len(common) < 2:
+        raise InsufficientOverlapError(
+            f"only {len(common)} gold words inside the train split; need at least 2"
+        )
+    gid = gold_id if gold_id is not None else _ref_lexicon_id(gold)
+    g_idx = [gold_rows[w] for w in gold.words if w in common]
+    p_idx = [pred_rows[w] for w in gold.words if w in common]
+    r_pred, notes_pred = _ref_correlate_columns(
+        gold.values[g_idx], pred.values[p_idx], names,
+        _ref_column_index(gold), _ref_column_index(pred),
+    )
+    pred_report = EvalReport(
+        protocol="mt_vs_pred", lexicons=(gid, "pred-train"), language=pred.language,
+        n_shared=len(common), r=r_pred, notes=notes_pred,
+    )
+    mt_idx = [
+        i for i, (w, s) in enumerate(zip(mt.words, mt.splits))
+        if s == "train" and w in common
+    ]
+    g_for_mt = [gold_rows[mt.words[i]] for i in mt_idx]
+    r_mt, notes_mt = _ref_correlate_columns(
+        gold.values[g_for_mt], mt.values[mt_idx], names,
+        _ref_column_index(gold), _ref_column_index(mt),
+    )
+    mt_report = EvalReport(
+        protocol="mt_vs_pred", lexicons=(gid, "mt-train"), language=mt.language,
+        n_shared=len(common), r=r_mt, notes=notes_mt,
+    )
+    diff = {v: r_pred[v] - r_mt[v] for v in names if v in r_pred and v in r_mt}
+    return SimpleNamespace(pred_report=pred_report, mt_report=mt_report, diff=diff)
+
+
+_POOL = tuple(f"w{i}" for i in range(10))
+_VARIABLES = ("Val", "Aro", "Dom", "Joy")
+# few distinct values, so constant (zero-variance) columns come up often
+_VALUE = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-5, 5, width=32)
+
+
+@st.composite
+def _lexicon(draw, words, provenance="human", tags=None):
+    names = draw(st.permutations(_VARIABLES))[:draw(st.sampled_from((1, 2, 3, 4, 4)))]
+    rows = draw(st.lists(st.lists(_VALUE, min_size=len(names), max_size=len(names)),
+                         min_size=len(words), max_size=len(words)))
+    return build_lexicon(
+        [(w, vals, tags[i] if tags else "none") for i, (w, vals) in enumerate(zip(words, rows))],
+        variables=names, provenance=provenance, language="de",
+    )
+
+
+@st.composite
+def _protocol_inputs(draw):
+    """An MT lexicon with partial duplicates and mixed split tags, its
+    prediction splits, predictions over MT plus vocabulary words, and two
+    golds that miss some predicted words and hold some unknown ones."""
+    mt_words = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=20))
+    tags = draw(st.lists(st.sampled_from(("train", "train", "dev", "test", "test")),
+                         min_size=len(mt_words), max_size=len(mt_words)))
+    mt = draw(_lexicon(mt_words, "translated", tags))
+    vocab = draw(st.sets(st.sampled_from(_POOL + ("v0", "v1", "v2"))))
+    splits = derive_prediction_splits(mt, vocab)
+    pred_words = draw(st.permutations(sorted(set(mt_words) | vocab)))
+    pred_tags = ["train" if w in splits.pred_train else "dev" if w in splits.pred_dev
+                 else "test" if w in splits.pred_test else "none" for w in pred_words]
+    pred = draw(_lexicon(pred_words, "predicted", pred_tags))
+    golds = [
+        draw(_lexicon(draw(st.lists(st.sampled_from(_POOL + ("g0", "g1")), min_size=2,
+                                    unique=True))))
+        for _ in range(2)
+    ]
+    return mt, pred, splits, golds
+
+
+def _same(result, expected):
+    """Equal reports: same JSON text, so r is bit-equal and in key order."""
+    as_json = lambda reports: json.dumps([r.to_dict() for r in reports])
+    if isinstance(result, MtVsPredResult):
+        assert as_json([result.pred_report, result.mt_report]) == \
+            as_json([expected.pred_report, expected.mt_report])
+        assert json.dumps(result.diff) == json.dumps(expected.diff)
+    elif isinstance(result, IsrResult):
+        assert as_json(result.reports) == as_json(expected.reports)
+    else:
+        assert as_json([result]) == as_json([expected])
+
+
+def _check_against_reference(protocol, reference, *args, **kwargs):
+    try:
+        expected = reference(*args, **kwargs)
+    except LexiforgeError as exc:
+        with pytest.raises(type(exc)) as raised:
+            protocol(*args, **kwargs)
+        assert str(raised.value) == str(exc)
+        return
+    _same(protocol(*args, **kwargs), expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_protocol_inputs())
+def test_protocols_match_reference_implementations(inputs):
+    mt, pred, splits, (gold1, gold2) = inputs
+    pred_test = restrict_to_test_predictions(pred, splits)
+    _check_against_reference(silver_eval, reference_silver_eval, mt, pred, splits)
+    _check_against_reference(silver_eval, reference_silver_eval, mt, pred, splits,
+                             ids=("de-mt", "de-pred"))
+    for gold in (gold1, gold2):
+        _check_against_reference(gold_eval, reference_gold_eval, gold, pred, splits,
+                                 gold_id="g")
+        _check_against_reference(mt_vs_pred, reference_mt_vs_pred, gold, mt, pred, splits)
+    _check_against_reference(isr_compare, reference_isr_compare, gold1, gold2, pred_test)
+    _check_against_reference(isr_compare, reference_isr_compare, gold1, gold2, pred,
+                             ids=("a", "b", "de-pred"))
 
 
 # ---------------------------------------------------------------------------

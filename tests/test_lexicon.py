@@ -100,7 +100,6 @@ def test_parse_eight_variable_sample():
     assert lex.row("terrorism")[0] == 1.6
     assert lex.row("terrorism")[6] == 3.9
     assert lex.provenance == "human"
-    assert lex.scale is None  # mixed families carry no single scale
 
 
 def test_parse_empty_body():
