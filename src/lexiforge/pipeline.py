@@ -128,7 +128,12 @@ def file_sha256(path) -> str:
 
 
 class _Manifest:
-    """Incrementally written run manifest."""
+    """Run manifest, written when the run starts and when it ends or fails.
+
+    Stages are appended in memory; each write replaces ``manifest.json``
+    whole, so a killed run leaves the last complete manifest, never a
+    truncated one.
+    """
 
     def __init__(self, path: Path, settings: RunSettings):
         self.path = path
@@ -162,10 +167,34 @@ class _Manifest:
     def add_output(self, name: str, path: Path) -> None:
         self.data["outputs"][name] = {"path": str(path), "sha256": file_sha256(path)}
 
+    def add_stage(self, entry: dict) -> None:
+        peak = _peak_rss_mb()
+        if peak is not None:
+            entry["peak_rss_mb"] = peak
+        self.data["stages"].append(entry)
+
     def write(self) -> None:
-        with open(self.path, "w", encoding="utf-8", newline="") as fh:
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             json.dump(self.data, fh, indent=2, ensure_ascii=False)
             fh.write("\n")
+        os.replace(tmp, self.path)
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's resident-memory high-water mark (VmHWM) in MiB.
+
+    None where ``/proc`` is missing. Not ``ru_maxrss``: Linux carries the
+    parent's high-water mark into it across fork and exec.
+    """
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except OSError:
+        pass
+    return None
 
 
 @contextlib.contextmanager
@@ -192,8 +221,9 @@ def _output_lock(out_dir: Path):
 def _stage(manifest: _Manifest | None, name: str):
     """Run one named stage; its failure is raised as a PipelineError.
 
-    With a manifest, the stage's status and seconds (or its error) are
-    appended to the manifest's stage list and the manifest is rewritten.
+    With a manifest, the stage's status and seconds (or its error) and the
+    process's peak RSS so far are appended to the manifest's stage list;
+    the manifest is rewritten only when the stage fails.
     """
     started = time.perf_counter()
     log.info("stage %s ...", name)
@@ -201,16 +231,12 @@ def _stage(manifest: _Manifest | None, name: str):
         yield
     except Exception as exc:
         if manifest is not None:
-            manifest.data["stages"].append({"name": name, "status": "failed",
-                                            "error": str(exc)})
+            manifest.add_stage({"name": name, "status": "failed", "error": str(exc)})
             manifest.write()
         raise PipelineError(name, exc) from exc
     if manifest is not None:
-        manifest.data["stages"].append({
-            "name": name, "status": "ok",
-            "seconds": round(time.perf_counter() - started, 3),
-        })
-        manifest.write()
+        manifest.add_stage({"name": name, "status": "ok",
+                            "seconds": round(time.perf_counter() - started, 3)})
 
 
 def prepare_source(

@@ -7,11 +7,18 @@ from pathlib import Path
 import numpy as np
 
 from lexiforge import (
+    BE5_NAMES,
+    VAD_NAMES,
     EmbeddingStore,
     Lexicon,
+    TrainConfig,
+    derive_prediction_splits,
+    embed_matrix,
+    fit_mtlffn,
     make_variable_set,
     save_embedding_store,
     save_lexicon,
+    variable_groups,
 )
 
 
@@ -127,3 +134,36 @@ def write_pipeline_bundle(
         "noisy": noisy,
         "words": words,
     }
+
+
+def expansion_fixture(n_rows: int, *, dim: int = 300, seed: int = 5):
+    """Models, store, MT lexicon and splits whose prediction has ``n_rows`` rows.
+
+    The MT lexicon has 7,000 word types over the VAD and BE5 variables
+    (every 97th a two-token phrase, every 101st missing from the store)
+    followed by 40 partial duplicates of its first words, so with more
+    than 7,040 rows each duplicate pair straddles a prediction chunk
+    boundary. The store holds the MT words plus embedding-only words
+    up to ``n_rows``. One MTLFFN per variable group, with the default
+    hidden layers, is trained for one epoch on the first 256 entries.
+    """
+    rng = np.random.default_rng(seed)
+    types = [f"m{i} m{i + 1}" if i % 97 == 1 else f"m{i}" for i in range(7000)]
+    mt_words = types + types[:40]
+    tags = ["train"] * 256 + ["dev"] * 500 + ["test"] * (len(mt_words) - 756)
+    variables = VAD_NAMES + BE5_NAMES
+    values = rng.uniform(1.0, 9.0, (len(mt_words), len(variables)))
+    mt = build_lexicon(
+        [(w, v, t) for w, v, t in zip(mt_words, values, tags)],
+        variables=variables, provenance="translated",
+    )
+    vocab = [w for i, w in enumerate(types) if " " not in w and i % 101 != 3]
+    vocab += [f"e{i}" for i in range(n_rows - len(mt_words))]
+    store = EmbeddingStore(vocab, rng.standard_normal((len(vocab), dim)))
+    X, _ = embed_matrix(store, mt_words[:256])
+    models = [
+        fit_mtlffn(X, values[:256, [variables.index(n) for n in group.names]],
+                   TrainConfig(epochs=1, seed=seed), group)
+        for group in variable_groups(mt.variables)
+    ]
+    return models, store, mt, derive_prediction_splits(mt, store.words)

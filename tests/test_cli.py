@@ -127,6 +127,68 @@ def test_run_produces_artifacts_and_reports(tmp_path, small_bundle, capsys):
     assert not (out / ".lexiforge.lock").exists()
 
 
+def _count_manifest_writes(monkeypatch):
+    """Record a copy of the manifest data at each _Manifest.write."""
+    from lexiforge.pipeline import _Manifest
+
+    written = []
+    write = _Manifest.write
+
+    def counting_write(self):
+        written.append(json.loads(json.dumps(self.data)))
+        write(self)
+
+    monkeypatch.setattr(_Manifest, "write", counting_write)
+    return written
+
+
+RUN_STAGES = ["load-source", "translate", "embeddings", "splits", "train", "expand",
+              "silver-eval"]
+
+
+def test_run_writes_manifest_at_start_and_end(tmp_path, small_bundle, monkeypatch):
+    written = _count_manifest_writes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(_run_args(small_bundle, out, _write_fast_config(tmp_path),
+                          extra=["--gold", f"g={small_bundle['gold']}"])) == 0
+    assert len(written) == 2
+    assert written[0]["status"] == "incomplete" and written[0]["stages"] == []
+    assert set(written[0]["inputs"]) == {"source", "table", "embeddings", "gold:g"}
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest == written[1] and manifest["status"] == "complete"
+    stages = manifest["stages"]
+    assert [s["name"] for s in stages] == [*RUN_STAGES, "gold-eval-g", "mt-vs-pred-g"]
+    assert all(s["status"] == "ok" and s["seconds"] >= 0 for s in stages)
+    if Path("/proc/self/status").exists():
+        peaks = [s["peak_rss_mb"] for s in stages]
+        assert peaks[0] > 0 and peaks == sorted(peaks)  # a high-water mark
+    assert not (out / "manifest.json.tmp").exists()
+
+
+def test_run_failure_manifest_lists_stages_up_to_the_failed_one(
+    tmp_path, small_bundle, monkeypatch
+):
+    import lexiforge.pipeline
+
+    monkeypatch.setattr(lexiforge.pipeline, "_peak_rss_mb", lambda: None)  # no /proc
+    written = _count_manifest_writes(monkeypatch)
+    out = tmp_path / "out"
+    bad_gold = tmp_path / "bad_gold.tsv"
+    bad_gold.write_text("word\ty1\ty2\nonlyone\t0.0\t0.0\n", encoding="utf-8")
+    assert main(_run_args(small_bundle, out, _write_fast_config(tmp_path),
+                          extra=["--gold", f"bad={bad_gold}"])) == 1
+    assert len(written) == 2
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest == written[1] and manifest["status"] == "incomplete"
+    *ok, failed = manifest["stages"]
+    assert [s["name"] for s in ok] == RUN_STAGES
+    assert all(s.keys() == {"name", "status", "seconds"} and s["status"] == "ok" for s in ok)
+    assert failed.keys() == {"name", "status", "error"}
+    assert failed["name"] == "gold-eval-bad" and failed["status"] == "failed"
+    assert "need at least 2" in failed["error"]
+    assert not (out / "manifest.json.tmp").exists()
+
+
 def test_manifest_attributes_outputs_by_hash(tmp_path, small_bundle):
     from lexiforge.pipeline import file_sha256
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lexiforge.models
 from lexiforge import (
     DivergenceError,
     EmbeddingStore,
@@ -11,6 +16,7 @@ from lexiforge import (
     TrainConfig,
     collapse_duplicates,
     derive_prediction_splits,
+    embed_matrix,
     expand_lexicon,
     fit_mtlffn,
     fit_ridge,
@@ -22,7 +28,7 @@ from lexiforge import (
     save_checkpoint,
     variable_groups,
 )
-from helpers import build_lexicon
+from helpers import build_lexicon, expansion_fixture
 
 
 SMALL = TrainConfig(hidden=(16, 8), input_dropout=0.0, hidden_dropout=0.0, seed=3)
@@ -485,3 +491,66 @@ def test_expand_rejects_overlapping_models():
     model, store, mt, splits = _expansion_fixture()
     with pytest.raises(ValueError):
         predict_lexicon([model, model], store, mt, splits)
+
+
+CHUNK = lexiforge.models._PREDICT_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [2 * CHUNK + 1000, 3 * CHUNK + 1])
+def test_chunked_prediction_equals_one_call(n_rows, monkeypatch):
+    models, store, mt, splits = expansion_fixture(n_rows)
+    chunks = []
+
+    def recording_embed_matrix(store, words):
+        chunks.append(len(words))
+        return embed_matrix(store, words)
+
+    monkeypatch.setattr(lexiforge.models, "embed_matrix", recording_embed_matrix)
+    pred = predict_lexicon(models, store, mt, splits)
+    monkeypatch.undo()
+
+    # three or more near-equal chunks, none short (1 row past a multiple
+    # of the chunk size must not leave a 1-row tail)
+    assert len(chunks) == -(-n_rows // CHUNK) >= 3
+    assert sum(chunks) == n_rows
+    assert max(chunks) - min(chunks) <= 1 and max(chunks) <= CHUNK
+
+    words = list(mt.words) + [w for w in store.words if w not in mt.word_types]
+    matrix, _ = embed_matrix(store, words)
+    expected = np.hstack([predict(model, matrix) for model in models])
+    assert pred.words == tuple(words)
+    assert pred.values.tobytes() == expected.tobytes()
+    assert pred.splits == tuple(
+        "train" if w in splits.pred_train else "dev" if w in splits.pred_dev
+        else "test" if w in splits.pred_test else "none"
+        for w in words
+    )
+    assert pred.variables.names == mt.variables.names
+    # partial duplicates on both sides of the first chunk boundary
+    for i in range(len(mt) - 40, len(mt)):
+        j = mt.words.index(mt.words[i])
+        assert j < chunks[0] <= i
+        assert pred.values[i].tobytes() == pred.values[j].tobytes()
+    expanded = expand_lexicon(models, store, mt, splits)
+    assert len(expanded) == n_rows - 40
+
+
+def test_chunked_prediction_same_bytes_across_blas_threads():
+    tests_dir = Path(__file__).resolve().parent
+    package_root = str(Path(lexiforge.models.__file__).resolve().parents[1])
+    script = (
+        "import hashlib\n"
+        "from helpers import expansion_fixture\n"
+        "from lexiforge import predict_lexicon\n"
+        f"fixture = expansion_fixture({3 * CHUNK + 1})\n"
+        "print(hashlib.sha256(predict_lexicon(*fixture).values.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(tests_dir), package_root])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests_dir,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
