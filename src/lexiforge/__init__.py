@@ -34,7 +34,6 @@ from .evaluation import (
     EvalReport,
     IsrResult,
     MtVsPredResult,
-    correlate_lexicons,
     gold_eval,
     isr_compare,
     load_reports,

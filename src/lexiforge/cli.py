@@ -218,18 +218,21 @@ def _cmd_fetch_translations(args) -> int:
 
 def _cmd_run(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
-    settings = RunSettings(
-        source=Path(args.source),
-        embeddings=Path(args.embeddings),
-        out=Path(args.out),
-        table=Path(args.table) if args.table else None,
-        skip_translation=bool(args.skip_translation),
-        gold=_parse_gold_args(args.gold),
-        train=TrainConfig(**_given(args, config, _TRAIN_KEYS)),
-        joint_mtl=bool(args.joint_mtl),
-        missing_policy="strict" if args.strict_missing else "skip",
-        **_given(args, config, _RUN_KEYS),
-    )
+    try:
+        settings = RunSettings(
+            source=Path(args.source),
+            embeddings=Path(args.embeddings),
+            out=Path(args.out),
+            table=Path(args.table) if args.table else None,
+            skip_translation=bool(args.skip_translation),
+            gold=_parse_gold_args(args.gold),
+            train=TrainConfig(**_given(args, config, _TRAIN_KEYS)),
+            joint_mtl=bool(args.joint_mtl),
+            missing_policy="strict" if args.strict_missing else "skip",
+            **_given(args, config, _RUN_KEYS),
+        )
+    except ValueError as exc:
+        raise LexiforgeError(f"bad run settings: {exc}") from None
     result = run_pipeline(settings)
     print(f"run complete: {result.out}")
     _print_tables(result)

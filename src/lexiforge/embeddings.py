@@ -31,10 +31,6 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 # with more resident memory after the parse.
 _BLOCK_ROWS = 512
 
-#: Resolution tags returned by embed_term.
-RESOLUTION_TAGS = ("direct", "averaged", "zero")
-
-
 class EmbeddingStore:
     """Immutable vocabulary-to-vector mapping of fixed dimension."""
 

@@ -33,7 +33,7 @@ from .lexicon import (
     restrict_to_words,
 )
 
-PROTOCOLS = ("pairwise", "silver", "gold", "isr", "mt_vs_pred", "meta")
+PROTOCOLS = ("silver", "gold", "isr", "mt_vs_pred", "meta")
 
 
 def restrict_to_test_predictions(pred: Lexicon, splits: SplitSets) -> Lexicon:
@@ -94,11 +94,25 @@ def load_reports(path) -> list[EvalReport]:
     return [EvalReport.from_dict(item) for item in data]
 
 
+_MIN_NORMAL = float(np.finfo(np.float64).tiny)
+
+
+def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+    xc = x - x.mean()
+    return xc, float(xc @ xc)
+
+
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that puts its largest magnitude in [0.5, 1)."""
+    return np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation coefficient of two equal-length series.
 
-    Raises DegenerateVarianceError when either series has zero variance
-    (the coefficient is undefined there, never silently zero).
+    Raises DegenerateVarianceError when either series is constant (the
+    coefficient is undefined there, never silently zero). Sums of squares
+    outside the normal float range are computed on rescaled series.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -108,14 +122,19 @@ def pearson(x, y) -> float:
         raise ValueError("need at least 2 observations")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("series must be finite")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0 or syy == 0.0:
+    x_constant = x.min() == x.max()
+    if x_constant or y.min() == y.max():
         raise DegenerateVarianceError(
-            "zero variance in " + ("first" if sxx == 0.0 else "second") + " series"
+            "zero variance in " + ("first" if x_constant else "second") + " series"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc, sxx = _centred(x)
+        yc, syy = _centred(y)
+    if not all(_MIN_NORMAL <= s < math.inf for s in (sxx, syy, sxx * syy)):
+        # the squares left the normal float range; r is scale-invariant,
+        # so scale each series by a power of two (exact) and start again
+        xc, sxx = _centred(_unit_scaled(x))
+        yc, syy = _centred(_unit_scaled(y))
     r = float(xc @ yc) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
@@ -170,43 +189,6 @@ def _correlate(
         r=r,
         coverage=coverage,
         notes=notes,
-    )
-
-
-def correlate_lexicons(
-    a: Lexicon,
-    b: Lexicon,
-    variables: Sequence[str] | None = None,
-    *,
-    protocol: str = "pairwise",
-    ids: tuple[str, str] | None = None,
-    language: str | None = None,
-    coverage: float | None = None,
-) -> EvalReport:
-    """Correlate two word-unique lexicons on their word intersection.
-
-    The intersection is aligned in ``a``'s entry order; each variable is
-    correlated independently. Fewer than two shared words raises
-    InsufficientOverlapError; per-variable degenerate variance is
-    annotated in the report notes rather than failing the whole report.
-    """
-    a.require_unique("correlate_lexicons")
-    b.require_unique("correlate_lexicons")
-    if variables is None:
-        names: Sequence[str] = [n for n in a.variables.names if n in b.variables]
-    else:
-        names = list(variables)
-        missing = [n for n in names if n not in a.variables or n not in b.variables]
-        if missing:
-            raise SchemaError(f"variables absent from one lexicon: {missing}")
-    if not names:
-        raise SchemaError("the lexicons share no variables")
-    x, y = _align(a, b, "shared word(s)")
-    return _correlate(
-        protocol, x, y, names,
-        ids if ids is not None else (_lexicon_id(a), _lexicon_id(b)),
-        language if language is not None else b.language,
-        coverage=coverage,
     )
 
 

@@ -197,7 +197,7 @@ class Lexicon:
 
 @dataclass(frozen=True)
 class SplitSets:
-    """Word-type sets of the translated (MT) splits, the embedding
+    """Word-type sets of the translated (MT) splits and the embedding
     vocabulary, and the prediction splits derived from them.
 
     The prediction splits are defined so that no word available at
@@ -212,45 +212,50 @@ class SplitSets:
     mt_dev: frozenset[str]
     mt_test: frozenset[str]
     embedding_vocab: frozenset[str]
-    pred_train: frozenset[str]
-    pred_dev: frozenset[str]
-    pred_test: frozenset[str]
 
     def __post_init__(self):
-        for name in ("mt_train", "mt_dev", "mt_test", "embedding_vocab",
-                     "pred_train", "pred_dev", "pred_test"):
+        for name in ("mt_train", "mt_dev", "mt_test", "embedding_vocab"):
             object.__setattr__(self, name, frozenset(getattr(self, name)))
-        if self.pred_train != self.mt_train:
-            raise IntegrityError("pred_train must equal mt_train")
-        if self.pred_dev != self.mt_dev - self.mt_train:
-            raise IntegrityError("pred_dev must equal mt_dev minus mt_train")
-        expected_test = (self.mt_test | self.embedding_vocab) - (self.mt_dev | self.mt_train)
-        if self.pred_test != expected_test:
-            raise IntegrityError(
-                "pred_test must equal (mt_test | embedding_vocab) - (mt_dev | mt_train)"
-            )
-        if (self.pred_train & self.pred_dev or self.pred_train & self.pred_test
-                or self.pred_dev & self.pred_test):
-            raise IntegrityError("prediction splits must be pairwise disjoint")
+
+    @property
+    def pred_train(self) -> frozenset[str]:
+        return self.mt_train
+
+    @cached_property
+    def pred_dev(self) -> frozenset[str]:
+        return self.mt_dev - self.mt_train
+
+    @cached_property
+    def pred_test(self) -> frozenset[str]:
+        return (self.mt_test | self.embedding_vocab) - (self.mt_dev | self.mt_train)
+
+    def tag(self, word: str) -> str:
+        """The prediction split of a word, or "none" outside all three."""
+        if word in self.pred_train:
+            return "train"
+        if word in self.pred_dev:
+            return "dev"
+        if word in self.pred_test:
+            return "test"
+        return "none"
 
     @classmethod
     def from_lexicons(cls, mt: "Lexicon", pred: "Lexicon") -> "SplitSets":
-        """Reconstruct split sets from the tags stored in the two lexicons.
+        """Split sets from the tags stored in an MT and a predicted lexicon.
 
         The embedding vocabulary is recovered only up to what the
         evaluation protocols need (membership of pred_test words).
+        Raises IntegrityError unless the predicted lexicon's train, dev
+        and test words are exactly the splits derived from the MT tags.
         """
-        mt_test = frozenset(mt.split_words("test"))
-        pred_test = frozenset(pred.split_words("test"))
-        return cls(
-            mt_train=frozenset(mt.split_words("train")),
-            mt_dev=frozenset(mt.split_words("dev")),
-            mt_test=mt_test,
-            embedding_vocab=pred_test | mt_test,
-            pred_train=frozenset(pred.split_words("train")),
-            pred_dev=frozenset(pred.split_words("dev")),
-            pred_test=pred_test,
-        )
+        mt_test = mt.split_words("test")
+        splits = cls(mt.split_words("train"), mt.split_words("dev"), mt_test,
+                     pred.split_words("test") | mt_test)
+        for tag, rule in (("train", "mt_train"), ("dev", "mt_dev minus mt_train"),
+                          ("test", "(mt_test | embedding_vocab) - (mt_dev | mt_train)")):
+            if pred.split_words(tag) != getattr(splits, f"pred_{tag}"):
+                raise IntegrityError(f"pred_{tag} must equal {rule}")
+        return splits
 
 
 def derive_prediction_splits(mt: Lexicon, embedding_vocab: Iterable[str]) -> SplitSets:
@@ -260,19 +265,7 @@ def derive_prediction_splits(mt: Lexicon, embedding_vocab: Iterable[str]) -> Spl
     expansion; its words land in pred_test unless already seen in the MT
     train or dev split.
     """
-    mt_train = frozenset(mt.split_words("train"))
-    mt_dev = frozenset(mt.split_words("dev"))
-    mt_test = frozenset(mt.split_words("test"))
-    vocab = frozenset(embedding_vocab)
-    return SplitSets(
-        mt_train=mt_train,
-        mt_dev=mt_dev,
-        mt_test=mt_test,
-        embedding_vocab=vocab,
-        pred_train=mt_train,
-        pred_dev=mt_dev - mt_train,
-        pred_test=(mt_test | vocab) - (mt_dev | mt_train),
-    )
+    return SplitSets(*(mt.split_words(tag) for tag in ("train", "dev", "test")), embedding_vocab)
 
 
 # ---------------------------------------------------------------------------

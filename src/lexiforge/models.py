@@ -21,13 +21,12 @@ import numpy as np
 from .embeddings import EmbeddingStore, embed_matrix
 from .errors import DivergenceError, NumericError
 from .lexicon import (
-    BE5_NAMES,
     DEFAULT_DUPLICATE_TOL,
-    VAD_NAMES,
     Lexicon,
     SplitSets,
     VariableSet,
     collapse_duplicates,
+    infer_family,
     make_variable_set,
 )
 
@@ -95,10 +94,6 @@ class MtlffnModel:
     def input_dim(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def n_outputs(self) -> int:
-        return self.w3.shape[1]
-
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2,
                 "b2": self.b2, "w3": self.w3, "b3": self.b3}
@@ -126,10 +121,6 @@ class RidgeModel:
     @property
     def input_dim(self) -> int:
         return self.coef.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.coef.shape[1]
 
 
 Model = MtlffnModel | RidgeModel
@@ -215,9 +206,12 @@ def _init_params(d: int, h1: int, h2: int, k: int, rng: np.random.Generator,
 
 
 def _forward(params: dict[str, np.ndarray], X: np.ndarray, slope: float) -> np.ndarray:
-    a1 = _leaky(X @ params["w1"] + params["b1"], slope)
-    a2 = _leaky(a1 @ params["w2"] + params["b2"], slope)
-    return a2 @ params["w3"] + params["b3"]
+    a = X
+    for i in (1, 2):  # bias and activation in place (values equal _leaky's): no temporaries
+        a = a @ params[f"w{i}"]
+        a += params[f"b{i}"]
+        np.multiply(a, slope, out=a, where=a <= 0)
+    return a @ params["w3"] + params["b3"]
 
 
 def _forward_train(params, X, slope, masks):
@@ -401,15 +395,10 @@ def variable_groups(variables: VariableSet, joint: bool = False) -> list[Variabl
     """
     if joint:
         return [variables]
-    buckets: dict[str, list[str]] = {}
-    order: list[str] = []
+    groups: dict[str, list[str]] = {}
     for name in variables.names:
-        family = "vad" if name in VAD_NAMES else "be5" if name in BE5_NAMES else "other"
-        if family not in buckets:
-            buckets[family] = []
-            order.append(family)
-        buckets[family].append(name)
-    return [make_variable_set(buckets[family]) for family in order]
+        groups.setdefault(infer_family((name,)), []).append(name)
+    return [make_variable_set(names) for names in groups.values()]
 
 
 # Most rows embedded and predicted at once by predict_lexicon; it bounds
@@ -459,20 +448,11 @@ def predict_lexicon(
         matrix, _ = embed_matrix(store, words[lo:hi])
         values[lo:hi] = np.hstack([predict(model, matrix) for model in models])
 
-    def pred_tag(word: str) -> str:
-        if word in splits.pred_train:
-            return "train"
-        if word in splits.pred_dev:
-            return "dev"
-        if word in splits.pred_test:
-            return "test"
-        return "none"
-
     return Lexicon(
         variables=make_variable_set(names),
         words=tuple(words),
         values=values,
-        splits=tuple(pred_tag(w) for w in words),
+        splits=tuple(splits.tag(w) for w in words),
         provenance="predicted",
         language=mt.language,
     )

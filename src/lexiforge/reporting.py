@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import IO, Iterable, Sequence
 
-from .errors import SchemaError
 from .evaluation import EvalReport, IsrResult, MtVsPredResult
 from .lexicon import canonical_variable_order
 
@@ -117,8 +116,8 @@ def render_meta_table(report: EvalReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Machine-readable table TSV (presentation precision; one row per
-# report and variable). Parsing and re-rendering is the identity.
+# Machine-readable table TSV (presentation precision: r rounded as in the
+# text tables; one row per report and variable)
 # ---------------------------------------------------------------------------
 
 _TSV_HEADER = ("protocol", "lexicons", "language", "shared", "coverage", "variable", "r")
@@ -142,35 +141,3 @@ def write_reports_tsv(reports: Sequence[EvalReport], stream: IO[str]) -> None:
                 ])
                 + "\n"
             )
-
-
-def read_reports_tsv(stream: IO[str]) -> list[EvalReport]:
-    header = stream.readline().rstrip("\n").split("\t")
-    if tuple(header) != _TSV_HEADER:
-        raise SchemaError(f"unexpected report TSV header: {header}")
-    grouped: dict[tuple, dict] = {}
-    for raw in stream:
-        fields = raw.rstrip("\n").split("\t")
-        if len(fields) != len(_TSV_HEADER):
-            raise SchemaError(f"malformed report TSV row: {raw!r}")
-        protocol, lexicons, language, shared, coverage, variable, value = fields
-        key = (protocol, lexicons, language, shared, coverage)
-        entry = grouped.setdefault(key, {"r": {}, "notes": {}})
-        if value == "n/a":
-            entry["notes"][variable] = "undefined"
-        else:
-            entry["r"][variable] = float(value)
-    reports = []
-    for (protocol, lexicons, language, shared, coverage), entry in grouped.items():
-        reports.append(
-            EvalReport(
-                protocol=protocol,
-                lexicons=tuple(lexicons.split("|")),
-                language=language,
-                n_shared=int(shared),
-                coverage=float(coverage) if coverage else None,
-                r=entry["r"],
-                notes=entry["notes"],
-            )
-        )
-    return reports

@@ -350,11 +350,47 @@ def test_evaluate_rewrites_the_run_report_files(tmp_path, small_bundle):
     assert json.loads(run_files["silver.json"])[0]["lexicons"] == ["und-mt", "und-pred"]
 
 
-def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle):
+def test_evaluate_refuses_split_tags_not_derived_from_mt(tmp_path, small_bundle, capsys):
+    out = tmp_path / "out"
+    assert main(_run_args(small_bundle, out, _write_fast_config(tmp_path))) == 0
+    pred_path = out / "target_pred.tsv"
+    lines = pred_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    leaked = next(i for i, line in enumerate(lines) if line.endswith("\ttrain\n"))
+    lines[leaked] = lines[leaked][: -len("train\n")] + "test\n"
+    pred_path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    eval_out = tmp_path / "eval_reports"
+    assert main([
+        "evaluate", "--mt", str(out / "target_mt.tsv"), "--pred", str(pred_path),
+        "--gold", f"g1={small_bundle['gold']}", "--out", str(eval_out),
+    ]) == 1
+    assert capsys.readouterr().err == "error: pred_train must equal mt_train\n"
+    assert not list(eval_out.glob("*"))
+
+
+def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle, capsys):
     config = _write_fast_config(tmp_path)
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="max_vocab"):
-        main(_run_args(small_bundle, out, config, ["--max-vocab", "-1"]))
+    assert main(_run_args(small_bundle, out, config, ["--max-vocab", "-1"])) == 1
+    assert capsys.readouterr().err == (
+        "error: bad run settings: max_vocab must be at least 1, got -1\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config_line, message", [
+    (["--epochs", "0"], "", "batch_size and epochs must be >= 1"),
+    ([], "hidden_dropout = 1\n", "hidden_dropout must be in [0, 1)"),
+])
+def test_run_reports_bad_settings_in_one_line(
+    tmp_path, small_bundle, capsys, flags, config_line, message
+):
+    config = _write_fast_config(tmp_path)
+    config.write_text(config.read_text(encoding="utf-8") + config_line, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(_run_args(small_bundle, out, config, flags)) == 1
+    assert capsys.readouterr().err == f"error: bad run settings: {message}\n"
     assert not out.exists()
 
 

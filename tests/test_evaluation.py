@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,11 +13,11 @@ from lexiforge import (
     DegenerateVarianceError,
     EvalReport,
     InsufficientOverlapError,
+    IntegrityError,
     IsrResult,
     LexiforgeError,
     MtVsPredResult,
     SchemaError,
-    correlate_lexicons,
     derive_prediction_splits,
     gold_eval,
     isr_compare,
@@ -31,7 +32,6 @@ from lexiforge import (
 )
 from lexiforge.reporting import (
     format_r,
-    read_reports_tsv,
     render_meta_table,
     render_pair_table,
     write_reports_tsv,
@@ -40,14 +40,16 @@ from helpers import build_lexicon
 
 
 def pearson_oracle(x, y):
-    """Direct covariance / sigma formula with exactly rounded sums."""
-    n = len(x)
-    mx = math.fsum(x) / n
-    my = math.fsum(y) / n
-    num = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
-    sx = math.fsum((a - mx) ** 2 for a in x)
-    sy = math.fsum((b - my) ** 2 for b in y)
-    return num / math.sqrt(sx * sy)
+    """Exact Pearson r: rational means and sums, then one square root of
+    the correctly rounded r squared."""
+    x = [Fraction(float(v)) for v in x]
+    y = [Fraction(float(v)) for v in y]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    num = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxx = sum((a - mx) ** 2 for a in x)
+    syy = sum((b - my) ** 2 for b in y)
+    r = math.sqrt(num * num / (sxx * syy))
+    return r if num >= 0 else -r
 
 
 # ---------------------------------------------------------------------------
@@ -95,84 +97,58 @@ def test_pearson_matches_direct_formula(pair):
     assert abs(pearson(x, y) - pearson_oracle(x, y)) < 1e-12
 
 
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1e-96], [0.0, 1e-96]),  # sxx * syy underflows to zero
+    ([0.0, 1e-160, 3e-160], [1.0, 2.0, 5.0]),  # subnormal sums of squares
+    ([0.0, 1e160, 3e160], [1.0, 2.0, 5.0]),  # sxx overflows
+    ([0.0, 1e200], [0.0, 1e200]),  # every sum overflows
+])
+def test_pearson_outside_the_normal_float_range(x, y):
+    assert abs(pearson(x, y) - pearson_oracle(x, y)) < 1e-15
+    assert abs(pearson(y, x) - pearson_oracle(x, y)) < 1e-15
+
+
 @settings(max_examples=100, deadline=None)
-@given(pair=series, scale=st.floats(0.01, 100), shift=st.floats(-100, 100))
-def test_pearson_affine_invariance_and_sign_flip(pair, scale, shift):
+@given(value=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(2, 50))
+def test_pearson_constant_series_is_degenerate(value, n):
+    # the float mean of a constant series need not equal its value
+    with pytest.raises(DegenerateVarianceError, match="first"):
+        pearson([value] * n, list(range(n)))
+    with pytest.raises(DegenerateVarianceError, match="second"):
+        pearson(list(range(n)), [value] * n)
+
+
+def _affine_rounding_bound(t):
+    """Bound on how far rounding in computing ``t = scale * v + shift``
+    can move r: each t_i is off the exact value by two roundings, at most
+    d, and moving the centred series by a vector of norm delta moves r by
+    at most 2 * delta / |centred t|; doubled as a margin."""
+    d = 2 * (2.0**-52 * max(abs(v) for v in t) + 2.0**-1074)
+    exact = [Fraction(v) for v in t]
+    mean = sum(exact) / len(t)
+    spread = math.sqrt(sum((v - mean) ** 2 for v in exact) / Fraction(d) ** 2)
+    return 4 * math.sqrt(len(t)) / spread
+
+
+affine = st.tuples(st.floats(0.01, 100), st.floats(-100, 100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=series, x_map=affine, y_map=affine)
+def test_pearson_affine_invariance_and_sign_flip(pair, x_map, y_map):
     x, y = pair
     if len(set(x)) < 2 or len(set(y)) < 2:
         return
     r = pearson(x, y)
-    assert abs(pearson([scale * v + shift for v in x], y) - r) < 1e-12
-    assert abs(pearson([-v for v in x], y) + r) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# correlate_lexicons
-# ---------------------------------------------------------------------------
-
-
-def _paired_lexicons(n=100, seed=0, noise=0.3):
-    rng = np.random.default_rng(seed)
-    words = [f"w{i}" for i in range(n)]
-    base = rng.standard_normal((n, 2))
-    a = build_lexicon(list(zip(words, base.tolist())), variables=("y1", "y2"))
-    b_vals = base + noise * rng.standard_normal((n, 2))
-    b = build_lexicon(list(zip(words, b_vals.tolist())), variables=("y1", "y2"))
-    return a, b
-
-
-def test_correlate_identical_lexicons():
-    a, _ = _paired_lexicons()
-    report = correlate_lexicons(a, a)
-    assert report.r == {"y1": 1.0, "y2": 1.0}
-    assert report.n_shared == 100
-
-
-def test_correlate_disjoint_words():
-    a = build_lexicon([("a", (1, 2)), ("b", (3, 4))], variables=("y1", "y2"))
-    b = build_lexicon([("c", (1, 2)), ("d", (3, 4))], variables=("y1", "y2"))
-    with pytest.raises(InsufficientOverlapError):
-        correlate_lexicons(a, b)
-
-
-def test_correlate_matches_per_variable_oracle():
-    a, b = _paired_lexicons(100, seed=1)
-    report = correlate_lexicons(a, b)
-    for col, name in enumerate(("y1", "y2")):
-        expected = pearson_oracle(a.values[:, col], b.values[:, col])
-        assert abs(report.r[name] - expected) < 1e-12
-
-
-def test_correlate_is_symmetric():
-    a, b = _paired_lexicons(60, seed=2)
-    ab = correlate_lexicons(a, b)
-    ba = correlate_lexicons(b, a)
-    for name in ("y1", "y2"):
-        assert abs(ab.r[name] - ba.r[name]) < 1e-12
-    assert ab.n_shared == ba.n_shared
-
-
-def test_correlate_requires_unique_and_shared_variables():
-    dup = build_lexicon([("a", (1, 2)), ("a", (3, 4)), ("b", (1, 1))], variables=("y1", "y2"))
-    ok = build_lexicon([("a", (1, 2)), ("b", (3, 4))], variables=("y1", "y2"))
-    from lexiforge import IntegrityError
-
-    with pytest.raises(IntegrityError):
-        correlate_lexicons(dup, ok)
-    other = build_lexicon([("a", (1,)), ("b", (2,))], variables=("z",))
-    with pytest.raises(SchemaError):
-        correlate_lexicons(ok, other)
-    with pytest.raises(SchemaError):
-        correlate_lexicons(ok, ok, variables=("nope",))
-
-
-def test_correlate_annotates_degenerate_variance():
-    a = build_lexicon([("a", (1, 1)), ("b", (2, 1)), ("c", (3, 1))], variables=("y1", "y2"))
-    b = build_lexicon([("a", (2, 5)), ("b", (4, 6)), ("c", (6, 7))], variables=("y1", "y2"))
-    report = correlate_lexicons(a, b)
-    assert "y1" in report.r
-    assert "y2" not in report.r
-    assert "y2" in report.notes
+    assert abs(pearson([-v for v in x], y) + r) < 1e-12  # negation is exact
+    tx = [x_map[0] * v + x_map[1] for v in x]
+    ty = [y_map[0] * v + y_map[1] for v in y]
+    if len(set(tx)) < 2 or len(set(ty)) < 2:  # rounding took the spread away
+        with pytest.raises(DegenerateVarianceError):
+            pearson(tx, ty)
+        return
+    bound = _affine_rounding_bound(tx) + _affine_rounding_bound(ty)
+    assert abs(pearson(tx, ty) - r) < 1e-12 + bound
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +213,12 @@ def test_silver_pairs_every_duplicate_against_single_prediction():
     expected = pearson_oracle([1.0, 2.0, 3.0], [1.4, 1.4, 3.1])
     assert abs(report.r["y1"] - expected) < 1e-12
     assert report.n_shared == 2  # word types, not pairs
+    dup_pred = build_lexicon(
+        [("a", (1.4,), "test"), ("a", (1.5,), "test"), ("b", (3.1,), "test")],
+        variables=("y1",), provenance="predicted",
+    )
+    with pytest.raises(IntegrityError, match="silver_eval requires unique word types"):
+        silver_eval(mt, dup_pred, splits)
 
 
 def test_silver_never_reads_outside_test_split():
@@ -821,16 +803,18 @@ def test_render_meta_table_layout():
     assert lines[2].split() == ["r", ".54", ".91"]
 
 
-def test_reports_tsv_round_trip_idempotent():
+def test_write_reports_tsv_text():
     reports = [
         EvalReport("silver", ("de-mt", "de-pred"), "de", 980, {"Val": 0.89, "Aro": 0.66}),
-        EvalReport("gold", ("de1", "de-pred"), "de", 677, {"Val": 0.887}, coverage=0.67),
+        EvalReport("gold", ("de1", "de-pred"), "de", 677, {"Val": 0.887}, coverage=0.67,
+                   notes={"Dom": "undefined: zero variance in first series"}),
     ]
     buf = io.StringIO()
     write_reports_tsv(reports, buf)
-    first = buf.getvalue()
-    buf.seek(0)
-    parsed = read_reports_tsv(buf)
-    buf2 = io.StringIO()
-    write_reports_tsv(parsed, buf2)
-    assert buf2.getvalue() == first
+    assert buf.getvalue() == (
+        "protocol\tlexicons\tlanguage\tshared\tcoverage\tvariable\tr\n"
+        "silver\tde-mt|de-pred\tde\t980\t\tVal\t.89\n"
+        "silver\tde-mt|de-pred\tde\t980\t\tAro\t.66\n"
+        "gold\tde1|de-pred\tde\t677\t0.6700\tVal\t.89\n"
+        "gold\tde1|de-pred\tde\t677\t0.6700\tDom\tn/a\n"
+    )

@@ -1,5 +1,6 @@
 import io
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -333,19 +334,6 @@ def test_derive_prediction_splits_matches_brute_force(data):
     assert not splits.pred_test & (splits.mt_train | splits.mt_dev)
 
 
-def test_split_sets_validation_rejects_inconsistency():
-    with pytest.raises(IntegrityError):
-        SplitSets(
-            mt_train=frozenset({"a"}),
-            mt_dev=frozenset(),
-            mt_test=frozenset(),
-            embedding_vocab=frozenset(),
-            pred_train=frozenset({"a", "b"}),
-            pred_dev=frozenset(),
-            pred_test=frozenset(),
-        )
-
-
 def test_split_sets_from_lexicons_round_trip():
     mt = _mt_from_sets({"a", "b"}, {"c"}, {"d"})
     splits = derive_prediction_splits(mt, {"e", "f", "a"})
@@ -364,6 +352,33 @@ def test_split_sets_from_lexicons_round_trip():
     assert rebuilt.pred_dev == splits.pred_dev
     assert rebuilt.pred_test == splits.pred_test
     assert rebuilt.mt_test == splits.mt_test
+
+
+@pytest.mark.parametrize("word, tag, message", [
+    ("a", "test", "pred_train must equal mt_train"),  # an MT train word leaks into test
+    ("c", "test", "pred_dev must equal mt_dev minus mt_train"),
+    ("d", "none", "pred_test must equal (mt_test | embedding_vocab) - (mt_dev | mt_train)"),
+], ids=["train", "dev", "test"])
+def test_split_sets_from_lexicons_rejects_tags_not_derived_from_mt(word, tag, message):
+    mt = _mt_from_sets({"a", "b"}, {"c"}, {"d"})
+    splits = derive_prediction_splits(mt, {"e"})
+    pred_rows = [
+        (w, (0.0, 0.0), tag if w == word else splits.tag(w)) for w in ("a", "b", "c", "d", "e")
+    ]
+    pred = build_lexicon(pred_rows, variables=("y1", "y2"), provenance="predicted")
+    with pytest.raises(IntegrityError) as raised:
+        SplitSets.from_lexicons(mt, pred)
+    assert str(raised.value) == message
+
+
+def test_split_sets_store_only_their_inputs():
+    assert [f.name for f in fields(SplitSets)] == [
+        "mt_train", "mt_dev", "mt_test", "embedding_vocab"
+    ]
+    splits = derive_prediction_splits(_mt_from_sets({"a"}, {"a", "b"}, {"c"}), {"b", "e"})
+    assert [splits.tag(w) for w in ("a", "b", "c", "e", "f")] == [
+        "train", "dev", "test", "test", "none"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,23 @@ def test_predict_matches_straight_line_forward_oracle():
         assert np.abs(out[i] - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("slope", [0.01, 0.0, -0.5, 1.5])
+def test_predict_equals_out_of_place_forward_bit_for_bit(slope):
+    rng = np.random.default_rng(15)
+    model = fit_mtlffn(
+        rng.standard_normal((20, 4)), rng.standard_normal((20, 3)),
+        TrainConfig(hidden=(8, 6), epochs=2, seed=5, leaky_slope=slope),
+    )
+    X = np.vstack([rng.standard_normal((50, 4)), np.zeros((2, 4)), -np.zeros((1, 4))])
+    before = X.copy()
+    leaky = lexiforge.models._leaky
+    h1 = leaky(X @ model.w1 + model.b1, slope)
+    h2 = leaky(h1 @ model.w2 + model.b2, slope)
+    expected = h2 @ model.w3 + model.b3
+    assert predict(model, X).tobytes() == expected.tobytes()
+    assert X.tobytes() == before.tobytes()
+
+
 def test_predict_dimension_mismatch():
     rng = np.random.default_rng(14)
     model = fit_ridge(rng.standard_normal((10, 3)), rng.standard_normal((10, 1)), 1.0)
