@@ -365,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except LexiforgeError as exc:
+    except (LexiforgeError, OSError) as exc:  # OSError: a file named by an argument
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

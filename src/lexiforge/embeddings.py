@@ -26,19 +26,34 @@ log = logging.getLogger(__name__)
 _SEPARATOR_RE = re.compile("[ '’-]")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
-# Kept lines whose numbers are parsed in one call. It bounds the text
-# held at once; larger blocks parsed no faster and left the process
-# with more resident memory after the parse.
+# Kept lines whose numbers are parsed in one call, and rows checked for
+# finiteness at once. It bounds the text held at once, and the check's
+# mask; larger blocks parsed no faster and left the process with more
+# resident memory after the parse.
 _BLOCK_ROWS = 512
 
 class EmbeddingStore:
-    """Immutable vocabulary-to-vector mapping of fixed dimension."""
+    """Immutable vocabulary-to-vector mapping of fixed dimension.
 
-    def __init__(self, words: Sequence[str], vectors: np.ndarray, n_duplicates: int = 0):
+    ``index``, if given, is the ``word -> row`` dict of ``words``; the
+    store adopts it instead of building a second one.
+    """
+
+    def __init__(
+        self,
+        words: Sequence[str],
+        vectors: np.ndarray,
+        n_duplicates: int = 0,
+        *,
+        index: dict[str, int] | None = None,
+    ):
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(words):
             raise ValueError(f"vectors shape {vectors.shape} does not match {len(words)} words")
-        if vectors.size and not np.all(np.isfinite(vectors)):
+        if not all(
+            np.isfinite(vectors[lo:lo + _BLOCK_ROWS]).all()
+            for lo in range(0, len(vectors), _BLOCK_ROWS)
+        ):
             raise ValueError("vectors must be finite")
         if vectors.shape[1] < 1:
             raise ValueError("dimension must be positive")
@@ -46,7 +61,9 @@ class EmbeddingStore:
         self.words: tuple[str, ...] = tuple(words)
         self.vectors = vectors
         self.n_duplicates = n_duplicates
-        self._index: dict[str, int] = {w: i for i, w in enumerate(self.words)}
+        if index is None:
+            index = {w: i for i, w in enumerate(self.words)}
+        self._index: dict[str, int] = index
         if len(self._index) != len(self.words):
             raise ValueError("vocabulary words must be unique")
 
@@ -154,7 +171,7 @@ def parse_embedding_store(
         )
     if duplicates:
         log.warning("embedding file: ignored %d duplicate words", duplicates)
-    return EmbeddingStore(words, vectors[: len(words)], n_duplicates=duplicates)
+    return EmbeddingStore(words, vectors[: len(words)], n_duplicates=duplicates, index=index)
 
 
 def _parse_numbers(rests: list[str], dim: int) -> np.ndarray | None:

@@ -135,6 +135,19 @@ def _as_matrix(X, name: str) -> np.ndarray:
     return X
 
 
+def _linear(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``X @ w + b``, with a one-column ``w`` kept off the matrix-vector path.
+
+    A one-column ``X @ w`` is a matrix-vector product, whose rows depend
+    on the BLAS thread count and on how the rows are chunked. It is taken
+    as column 0 of a two-column product instead, whose rows did not
+    (measured at 1 and 2 threads, OpenBLAS 0.3.31; pinned by a test).
+    """
+    if w.shape[1] == 1:
+        return (X @ np.hstack([w, w]))[:, :1] + b
+    return X @ w + b
+
+
 def _default_variables(k: int) -> VariableSet:
     return VariableSet(tuple(f"var{i}" for i in range(k)), "other")
 
@@ -205,13 +218,36 @@ def _init_params(d: int, h1: int, h2: int, k: int, rng: np.random.Generator,
     }
 
 
+# Most rows that go through the hidden layers at once in _forward. It
+# bounds the activations held to one block's; the blocks are near-equal,
+# and the hidden layers' rows were bit-identical at every block size from
+# 64 to 8,192 rows (OpenBLAS 0.3.31, 1 and 2 threads).
+_HIDDEN_BLOCK_ROWS = 1024
+
+
+def _near_equal_bounds(n: int, max_rows: int) -> list[int]:
+    """Bounds of the fewest near-equal slices of ``n`` rows, each at most ``max_rows``.
+
+    Never a short tail: with more than ``max_rows`` rows every slice has
+    at least half as many.
+    """
+    n_slices = max(1, -(-n // max_rows))
+    return [n * i // n_slices for i in range(n_slices + 1)]
+
+
 def _forward(params: dict[str, np.ndarray], X: np.ndarray, slope: float) -> np.ndarray:
-    a = X
-    for i in (1, 2):  # bias and activation in place (values equal _leaky's): no temporaries
-        a = a @ params[f"w{i}"]
-        a += params[f"b{i}"]
-        np.multiply(a, slope, out=a, where=a <= 0)
-    return a @ params["w3"] + params["b3"]
+    bounds = _near_equal_bounds(len(X), _HIDDEN_BLOCK_ROWS)
+    hidden = np.empty((len(X), params["w2"].shape[1]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        a = X[lo:hi]
+        for i in (1, 2):  # bias and activation in place (values equal _leaky's): no temporaries
+            a = a @ params[f"w{i}"]
+            a += params[f"b{i}"]
+            np.multiply(a, slope, out=a, where=a <= 0)
+        hidden[lo:hi] = a
+    # the output layer runs once over all rows: with a narrow output its
+    # rows depend on the row count
+    return _linear(hidden, params["w3"], params["b3"])
 
 
 def _forward_train(params, X, slope, masks):
@@ -336,7 +372,7 @@ def predict(model: Model, X) -> np.ndarray:
             f"input has {X.shape[1]} columns, model expects {model.input_dim}"
         )
     if isinstance(model, RidgeModel):
-        return X @ model.coef + model.intercept
+        return _linear(X, model.coef, model.intercept)
     return _forward(model.params(), X, model.config.leaky_slope)
 
 
@@ -442,11 +478,11 @@ def predict_lexicon(
     extra = [w for w in store.words if w not in mt.word_types]
     words = list(mt.words) + extra
     values = np.empty((len(words), len(names)), dtype=np.float64)
-    n_chunks = max(1, -(-len(words) // _PREDICT_CHUNK_ROWS))
-    bounds = [len(words) * i // n_chunks for i in range(n_chunks + 1)]
+    bounds = _near_equal_bounds(len(words), _PREDICT_CHUNK_ROWS)
     for lo, hi in zip(bounds, bounds[1:]):
         matrix, _ = embed_matrix(store, words[lo:hi])
         values[lo:hi] = np.hstack([predict(model, matrix) for model in models])
+        del matrix  # else it lives on while the next chunk's is built
 
     return Lexicon(
         variables=make_variable_set(names),

@@ -93,6 +93,8 @@ class RunSettings:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.max_vocab is not None and self.max_vocab < 1:
             raise ValueError(f"max_vocab must be at least 1, got {self.max_vocab}")
+        if not self.alpha >= 0:  # also rejects NaN
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.skip_translation and self.table is None:
             raise LexiforgeError(
                 "a translation table is required unless translation is skipped"
@@ -321,6 +323,7 @@ def run_pipeline(settings: RunSettings) -> RunResult:
                 ckpt = checkpoints_dir / f"{settings.model}_{label}.ckpt"
                 save_checkpoint(model, ckpt)
                 manifest.add_output(f"checkpoint:{settings.model}_{label}", ckpt)
+            del X, Y  # expansion peaks at the store plus one chunk, not plus these
 
         with _stage(manifest, "expand"):
             pred = expand_lexicon(models, store, mt, splits, duplicate_tol=settings.duplicate_tol)

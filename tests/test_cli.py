@@ -1,14 +1,27 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import unicodedata
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lexiforge import EvalReport, LexiforgeError, TrainConfig, save_lexicon, save_reports
+import lexiforge.pipeline
+from lexiforge import (
+    EvalReport,
+    LexiforgeError,
+    TrainConfig,
+    embed_matrix,
+    expand_lexicon,
+    save_lexicon,
+    save_reports,
+)
 from lexiforge.cli import main, parse_config_file
 from helpers import build_lexicon, write_pipeline_bundle
 
@@ -212,6 +225,45 @@ def test_run_is_deterministic_across_directories(tmp_path, small_bundle):
         (out2 / "checkpoints" / "mtlffn_y1_y2.ckpt").read_bytes()
 
 
+def test_run_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    bundle = write_pipeline_bundle(tmp_path / "data", dim=300, seed=3)
+    package_root = Path(lexiforge.pipeline.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(package_root)}
+        # an empty config: the default MTLFFN shape and batch size, for 3 epochs
+        argv = [sys.executable, "-m", "lexiforge", *_run_args(bundle, out, os.devnull),
+                "--epochs", "3", "--gold", f"g={bundle['gold']}"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append({
+            path.relative_to(out): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file() and path.name != "manifest.json"
+        })
+    assert len(outputs[0]) == 6 and outputs[0] == outputs[1]
+
+
+def test_run_frees_the_training_matrix_before_expansion(tmp_path, small_bundle, monkeypatch):
+    train_matrices = []
+    alive_at_expansion = []
+
+    def recording_embed_matrix(store, words):
+        matrix, tags = embed_matrix(store, words)
+        train_matrices.append(weakref.ref(matrix))
+        return matrix, tags
+
+    def checking_expand_lexicon(*args, **kwargs):
+        alive_at_expansion.append(train_matrices[0]() is not None)
+        return expand_lexicon(*args, **kwargs)
+
+    monkeypatch.setattr(lexiforge.pipeline, "embed_matrix", recording_embed_matrix)
+    monkeypatch.setattr(lexiforge.pipeline, "expand_lexicon", checking_expand_lexicon)
+    config = _write_fast_config(tmp_path)
+    assert main(_run_args(small_bundle, tmp_path / "out", config)) == 0
+    assert len(train_matrices) == 1 and alive_at_expansion == [False]
+
+
 def test_run_skip_translation_copies_source(tmp_path, small_bundle):
     config = _write_fast_config(tmp_path)
     out = tmp_path / "out"
@@ -350,6 +402,21 @@ def test_evaluate_rewrites_the_run_report_files(tmp_path, small_bundle):
     assert json.loads(run_files["silver.json"])[0]["lexicons"] == ["und-mt", "und-pred"]
 
 
+@pytest.mark.parametrize("flag, problem", [
+    ("--mt", "No such file or directory"), ("--pred", "Is a directory"),
+])
+def test_evaluate_reports_an_unreadable_input_in_one_line(
+    tmp_path, small_bundle, capsys, flag, problem
+):
+    bad = tmp_path / "missing.tsv" if problem.startswith("No") else tmp_path
+    inputs = {"--mt": str(small_bundle["source"]), "--pred": str(small_bundle["source"])}
+    inputs[flag] = str(bad)
+    assert main(["evaluate", *(a for pair in inputs.items() for a in pair)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err and f"'{bad}'" in err
+    assert err.count("\n") == 1
+
+
 def test_evaluate_refuses_split_tags_not_derived_from_mt(tmp_path, small_bundle, capsys):
     out = tmp_path / "out"
     assert main(_run_args(small_bundle, out, _write_fast_config(tmp_path))) == 0
@@ -382,6 +449,8 @@ def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle, capsys):
 @pytest.mark.parametrize("flags, config_line, message", [
     (["--epochs", "0"], "", "batch_size and epochs must be >= 1"),
     ([], "hidden_dropout = 1\n", "hidden_dropout must be in [0, 1)"),
+    (["--model", "ridge", "--alpha", "-1"], "", "alpha must be >= 0, got -1.0"),
+    ([], "model = ridge\nalpha = nan\n", "alpha must be >= 0, got nan"),
 ])
 def test_run_reports_bad_settings_in_one_line(
     tmp_path, small_bundle, capsys, flags, config_line, message

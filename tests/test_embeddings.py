@@ -80,6 +80,15 @@ def test_round_trip_numeric_equality():
     assert np.array_equal(reloaded.vectors, original.vectors)
 
 
+@pytest.mark.parametrize("row", [0, 511, 512, 1300])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_store_rejects_a_non_finite_component_in_any_block(row, bad):
+    vectors = np.ones((1301, 3))
+    vectors[row, 2] = bad
+    with pytest.raises(ValueError, match="vectors must be finite"):
+        EmbeddingStore([f"w{i}" for i in range(1301)], vectors)
+
+
 def test_load_from_path(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("1 2\nhello 0.5 -0.25\n", encoding="utf-8")

@@ -272,6 +272,9 @@ def test_predict_matches_straight_line_forward_oracle():
         assert np.abs(out[i] - expected).max() < 1e-12
 
 
+BLOCK = lexiforge.models._HIDDEN_BLOCK_ROWS
+
+
 @pytest.mark.parametrize("slope", [0.01, 0.0, -0.5, 1.5])
 def test_predict_equals_out_of_place_forward_bit_for_bit(slope):
     rng = np.random.default_rng(15)
@@ -279,14 +282,16 @@ def test_predict_equals_out_of_place_forward_bit_for_bit(slope):
         rng.standard_normal((20, 4)), rng.standard_normal((20, 3)),
         TrainConfig(hidden=(8, 6), epochs=2, seed=5, leaky_slope=slope),
     )
-    X = np.vstack([rng.standard_normal((50, 4)), np.zeros((2, 4)), -np.zeros((1, 4))])
-    before = X.copy()
     leaky = lexiforge.models._leaky
-    h1 = leaky(X @ model.w1 + model.b1, slope)
-    h2 = leaky(h1 @ model.w2 + model.b2, slope)
-    expected = h2 @ model.w3 + model.b3
-    assert predict(model, X).tobytes() == expected.tobytes()
-    assert X.tobytes() == before.tobytes()
+    # one hidden-layer block, and row counts that span two or three
+    for n_rows in (53, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1):
+        X = np.vstack([rng.standard_normal((n_rows - 3, 4)), np.zeros((2, 4)), -np.zeros((1, 4))])
+        before = X.copy()
+        h1 = leaky(X @ model.w1 + model.b1, slope)
+        h2 = leaky(h1 @ model.w2 + model.b2, slope)
+        expected = h2 @ model.w3 + model.b3
+        assert predict(model, X).tobytes() == expected.tobytes(), n_rows
+        assert X.tobytes() == before.tobytes()
 
 
 def test_predict_dimension_mismatch():
@@ -555,12 +560,23 @@ def test_chunked_prediction_equals_one_call(n_rows, monkeypatch):
 def test_chunked_prediction_same_bytes_across_blas_threads():
     tests_dir = Path(__file__).resolve().parent
     package_root = str(Path(lexiforge.models.__file__).resolve().parents[1])
+    # the two variable groups, then one-variable MTLFFN and ridge models
+    # (whose output layer would be a matrix-vector product); the ridge
+    # model is not fitted, as its fit depends on the thread count
     script = (
         "import hashlib\n"
+        "import numpy as np\n"
         "from helpers import expansion_fixture\n"
-        "from lexiforge import predict_lexicon\n"
-        f"fixture = expansion_fixture({3 * CHUNK + 1})\n"
-        "print(hashlib.sha256(predict_lexicon(*fixture).values.tobytes()).hexdigest())\n"
+        "from lexiforge import (RidgeModel, TrainConfig, embed_matrix, fit_mtlffn,\n"
+        "                       make_variable_set, predict_lexicon)\n"
+        f"models, store, mt, splits = expansion_fixture({3 * CHUNK + 1})\n"
+        "X, _ = embed_matrix(store, mt.words[:256])\n"
+        "val, y = make_variable_set(('Val',)), mt.values[:256, :1]\n"
+        "coef = np.random.default_rng(5).standard_normal((X.shape[1], 1))\n"
+        "for group in (models, [fit_mtlffn(X, y, TrainConfig(epochs=1, seed=5), val)],\n"
+        "              [RidgeModel(val, coef, np.ones(1), 1.0)]):\n"
+        "    values = predict_lexicon(group, store, mt, splits).values\n"
+        "    print(hashlib.sha256(values.tobytes()).hexdigest())\n"
     )
     digests = []
     for threads in ("1", "2"):
@@ -569,5 +585,5 @@ def test_chunked_prediction_same_bytes_across_blas_threads():
         done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests_dir,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 3 and digests[0] == digests[1]
