@@ -196,14 +196,6 @@ def fit_ridge(X, Y, alpha: float = 1.0, variables: VariableSet | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0, z, slope * z)
-
-
-def _leaky_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(z > 0, 1.0, slope)
-
-
 def _init_params(d: int, h1: int, h2: int, k: int, rng: np.random.Generator,
                  ) -> dict[str, np.ndarray]:
     # uniform +-sqrt(6 / (fan_in + fan_out)); biases start at zero
@@ -240,7 +232,7 @@ def _forward(params: dict[str, np.ndarray], X: np.ndarray, slope: float) -> np.n
     hidden = np.empty((len(X), params["w2"].shape[1]))
     for lo, hi in zip(bounds, bounds[1:]):
         a = X[lo:hi]
-        for i in (1, 2):  # bias and activation in place (values equal _leaky's): no temporaries
+        for i in (1, 2):  # bias and leaky ReLU in place: no temporaries
             a = a @ params[f"w{i}"]
             a += params[f"b{i}"]
             np.multiply(a, slope, out=a, where=a <= 0)
@@ -250,49 +242,152 @@ def _forward(params: dict[str, np.ndarray], X: np.ndarray, slope: float) -> np.n
     return _linear(hidden, params["w3"], params["b3"])
 
 
-def _forward_train(params, X, slope, masks):
-    """Forward pass keeping intermediates for backprop.
-
-    ``masks`` holds optional inverted-scaling dropout masks keyed
-    "input", "h1", "h2"; absent keys mean no dropout at that point.
-    """
-    x0 = X * masks["input"] if "input" in masks else X
-    z1 = x0 @ params["w1"] + params["b1"]
-    a1 = _leaky(z1, slope)
-    a1 = a1 * masks["h1"] if "h1" in masks else a1
-    z2 = a1 @ params["w2"] + params["b2"]
-    a2 = _leaky(z2, slope)
-    a2 = a2 * masks["h2"] if "h2" in masks else a2
-    y_hat = a2 @ params["w3"] + params["b3"]
-    return y_hat, (x0, z1, a1, z2, a2)
-
-
-def _backward(params, cache, y_hat, Y, slope, masks):
-    """Gradients of the mean-squared-error loss w.r.t. every parameter.
-
-    The loss is averaged over variables and batch rows, i.e. the plain
-    mean over all entries of (y_hat - Y)^2.
-    """
-    x0, z1, a1, z2, a2 = cache
-    n, k = Y.shape
-    g = (2.0 / (n * k)) * (y_hat - Y)
-    grads = {"w3": a2.T @ g, "b3": g.sum(axis=0)}
-    g = g @ params["w3"].T
-    if "h2" in masks:
-        g = g * masks["h2"]
-    g = g * _leaky_grad(z2, slope)
-    grads["w2"] = a1.T @ g
-    grads["b2"] = g.sum(axis=0)
-    g = g @ params["w2"].T
-    if "h1" in masks:
-        g = g * masks["h1"]
-    g = g * _leaky_grad(z1, slope)
-    grads["w1"] = x0.T @ g
-    grads["b1"] = g.sum(axis=0)
-    return grads
-
-
 _PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+def _views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Consecutive C-contiguous views of ``buffer`` with the given shapes."""
+    views, at = {}, 0
+    for name, shape in shapes.items():
+        size = int(np.prod(shape, dtype=np.int64))
+        views[name] = buffer[at : at + size].reshape(shape)
+        at += size
+    return views
+
+
+class _TrainStep:
+    """One fit's state and its training step, allocated once.
+
+    The flat parameters, their gradient, Adam's m and v and the batch
+    buffers (with Adam's temporary vector over them) share one float64
+    workspace; the activations' signs and the dropout keep flags share
+    one bool workspace. A step allocates no array, so a fit holds two arrays
+    however long it trains and frees them whole when it ends, which
+    keeps concurrent fits small. Every step computes the same values as
+    the out-of-place formulas, bit for bit: the same operations on the
+    same operands, into ``out=`` buffers.
+
+    A batch of ``n`` rows uses the first ``n`` rows of each batch buffer,
+    which are C-contiguous like a fresh array of that shape.
+    """
+
+    def __init__(self, d: int, k: int, cfg: TrainConfig, rows: int, rng: np.random.Generator):
+        h1, h2 = cfg.hidden
+        self.cfg = cfg
+        init = _init_params(d, h1, h2, k, rng)
+        shapes = {name: init[name].shape for name in _PARAM_ORDER}
+        n_params = sum(p.size for p in init.values())
+        batch = {"x": (rows, d), "y": (rows, k), "a1": (rows, h1), "a2": (rows, h2),
+                 "out": (rows, k), "g": (rows, k)}
+        if cfg.input_dropout > 0.0:
+            batch["mask_in"] = (rows, d)
+        if cfg.hidden_dropout > 0.0:
+            batch["mask1"], batch["mask2"] = (rows, h1), (rows, h2)
+        n_batch = sum(r * c for r, c in batch.values())
+        floats = np.zeros(4 * n_params + max(n_params, n_batch))
+        flat = _views(floats, {"params": (n_params,), "grad": (n_params,), "m": (n_params,),
+                               "v": (n_params,), **batch})
+        # Adam's temporary vector overlays the batch buffers: the step is done with them
+        flat["temp"] = floats[4 * n_params : 5 * n_params]
+        self.flat = flat
+        self.params = _views(flat["params"], shapes)
+        self.grads = _views(flat["grad"], shapes)
+        for name in _PARAM_ORDER:
+            self.params[name][...] = init[name]
+        bools = np.empty(rows * (h1 + h2 + max(d, h1, h2)), dtype=bool)
+        self.signs = _views(bools, {"neg1": (rows, h1), "neg2": (rows, h2),
+                                    "keep": (rows * max(d, h1, h2),)})
+
+    def load(self, X: np.ndarray, Y: np.ndarray, idx: np.ndarray) -> int:
+        """Copy rows ``idx`` of X and Y into the batch; returns the row count."""
+        n = len(idx)
+        # mode="clip": with the default "raise", take buffers its output
+        np.take(X, idx, axis=0, out=self.flat["x"][:n], mode="clip")
+        np.take(Y, idx, axis=0, out=self.flat["y"][:n], mode="clip")
+        return n
+
+    def draw_masks(self, rng: np.random.Generator, n: int) -> None:
+        """Inverted-scaling dropout masks, drawn in the order input, h1, h2."""
+        cfg = self.cfg
+        for name, rate in (("mask_in", cfg.input_dropout), ("mask1", cfg.hidden_dropout),
+                           ("mask2", cfg.hidden_dropout)):
+            if rate > 0.0:
+                mask = self.flat[name][:n]
+                keep = self.signs["keep"][: mask.size].reshape(mask.shape)
+                rng.random(out=mask)
+                np.greater_equal(mask, rate, out=keep)
+                np.divide(keep, 1.0 - rate, out=mask)
+
+    def forward(self, n: int) -> float:
+        """Forward pass over the batch's ``n`` rows; returns the mean squared error.
+
+        Dropout masks, where the config has them, must have been drawn.
+        Leaves the masked input in ``x`` and the masked activations in
+        ``a1`` and ``a2``, which the backward pass reads.
+        """
+        p, flat = self.params, self.flat
+        a = flat["x"][:n]
+        if "mask_in" in flat:
+            np.multiply(a, flat["mask_in"][:n], out=a)
+        for i in (1, 2):
+            z = flat[f"a{i}"][:n]
+            neg = self.signs[f"neg{i}"][:n]
+            np.matmul(a, p[f"w{i}"], out=z)
+            z += p[f"b{i}"]
+            np.less_equal(z, 0.0, out=neg)
+            np.multiply(z, self.cfg.leaky_slope, out=z, where=neg)  # leaky ReLU in place
+            if f"mask{i}" in flat:
+                np.multiply(z, flat[f"mask{i}"][:n], out=z)
+            a = z
+        out, g = flat["out"][:n], flat["g"][:n]
+        np.matmul(a, p["w3"], out=out)
+        out += p["b3"]
+        np.subtract(out, flat["y"][:n], out=g)
+        np.square(g, out=out)
+        return float(np.mean(out))
+
+    def backward(self, n: int) -> None:
+        """Gradient of the loss of the last ``forward`` into ``grad``.
+
+        The loss is the plain mean over all entries of (y_hat - Y)^2.
+        Each layer's input buffer receives the gradient with respect to
+        that input once the layer's weight gradient has read it.
+        """
+        p, grads, flat, slope = self.params, self.grads, self.flat, self.cfg.leaky_slope
+        g = flat["g"][:n]
+        g *= 2.0 / g.size
+        inputs = {1: flat["x"][:n], 2: flat["a1"][:n], 3: flat["a2"][:n]}
+        for i in (3, 2, 1):
+            np.matmul(inputs[i].T, g, out=grads[f"w{i}"])
+            np.sum(g, axis=0, out=grads[f"b{i}"])
+            if i > 1:  # back through layer i's weights, then dropout and leaky ReLU below it
+                back = inputs[i]
+                np.matmul(g, p[f"w{i}"].T, out=back)
+                if f"mask{i - 1}" in flat:
+                    np.multiply(back, flat[f"mask{i - 1}"][:n], out=back)
+                np.multiply(back, slope, out=back, where=self.signs[f"neg{i - 1}"][:n])
+                g = back
+
+    def adam(self, step: int) -> None:
+        """One Adam update of every parameter from ``grad``, which it overwrites."""
+        cfg = self.cfg
+        beta1, beta2 = cfg.adam_beta1, cfg.adam_beta2
+        params, grad, m, v, s = (self.flat[name] for name in
+                                 ("params", "grad", "m", "v", "temp"))
+        m *= beta1
+        np.multiply(grad, 1.0 - beta1, out=s)
+        m += s
+        v *= beta2
+        np.multiply(grad, grad, out=s)
+        s *= 1.0 - beta2
+        v += s
+        np.divide(v, 1.0 - beta2**step, out=s)
+        np.sqrt(s, out=s)
+        s += cfg.adam_epsilon
+        np.divide(m, 1.0 - beta1**step, out=grad)
+        grad *= cfg.learning_rate
+        grad /= s
+        params -= grad
 
 
 def fit_mtlffn(X, Y, cfg: TrainConfig, variables: VariableSet | None = None) -> MtlffnModel:
@@ -314,49 +409,23 @@ def fit_mtlffn(X, Y, cfg: TrainConfig, variables: VariableSet | None = None) -> 
     if len(variables) != k:
         raise ValueError("variable set does not match Y width")
 
-    h1, h2 = cfg.hidden
     rng = np.random.default_rng(cfg.seed)
-    params = _init_params(d, h1, h2, k, rng)
-    m = {name: np.zeros_like(p) for name, p in params.items()}
-    v = {name: np.zeros_like(p) for name, p in params.items()}
-    lr = cfg.learning_rate
-    beta1, beta2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
-
+    train = _TrainStep(d, k, cfg, min(n, cfg.batch_size), rng)
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = X[idx]
-            yb = Y[idx]
-            masks = {}
-            if cfg.input_dropout > 0.0:
-                masks["input"] = (
-                    rng.random(xb.shape) >= cfg.input_dropout
-                ) / (1.0 - cfg.input_dropout)
-            if cfg.hidden_dropout > 0.0:
-                keep = 1.0 - cfg.hidden_dropout
-                masks["h1"] = (rng.random((len(idx), h1)) >= cfg.hidden_dropout) / keep
-                masks["h2"] = (rng.random((len(idx), h2)) >= cfg.hidden_dropout) / keep
-            y_hat, cache = _forward_train(params, xb, cfg.leaky_slope, masks)
-            loss = float(np.mean((y_hat - yb) ** 2))
-            if not np.isfinite(loss):
+            rows = train.load(X, Y, order[start : start + cfg.batch_size])
+            train.draw_masks(rng, rows)
+            if not np.isfinite(train.forward(rows)):
                 raise DivergenceError(step)
-            grads = _backward(params, cache, y_hat, yb, cfg.leaky_slope, masks)
+            train.backward(rows)
             step += 1
-            bias1 = 1.0 - beta1**step
-            bias2 = 1.0 - beta2**step
-            for name in _PARAM_ORDER:
-                g = grads[name]
-                m[name] = beta1 * m[name] + (1.0 - beta1) * g
-                v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
-                params[name] = params[name] - lr * (m[name] / bias1) / (
-                    np.sqrt(v[name] / bias2) + eps
-                )
+            train.adam(step)
 
     return MtlffnModel(
         variables=variables, config=cfg, steps_trained=step,
-        **{name: params[name] for name in _PARAM_ORDER},
+        **{name: train.params[name].copy() for name in _PARAM_ORDER},
     )
 
 
@@ -387,12 +456,11 @@ def grad_check(cfg: TrainConfig, X, Y, *, step: float = 1e-5) -> float:
         raise ValueError("grad_check requires zero dropout rates")
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
-    h1, h2 = cfg.hidden
-    rng = np.random.default_rng(cfg.seed)
-    params = _init_params(X.shape[1], h1, h2, Y.shape[1], rng)
-
-    y_hat, cache = _forward_train(params, X, cfg.leaky_slope, {})
-    analytic = _backward(params, cache, y_hat, Y, cfg.leaky_slope, {})
+    train = _TrainStep(X.shape[1], Y.shape[1], cfg, len(X), np.random.default_rng(cfg.seed))
+    rows = train.load(X, Y, np.arange(len(X)))
+    train.forward(rows)
+    train.backward(rows)
+    params, analytic = train.params, train.grads
 
     def loss() -> float:
         return float(np.mean((_forward(params, X, cfg.leaky_slope) - Y) ** 2))

@@ -12,12 +12,15 @@ marked incomplete.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import hashlib
 import itertools
 import json
 import logging
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -199,6 +202,70 @@ def _peak_rss_mb() -> float | None:
     return None
 
 
+def _openblas_thread_control():
+    """Get and set functions of the loaded OpenBLAS's thread count, or None.
+
+    The library is found by name in ``/proc/self/maps``; its symbols carry
+    the suffix of the build numpy links (scipy-openblas 64-bit, plain
+    64-bit, or none). None where ``/proc`` is missing or no OpenBLAS is
+    loaded.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = sorted({
+                fields[5].rstrip("\n") for fields in (line.split(maxsplit=5) for line in fh)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _fit_concurrently(fits: list) -> list:
+    """Results of the ``fits`` callables, in order, run concurrently.
+
+    OpenBLAS is set to one thread while they run, so training gives the
+    same bytes at any ambient BLAS thread count. The first fit runs on
+    this thread and the others on worker threads, on at most as many
+    threads in all as there are usable cores; the old thread count is
+    restored once every started fit has returned. Without an OpenBLAS
+    control they run one after another at the ambient count. The first
+    exception in list order is raised.
+    """
+    control = _openblas_thread_control()
+    if control is None:
+        return [fit() for fit in fits]
+    get_threads, set_threads = control
+    before = get_threads()
+    set_threads(1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(fits), cores or 1) - 1  # threads beside this one
+    pool = ThreadPoolExecutor(max_workers=max(workers, 1))
+    try:
+        if not workers:
+            return [fit() for fit in fits]
+        rest = [pool.submit(fit) for fit in fits[1:]]
+        first = fits[0]()
+        return [first, *(future.result() for future in rest)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        set_threads(before)
+
+
 @contextlib.contextmanager
 def _output_lock(out_dir: Path):
     """Exclusive ownership of an output directory via a lock file."""
@@ -263,17 +330,18 @@ def prepare_source(
 def run_pipeline(settings: RunSettings) -> RunResult:
     """Execute the full generation-and-evaluation pipeline."""
     out = settings.out
-    out.mkdir(parents=True, exist_ok=True)
     checkpoints_dir = out / "checkpoints"
+    manifest = _Manifest(out / "manifest.json", settings)
+    # hashing the inputs first: a missing one fails before the output directory exists
+    manifest.add_input("source", settings.source)
+    if settings.table is not None:
+        manifest.add_input("table", settings.table)
+    manifest.add_input("embeddings", settings.embeddings)
+    for gold_id, path in settings.gold.items():
+        manifest.add_input(f"gold:{gold_id}", path)
+    out.mkdir(parents=True, exist_ok=True)
 
     with _output_lock(out):
-        manifest = _Manifest(out / "manifest.json", settings)
-        manifest.add_input("source", settings.source)
-        if settings.table is not None:
-            manifest.add_input("table", settings.table)
-        manifest.add_input("embeddings", settings.embeddings)
-        for gold_id, path in settings.gold.items():
-            manifest.add_input(f"gold:{gold_id}", path)
         manifest.write()
 
         with _stage(manifest, "load-source"):
@@ -309,21 +377,23 @@ def run_pipeline(settings: RunSettings) -> RunResult:
             train_rows = [i for i, s in enumerate(mt.splits) if s == "train"]
             train_words = [mt.words[i] for i in train_rows]
             X, _ = embed_matrix(store, train_words)
+            Y = mt.values[train_rows]
+            if settings.model == "mtlffn":
+                fit, hyper = fit_mtlffn, settings.train
+            else:
+                fit, hyper = fit_ridge, settings.alpha
+            models = _fit_concurrently([
+                functools.partial(fit, X, Y[:, [mt.variables.index(n) for n in group.names]],
+                                  hyper, group)
+                for group in variable_groups(mt.variables, joint=settings.joint_mtl)
+            ])
+            del X, Y  # expansion peaks at the store plus one chunk, not plus these
             checkpoints_dir.mkdir(exist_ok=True)
-            models = []
-            for group in variable_groups(mt.variables, joint=settings.joint_mtl):
-                cols = [mt.variables.index(n) for n in group.names]
-                Y = mt.values[train_rows][:, cols]
-                if settings.model == "mtlffn":
-                    model = fit_mtlffn(X, Y, settings.train, group)
-                else:
-                    model = fit_ridge(X, Y, settings.alpha, group)
-                models.append(model)
-                label = "_".join(n.lower() for n in group.names)
+            for model in models:
+                label = "_".join(n.lower() for n in model.variables.names)
                 ckpt = checkpoints_dir / f"{settings.model}_{label}.ckpt"
                 save_checkpoint(model, ckpt)
                 manifest.add_output(f"checkpoint:{settings.model}_{label}", ckpt)
-            del X, Y  # expansion peaks at the store plus one chunk, not plus these
 
         with _stage(manifest, "expand"):
             pred = expand_lexicon(models, store, mt, splits, duplicate_tol=settings.duplicate_tol)

@@ -76,6 +76,7 @@ def write_pipeline_bundle(
     quadratic: float = 0.0,
     seed: int = 1234,
     split_sizes: tuple[int, int, int] = (500, 50, 50),
+    variables: tuple[str, ...] | None = None,
 ) -> dict:
     """Synthetic pipeline inputs: linear (plus optional quadratic) targets.
 
@@ -83,12 +84,14 @@ def write_pipeline_bundle(
     lexicon over the first ``n_source`` of them whose ratings are the
     true targets plus Gaussian noise (sigma = ``noise_scale`` times each
     column's sd), an identity translation table, and a gold lexicon
-    holding the noiseless targets for every vocabulary word.
+    holding the noiseless targets for every vocabulary word. The ``k``
+    variables are ``y1``, ``y2``, ... unless ``variables`` names them.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    variables = tuple(f"y{i + 1}" for i in range(k))
+    variables = variables or tuple(f"y{i + 1}" for i in range(k))
+    k = len(variables)
 
     words = [f"w{i:05d}" for i in range(n_vocab)]
     vectors = rng.standard_normal((n_vocab, dim))

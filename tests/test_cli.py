@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import unicodedata
 import weakref
 from dataclasses import asdict
@@ -14,6 +15,9 @@ import pytest
 
 import lexiforge.pipeline
 from lexiforge import (
+    BE5_NAMES,
+    VAD_NAMES,
+    DivergenceError,
     EvalReport,
     LexiforgeError,
     TrainConfig,
@@ -225,23 +229,149 @@ def test_run_is_deterministic_across_directories(tmp_path, small_bundle):
         (out2 / "checkpoints" / "mtlffn_y1_y2.ckpt").read_bytes()
 
 
+def _outputs_but_manifest(out: Path) -> dict:
+    return {
+        path.relative_to(out): path.read_bytes()
+        for path in sorted(out.rglob("*")) if path.is_file() and path.name != "manifest.json"
+    }
+
+
 def test_run_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
-    bundle = write_pipeline_bundle(tmp_path / "data", dim=300, seed=3)
+    # two variable groups, so both are trained concurrently
+    bundle = write_pipeline_bundle(tmp_path / "data", dim=300, seed=3,
+                                   variables=VAD_NAMES + BE5_NAMES)
     package_root = Path(lexiforge.pipeline.__file__).resolve().parents[1]
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(package_root)}
-        # an empty config: the default MTLFFN shape and batch size, for 3 epochs
-        argv = [sys.executable, "-m", "lexiforge", *_run_args(bundle, out, os.devnull),
-                "--epochs", "3", "--gold", f"g={bundle['gold']}"]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        outputs.append({
-            path.relative_to(out): path.read_bytes()
-            for path in sorted(out.rglob("*")) if path.is_file() and path.name != "manifest.json"
-        })
-    assert len(outputs[0]) == 6 and outputs[0] == outputs[1]
+    other_shape = tmp_path / "other_shape.cfg"
+    other_shape.write_text("batch_size = 1000\nhidden = 17,9\n", encoding="utf-8")
+    # an empty config: the default MTLFFN shape and batch size; then ridge,
+    # and a shape whose weights differed at 1 and 2 threads while training
+    # ran at the ambient thread count
+    for config, extra in ((os.devnull, ()), (os.devnull, ("--model", "ridge")),
+                          (other_shape, ())):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{Path(config).stem}{'_'.join(extra)}_threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(package_root)}
+            argv = [sys.executable, "-m", "lexiforge", *_run_args(bundle, out, config),
+                    "--epochs", "3", "--gold", f"g={bundle['gold']}", *extra]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(_outputs_but_manifest(out))
+        assert len(outputs[0]) == 7 and outputs[0] == outputs[1], (config, extra)
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def test_concurrent_training_equals_sequential_training(tmp_path, monkeypatch):
+    control = lexiforge.pipeline._openblas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get_threads, set_threads = control
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=300, n_vocab=600, dim=300,
+                                   seed=5, split_sizes=(260, 20, 20),
+                                   variables=VAD_NAMES + BE5_NAMES)
+    fit_mtlffn = lexiforge.pipeline.fit_mtlffn
+    expand = lexiforge.pipeline.expand_lexicon
+    fits, at_expansion = [], []
+
+    def recording_fit(X, Y, cfg, group):
+        fits.append((group.names, threading.get_ident(), get_threads()))
+        return fit_mtlffn(X, Y, cfg, group)
+
+    def recording_expand(*args, **kwargs):
+        at_expansion.append(get_threads())
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(lexiforge.pipeline, "fit_mtlffn", recording_fit)
+    monkeypatch.setattr(lexiforge.pipeline, "expand_lexicon", recording_expand)
+    before = get_threads()
+    set_threads(2)  # an ambient count that training must not use, whatever the host's
+    try:
+        # the default network shape, whose bits do not depend on the thread count
+        assert main(_run_args(bundle, tmp_path / "concurrent", os.devnull,
+                              extra=["--epochs", "2"])) == 0
+        concurrent_fits = fits[:]
+        monkeypatch.setattr(lexiforge.pipeline, "_openblas_thread_control", lambda: None)
+        assert main(_run_args(bundle, tmp_path / "sequential", os.devnull,
+                              extra=["--epochs", "2"])) == 0
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    sequential_fits = fits[len(concurrent_fits):]
+    main_thread = threading.get_ident()
+    # the first group on this thread, the second beside it
+    concurrent_fits.sort(key=lambda fit: fit[0] != VAD_NAMES)
+    assert [(names, threads) for names, _, threads in concurrent_fits] == [
+        (VAD_NAMES, 1), (BE5_NAMES, 1)]
+    assert concurrent_fits[0][1] == main_thread
+    assert (concurrent_fits[1][1] != main_thread) == (_usable_cores() > 1)
+    assert sequential_fits == [(VAD_NAMES, main_thread, 2), (BE5_NAMES, main_thread, 2)]
+    assert at_expansion == [2, 2]
+    concurrent = _outputs_but_manifest(tmp_path / "concurrent")
+    assert len([p for p in concurrent if p.parts[0] == "checkpoints"]) == 2
+    assert concurrent == _outputs_but_manifest(tmp_path / "sequential")
+
+
+def test_run_reports_a_fit_that_fails_in_a_worker_thread(tmp_path, monkeypatch, capsys):
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=60, n_vocab=200, dim=8,
+                                   split_sizes=(40, 10, 10), seed=7,
+                                   variables=VAD_NAMES + BE5_NAMES)
+    fit_mtlffn = lexiforge.pipeline.fit_mtlffn
+    failed_in = []
+
+    def failing_fit(X, Y, cfg, group):
+        if group.names == BE5_NAMES:  # the second group
+            failed_in.append(threading.current_thread())
+            raise DivergenceError(7)
+        return fit_mtlffn(X, Y, cfg, group)
+
+    monkeypatch.setattr(lexiforge.pipeline, "fit_mtlffn", failing_fit)
+    out = tmp_path / "out"
+    assert main(_run_args(bundle, out, _write_fast_config(tmp_path))) == 1
+    err = capsys.readouterr().err
+    assert "error: stage 'train' failed: non-finite training loss at optimizer step 7" in err
+    assert failed_in and (failed_in[0] is not threading.main_thread()) == (_usable_cores() > 1)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "incomplete"
+    failed = manifest["stages"][-1]
+    assert (failed["name"], failed["status"], failed["error"]) == (
+        "train", "failed", "non-finite training loss at optimizer step 7")
+    assert [s["name"] for s in manifest["stages"]] == RUN_STAGES[:5]
+    assert not any(name.startswith("checkpoint:") for name in manifest["outputs"])
+    assert not (out / "manifest.json.tmp").exists()
+
+
+def test_run_reports_the_first_failure_in_group_order(tmp_path, monkeypatch, capsys):
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=60, n_vocab=200, dim=8,
+                                   split_sizes=(40, 10, 10), seed=7,
+                                   variables=VAD_NAMES + BE5_NAMES)
+    second_failed = threading.Event()
+
+    def failing_fit(X, Y, cfg, group):
+        if group.names == BE5_NAMES:
+            second_failed.set()
+            raise DivergenceError(7)
+        second_failed.wait(timeout=10)  # times out when the fits run one after another
+        raise DivergenceError(3)
+
+    monkeypatch.setattr(lexiforge.pipeline, "fit_mtlffn", failing_fit)
+    assert main(_run_args(bundle, tmp_path / "out", _write_fast_config(tmp_path))) == 1
+    err = capsys.readouterr().err
+    assert "error: stage 'train' failed: non-finite training loss at optimizer step 3" in err
+
+
+def test_run_with_a_missing_input_creates_no_output_directory(tmp_path, small_bundle, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.tsv"
+    args = _run_args(small_bundle, out, _write_fast_config(tmp_path))
+    args[args.index("--source") + 1] = str(missing)
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(missing) in err[0]
+    assert not out.exists()
 
 
 def test_run_frees_the_training_matrix_before_expansion(tmp_path, small_bundle, monkeypatch):

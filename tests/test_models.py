@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lexiforge.models
 from lexiforge import (
@@ -146,6 +148,99 @@ def test_ridge_gradient_descent_converges_to_closed_form():
 # ---------------------------------------------------------------------------
 
 
+def leaky(z, slope):
+    return np.where(z > 0, z, slope * z)
+
+
+def leaky_grad(z, slope):
+    return np.where(z > 0, 1.0, slope)
+
+
+def reference_fit(X, Y, cfg):
+    """The out-of-place fit: a fresh array for every intermediate and update."""
+    n, d = X.shape
+    k = Y.shape[1]
+    h1, h2 = cfg.hidden
+    slope = cfg.leaky_slope
+    rng = np.random.default_rng(cfg.seed)
+    params = lexiforge.models._init_params(d, h1, h2, k, rng)
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    beta1, beta2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb, yb = X[idx], Y[idx]
+            masks = {}
+            if cfg.input_dropout > 0.0:
+                masks["input"] = (rng.random(xb.shape) >= cfg.input_dropout) / (
+                    1.0 - cfg.input_dropout)
+            if cfg.hidden_dropout > 0.0:
+                keep = 1.0 - cfg.hidden_dropout
+                masks["h1"] = (rng.random((len(idx), h1)) >= cfg.hidden_dropout) / keep
+                masks["h2"] = (rng.random((len(idx), h2)) >= cfg.hidden_dropout) / keep
+            x0 = xb * masks["input"] if "input" in masks else xb
+            z1 = x0 @ params["w1"] + params["b1"]
+            a1 = leaky(z1, slope)
+            a1 = a1 * masks["h1"] if "h1" in masks else a1
+            z2 = a1 @ params["w2"] + params["b2"]
+            a2 = leaky(z2, slope)
+            a2 = a2 * masks["h2"] if "h2" in masks else a2
+            y_hat = a2 @ params["w3"] + params["b3"]
+            if not np.isfinite(float(np.mean((y_hat - yb) ** 2))):
+                raise DivergenceError(step)
+            g = (2.0 / (len(idx) * k)) * (y_hat - yb)
+            grads = {"w3": a2.T @ g, "b3": g.sum(axis=0)}
+            g = g @ params["w3"].T
+            g = g * masks["h2"] if "h2" in masks else g
+            g = g * leaky_grad(z2, slope)
+            grads["w2"], grads["b2"] = a1.T @ g, g.sum(axis=0)
+            g = g @ params["w2"].T
+            g = g * masks["h1"] if "h1" in masks else g
+            g = g * leaky_grad(z1, slope)
+            grads["w1"], grads["b1"] = x0.T @ g, g.sum(axis=0)
+            step += 1
+            bias1, bias2 = 1.0 - beta1**step, 1.0 - beta2**step
+            for name, grad in grads.items():
+                m[name] = beta1 * m[name] + (1.0 - beta1) * grad
+                v[name] = beta2 * v[name] + (1.0 - beta2) * (grad * grad)
+                params[name] = params[name] - cfg.learning_rate * (m[name] / bias1) / (
+                    np.sqrt(v[name] / bias2) + eps)
+    return params, step
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 40), d=st.integers(1, 9), k=st.integers(1, 4),
+    hidden=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+    batch_size=st.integers(1, 50), epochs=st.integers(1, 3),
+    input_dropout=st.sampled_from([0.0, 0.2, 0.5]),
+    hidden_dropout=st.sampled_from([0.0, 0.3]),
+    slope=st.sampled_from([0.01, 0.0, -0.5, 1.0, 1.5]),
+    learning_rate=st.sampled_from([1e-3, 0.1]),
+    zero_rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+)
+# the paper's network, with a partial last batch of 2 rows
+@example(n=130, d=300, k=5, hidden=(256, 128), batch_size=128, epochs=1, input_dropout=0.2,
+         hidden_dropout=0.5, slope=0.01, learning_rate=1e-3, zero_rows=1, seed=0)
+def test_fit_equals_reference_fit(n, d, k, hidden, batch_size, epochs, input_dropout,
+                                  hidden_dropout, slope, learning_rate, zero_rows, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    X[: min(zero_rows, n)] = -0.0  # rows whose pre-activations are exactly the biases
+    Y = rng.standard_normal((n, k))
+    cfg = TrainConfig(hidden=hidden, batch_size=batch_size, epochs=epochs, seed=seed,
+                      input_dropout=input_dropout, hidden_dropout=hidden_dropout,
+                      leaky_slope=slope, learning_rate=learning_rate)
+    model = fit_mtlffn(X, Y, cfg)
+    params, steps = reference_fit(X, Y, cfg)
+    assert model.steps_trained == steps == epochs * -(-n // batch_size)
+    for name, expected in params.items():
+        assert getattr(model, name).tobytes() == expected.tobytes(), name
+
+
 def test_step_count_arithmetic_small():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((10, 3))
@@ -282,7 +377,6 @@ def test_predict_equals_out_of_place_forward_bit_for_bit(slope):
         rng.standard_normal((20, 4)), rng.standard_normal((20, 3)),
         TrainConfig(hidden=(8, 6), epochs=2, seed=5, leaky_slope=slope),
     )
-    leaky = lexiforge.models._leaky
     # one hidden-layer block, and row counts that span two or three
     for n_rows in (53, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1):
         X = np.vstack([rng.standard_normal((n_rows - 3, 4)), np.zeros((2, 4)), -np.zeros((1, 4))])
@@ -340,18 +434,20 @@ def test_grad_check_requires_zero_dropout():
 def test_output_bias_gradient_equals_scaled_mean_residual():
     # with zero input and zero-initialized biases the forward output is
     # exactly b3 = 0, so dL/db3 = 2/(n k) * sum of residuals = closed form
-    from lexiforge.models import _backward, _forward_train, _init_params
+    from lexiforge.models import _TrainStep
 
     rng = np.random.default_rng(17)
     n, d, k = 6, 3, 2
     X = np.zeros((n, d))
     Y = rng.standard_normal((n, k))
-    params = _init_params(d, 8, 4, k, np.random.default_rng(0))
-    y_hat, cache = _forward_train(params, X, 0.01, {})
-    grads = _backward(params, cache, y_hat, Y, 0.01, {})
-    expected = (2.0 / (n * k)) * (y_hat - Y).sum(axis=0)
-    assert np.abs(grads["b3"] - expected).max() < 1e-15
-    assert np.array_equal(y_hat, np.zeros((n, k)))
+    cfg = TrainConfig(hidden=(8, 4), input_dropout=0.0, hidden_dropout=0.0)
+    train = _TrainStep(d, k, cfg, n, np.random.default_rng(0))
+    rows = train.load(X, Y, np.arange(n))
+    assert train.forward(rows) == np.mean(Y**2)
+    assert np.array_equal(train.flat["g"], -Y)  # the residual y_hat - Y, so y_hat == 0
+    train.backward(rows)
+    expected = (2.0 / (n * k)) * (-Y).sum(axis=0)
+    assert np.abs(train.grads["b3"] - expected).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
