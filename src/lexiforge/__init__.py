@@ -14,13 +14,10 @@ from .embeddings import (
     embed_term,
     load_embedding_store,
     parse_embedding_store,
-    save_embedding_store,
-    serialize_embedding_store,
 )
 from .errors import (
     DegenerateVarianceError,
     DivergenceError,
-    FetchError,
     InsufficientOverlapError,
     IntegrityError,
     LexiforgeError,
@@ -81,14 +78,10 @@ from .models import (
 )
 from .pipeline import RunResult, RunSettings, prepare_source, run_pipeline
 from .translation import (
-    HttpTranslationClient,
-    TranslationClient,
     TranslationTable,
-    fetch_missing,
     load_translation_table,
     parse_translation_table,
     project_lexicon,
-    save_translation_table,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

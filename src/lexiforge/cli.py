@@ -1,7 +1,6 @@
 """Command-line interface: one subcommand per pipeline stage.
 
 prepare-source    filter a raw source lexicon and tag its splits
-fetch-translations  fill a translation-table cache from a remote service
 run               full generation-and-evaluation pipeline
 evaluate          re-run the evaluation protocols on existing lexicons
 report            render stored evaluation reports as tables
@@ -44,13 +43,11 @@ from .reporting import (
     render_pair_table,
     write_reports_tsv,
 )
-from .translation import HttpTranslationClient, fetch_missing
 
 log = logging.getLogger(__name__)
 
-# Config-file keys: the training hyperparameters except Adam's, six run
-# settings and the translation endpoint; a key left unset takes the
-# dataclass default.
+# Config-file keys: the training hyperparameters except Adam's and six
+# run settings; a key left unset takes the dataclass default.
 _TRAIN_KEYS = {
     f.name: type(f.default) for f in fields(TrainConfig) if not f.name.startswith("adam_")
 }
@@ -63,7 +60,6 @@ _CONFIG_KEYS = {
     **_RUN_KEYS,
     "hidden": lambda text: tuple(int(h) for h in text.split(",")),
     "max_vocab": int,
-    "endpoint": str,
 }
 
 
@@ -127,16 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output TSV path")
     p.add_argument("--source-lang", default="und")
 
-    p = sub.add_parser("fetch-translations", help="fill the translation cache")
-    p.add_argument("--source", help="lexicon TSV whose words need translations")
-    p.add_argument("--words", help="plain word list needing translations")
-    p.add_argument("--cache", required=True, help="translation-table cache TSV")
-    p.add_argument("--endpoint", help="translation service URL")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--source-lang")
-    p.add_argument("--target-lang")
-    p.add_argument("--batch-size", type=int)
-
     p = sub.add_parser("run", help="run the full pipeline")
     p.add_argument("--source", required=True, help="prepared source lexicon TSV (with splits)")
     p.add_argument("--table", help="translation table TSV")
@@ -193,26 +179,6 @@ def _cmd_prepare_source(args) -> int:
         f"(train: {sizes['train']}, dev: {sizes['dev']}, test: {sizes['test']})"
     )
     print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_fetch_translations(args) -> int:
-    config = parse_config_file(args.config) if args.config else {}
-    options = _given(args, config, ("endpoint", "source_lang", "target_lang", "batch_size"))
-    if not options.get("endpoint"):
-        raise LexiforgeError("an --endpoint (or config endpoint) is required")
-    if args.words:
-        from .lexicon import load_word_list
-
-        words = load_word_list(args.words)
-    elif args.source:
-        words = set(load_lexicon(args.source).words)
-    else:
-        raise LexiforgeError("either --words or --source is required")
-    client = HttpTranslationClient(options.pop("endpoint"))
-    before = len(words)
-    table = fetch_missing(words, client, args.cache, **options)
-    print(f"cache {args.cache} now covers {len(table)} words ({before} requested)")
     return 0
 
 
@@ -357,7 +323,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "prepare-source": _cmd_prepare_source,
-        "fetch-translations": _cmd_fetch_translations,
         "run": _cmd_run,
         "evaluate": _cmd_evaluate,
         "report": _cmd_report,

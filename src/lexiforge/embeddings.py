@@ -236,17 +236,6 @@ def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
         return parse_embedding_store(fh, max_vocab, path=path)
 
 
-def serialize_embedding_store(store: EmbeddingStore, stream: IO[str]) -> None:
-    stream.write(f"{len(store)} {store.dimension}\n")
-    for i, word in enumerate(store.words):
-        stream.write(" ".join([word, *(repr(float(v)) for v in store.vectors[i])]) + "\n")
-
-
-def save_embedding_store(store: EmbeddingStore, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        serialize_embedding_store(store, fh)
-
-
 def embed_term(store: EmbeddingStore, term: str) -> tuple[np.ndarray, str]:
     """Resolve a term to a vector; never fails.
 

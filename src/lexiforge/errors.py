@@ -53,19 +53,6 @@ class MissingTranslationError(LexiforgeError):
     """A source word has no entry in the translation table (strict mode)."""
 
 
-class FetchError(LexiforgeError):
-    """A translation fetch failed; carries the words still missing.
-
-    Progress made before the failure has already been persisted to the
-    cache file, so retrying with the same arguments resumes where the
-    failed call left off.
-    """
-
-    def __init__(self, message: str, remaining: tuple[str, ...]):
-        self.remaining = remaining
-        super().__init__(f"{message} ({len(remaining)} words not fetched)")
-
-
 class PipelineError(LexiforgeError):
     """A pipeline stage failed; names the stage."""
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingStore, embed_matrix
-from .errors import DivergenceError, NumericError
+from .errors import DivergenceError, LexiforgeError, NumericError
 from .lexicon import (
     DEFAULT_DUPLICATE_TOL,
     Lexicon,
@@ -390,14 +390,17 @@ class _TrainStep:
         params -= grad
 
 
-def fit_mtlffn(X, Y, cfg: TrainConfig, variables: VariableSet | None = None) -> MtlffnModel:
+def fit_mtlffn(
+    X, Y, cfg: TrainConfig, variables: VariableSet | None = None, *, stop=None
+) -> MtlffnModel:
     """Train the feed-forward network with Adam on mean-squared error.
 
     Runs ``epochs * ceil(n / batch_size)`` optimizer steps: each epoch
     visits a fresh seeded permutation of the rows and the last partial
     batch is used, not dropped. Dropout uses inverted scaling at train
     time. Two runs with equal inputs and config produce bitwise
-    identical parameters.
+    identical parameters. Once the ``stop`` event (if any) is set, the
+    next step raises instead.
     """
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
@@ -415,6 +418,8 @@ def fit_mtlffn(X, Y, cfg: TrainConfig, variables: VariableSet | None = None) -> 
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
+            if stop is not None and stop.is_set():
+                raise LexiforgeError(f"training stopped before optimizer step {step + 1}")
             rows = train.load(X, Y, order[start : start + cfg.batch_size])
             train.draw_masks(rng, rows)
             if not np.isfinite(train.forward(rows)):

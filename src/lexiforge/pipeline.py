@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -235,7 +236,7 @@ def _openblas_thread_control():
     return None
 
 
-def _fit_concurrently(fits: list) -> list:
+def _fit_concurrently(fits: list, stop: threading.Event) -> list:
     """Results of the ``fits`` callables, in order, run concurrently.
 
     OpenBLAS is set to one thread while they run, so training gives the
@@ -244,7 +245,8 @@ def _fit_concurrently(fits: list) -> list:
     threads in all as there are usable cores; the old thread count is
     restored once every started fit has returned. Without an OpenBLAS
     control they run one after another at the ambient count. The first
-    exception in list order is raised.
+    exception in list order is raised, after ``stop`` is set so that
+    fits still running on worker threads can end early.
     """
     control = _openblas_thread_control()
     if control is None:
@@ -261,6 +263,9 @@ def _fit_concurrently(fits: list) -> list:
         rest = [pool.submit(fit) for fit in fits[1:]]
         first = fits[0]()
         return [first, *(future.result() for future in rest)]
+    except BaseException:
+        stop.set()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
         set_threads(before)
@@ -378,15 +383,16 @@ def run_pipeline(settings: RunSettings) -> RunResult:
             train_words = [mt.words[i] for i in train_rows]
             X, _ = embed_matrix(store, train_words)
             Y = mt.values[train_rows]
+            stop = threading.Event()
             if settings.model == "mtlffn":
-                fit, hyper = fit_mtlffn, settings.train
+                fit, hyper = functools.partial(fit_mtlffn, stop=stop), settings.train
             else:
                 fit, hyper = fit_ridge, settings.alpha
             models = _fit_concurrently([
                 functools.partial(fit, X, Y[:, [mt.variables.index(n) for n in group.names]],
                                   hyper, group)
                 for group in variable_groups(mt.variables, joint=settings.joint_mtl)
-            ])
+            ], stop)
             del X, Y  # expansion peaks at the store plus one chunk, not plus these
             checkpoints_dir.mkdir(exist_ok=True)
             for model in models:

@@ -1,32 +1,22 @@
-"""Word-to-word translation tables, label-copy projection, and fetching.
+"""Word-to-word translation tables and label-copy projection.
 
 Projection builds the translated target-side lexicon: source words are
 replaced by their single translation while the emotion values and split
-tags are copied unchanged. An abstract client plus an append-only cache
-file stand in for an external translation service.
+tags are copied unchanged.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import unicodedata
-import urllib.request
 from dataclasses import dataclass, replace
-from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, Protocol, Sequence
+from typing import IO, Iterable, Mapping
 
-from .errors import FetchError, LexiforgeError, MissingTranslationError, ParseError
+from .errors import MissingTranslationError, ParseError
 from .lexicon import Lexicon, _take
 
 log = logging.getLogger(__name__)
-
-#: Environment variable holding the external service credential.
-TRANSLATE_KEY_ENV = "LEXIFORGE_TRANSLATE_KEY"
-
-DEFAULT_BATCH_SIZE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +85,6 @@ def load_translation_table(path, *, source_lang="und", target_lang="und") -> Tra
         )
 
 
-def save_translation_table(table: TranslationTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for src, tgt in table.mapping.items():
-            fh.write(f"{src}\t{tgt}\n")
-
-
 def project_lexicon(
     source: Lexicon, table: TranslationTable, *, missing: str = "skip"
 ) -> Lexicon:
@@ -136,101 +120,3 @@ def project_lexicon(
         provenance="translated",
         language=table.target_lang,
     )
-
-
-class TranslationClient(Protocol):
-    """Behavioral contract for an external word translation service.
-
-    Implementations return exactly one non-empty target string per input
-    word, in input order, and behave deterministically within a run for
-    identical inputs.
-    """
-
-    def translate(
-        self, words: Sequence[str], source_lang: str, target_lang: str
-    ) -> list[str]: ...
-
-
-class HttpTranslationClient:
-    """Minimal JSON-over-HTTP client for a configurable endpoint.
-
-    Credentials are read from the LEXIFORGE_TRANSLATE_KEY environment
-    variable unless passed explicitly.
-    """
-
-    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 30.0):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        key = api_key if api_key is not None else os.environ.get(TRANSLATE_KEY_ENV)
-        if not key:
-            raise LexiforgeError(
-                f"no translation credential; set {TRANSLATE_KEY_ENV} or pass api_key"
-            )
-        self._key = key
-
-    def translate(self, words, source_lang, target_lang):
-        payload = json.dumps(
-            {"words": list(words), "source": source_lang, "target": target_lang}
-        ).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint,
-            data=payload,
-            headers={
-                "Content-Type": "application/json",
-                "Authorization": f"Bearer {self._key}",
-            },
-        )
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            data = json.load(response)
-        return [str(t) for t in data["translations"]]
-
-
-def fetch_missing(
-    words: Iterable[str],
-    client: TranslationClient,
-    cache_path,
-    *,
-    source_lang: str = "und",
-    target_lang: str = "und",
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> TranslationTable:
-    """Ensure every word has a cached translation, fetching the rest.
-
-    Already-cached words are never re-fetched. New pairs are appended to
-    the cache file batch by batch, so a failure persists all progress
-    made so far; the raised FetchError carries the unfetched remainder.
-    Returns the union of the cache and the newly fetched entries.
-    """
-    cache_path = Path(cache_path)
-    if cache_path.exists():
-        table = load_translation_table(
-            cache_path, source_lang=source_lang, target_lang=target_lang
-        )
-    else:
-        table = TranslationTable({}, source_lang=source_lang, target_lang=target_lang)
-    normalized = {unicodedata.normalize("NFC", w) for w in words if w}
-    missing = sorted(w for w in normalized if w not in table)
-    if not missing:
-        return table
-
-    mapping = dict(table.mapping)
-    with open(cache_path, "a", encoding="utf-8", newline="") as fh:
-        for start in range(0, len(missing), batch_size):
-            batch = missing[start : start + batch_size]
-            try:
-                targets = client.translate(batch, source_lang, target_lang)
-            except Exception as exc:
-                raise FetchError(
-                    f"translation fetch failed: {exc}", tuple(missing[start:])
-                ) from exc
-            if len(targets) != len(batch) or any(not t for t in targets):
-                raise FetchError(
-                    "client returned a malformed batch", tuple(missing[start:])
-                )
-            for src, tgt in zip(batch, targets):
-                tgt = unicodedata.normalize("NFC", tgt)
-                fh.write(f"{src}\t{tgt}\n")
-                mapping[src] = tgt
-            fh.flush()
-    log.info("fetched %d new translations into %s", len(missing), cache_path)
-    return TranslationTable(mapping, source_lang=source_lang, target_lang=target_lang)

@@ -16,10 +16,28 @@ from lexiforge import (
     embed_matrix,
     fit_mtlffn,
     make_variable_set,
-    save_embedding_store,
     save_lexicon,
     variable_groups,
 )
+
+
+def serialize_embedding_store(store: EmbeddingStore, stream) -> None:
+    """Write a store in the text vector format that ``parse_embedding_store`` reads."""
+    stream.write(f"{len(store)} {store.dimension}\n")
+    for i, word in enumerate(store.words):
+        stream.write(" ".join([word, *(repr(float(v)) for v in store.vectors[i])]) + "\n")
+
+
+def save_embedding_store(store: EmbeddingStore, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        serialize_embedding_store(store, fh)
+
+
+def save_translation_table(table, path) -> None:
+    """Write a table as the two-column TSV that ``load_translation_table`` reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for src, tgt in table.mapping.items():
+            fh.write(f"{src}\t{tgt}\n")
 
 
 def build_lexicon(

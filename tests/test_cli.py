@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import unicodedata
 import weakref
 from dataclasses import asdict
@@ -277,9 +278,9 @@ def test_concurrent_training_equals_sequential_training(tmp_path, monkeypatch):
     expand = lexiforge.pipeline.expand_lexicon
     fits, at_expansion = [], []
 
-    def recording_fit(X, Y, cfg, group):
+    def recording_fit(X, Y, cfg, group, **kwargs):
         fits.append((group.names, threading.get_ident(), get_threads()))
-        return fit_mtlffn(X, Y, cfg, group)
+        return fit_mtlffn(X, Y, cfg, group, **kwargs)
 
     def recording_expand(*args, **kwargs):
         at_expansion.append(get_threads())
@@ -322,11 +323,11 @@ def test_run_reports_a_fit_that_fails_in_a_worker_thread(tmp_path, monkeypatch, 
     fit_mtlffn = lexiforge.pipeline.fit_mtlffn
     failed_in = []
 
-    def failing_fit(X, Y, cfg, group):
+    def failing_fit(X, Y, cfg, group, **kwargs):
         if group.names == BE5_NAMES:  # the second group
             failed_in.append(threading.current_thread())
             raise DivergenceError(7)
-        return fit_mtlffn(X, Y, cfg, group)
+        return fit_mtlffn(X, Y, cfg, group, **kwargs)
 
     monkeypatch.setattr(lexiforge.pipeline, "fit_mtlffn", failing_fit)
     out = tmp_path / "out"
@@ -350,7 +351,7 @@ def test_run_reports_the_first_failure_in_group_order(tmp_path, monkeypatch, cap
                                    variables=VAD_NAMES + BE5_NAMES)
     second_failed = threading.Event()
 
-    def failing_fit(X, Y, cfg, group):
+    def failing_fit(X, Y, cfg, group, **kwargs):
         if group.names == BE5_NAMES:
             second_failed.set()
             raise DivergenceError(7)
@@ -361,6 +362,34 @@ def test_run_reports_the_first_failure_in_group_order(tmp_path, monkeypatch, cap
     assert main(_run_args(bundle, tmp_path / "out", _write_fast_config(tmp_path))) == 1
     err = capsys.readouterr().err
     assert "error: stage 'train' failed: non-finite training loss at optimizer step 3" in err
+
+
+def test_an_interrupt_in_the_train_stage_stops_the_fit_beside_it(tmp_path, monkeypatch):
+    if lexiforge.pipeline._openblas_thread_control() is None or _usable_cores() < 2:
+        pytest.skip("the fits run one after another in this process")
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=60, n_vocab=200, dim=8,
+                                   split_sizes=(40, 10, 10), seed=7,
+                                   variables=VAD_NAMES + BE5_NAMES)
+    fit_mtlffn = lexiforge.pipeline.fit_mtlffn
+    second_started = threading.Event()
+    interrupted_at = []
+
+    def interrupted_fit(X, Y, cfg, group, **kwargs):
+        if group.names == BE5_NAMES:  # a real fit of several seconds on a worker thread
+            second_started.set()
+            return fit_mtlffn(X, Y, cfg, group, **kwargs)
+        second_started.wait(timeout=10)
+        time.sleep(0.2)  # let the worker's fit get into its steps
+        interrupted_at.append(time.monotonic())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lexiforge.pipeline, "fit_mtlffn", interrupted_fit)
+    threads_before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        main(_run_args(bundle, tmp_path / "out", _write_fast_config(tmp_path),
+                       extra=["--epochs", "30000"]))
+    assert time.monotonic() - interrupted_at[0] < 1.0
+    assert set(threading.enumerate()) == threads_before
 
 
 def test_run_with_a_missing_input_creates_no_output_directory(tmp_path, small_bundle, capsys):
@@ -691,10 +720,10 @@ def test_every_config_key_reaches_the_manifest(tmp_path, small_bundle):
         "seed = 3\nepochs = 2\nbatch_size = 8\nlearning_rate = 0.002\n"
         "input_dropout = 0.1\nhidden_dropout = 0.25\nleaky_slope = 0.05\nhidden = 8,4\n"
         "model = mtlffn\nalpha = 0.5\nmax_vocab = 150\nduplicate_tol = 1e-5\n"
-        "source_lang = en\ntarget_lang = de\nendpoint = http://localhost:1\n",
+        "source_lang = en\ntarget_lang = de\n",
         encoding="utf-8",
     )
-    assert len(parse_config_file(config)) == 15  # every accepted key
+    assert len(parse_config_file(config)) == 14  # every accepted key
     out = tmp_path / "out"
     assert main([
         "run", "--source", str(small_bundle["source"]), "--table", str(small_bundle["table"]),
@@ -711,10 +740,11 @@ def test_every_config_key_reaches_the_manifest(tmp_path, small_bundle):
     settings = manifest["settings"]
     assert (settings["alpha"], settings["max_vocab"], settings["duplicate_tol"]) == \
         (0.5, 150, 1e-5)
-    adam = tmp_path / "adam"
-    adam.write_text("adam_beta1 = 0.5\n", encoding="utf-8")
-    with pytest.raises(LexiforgeError, match="unknown config key"):
-        parse_config_file(adam)
+    for name, line in (("adam", "adam_beta1 = 0.5\n"), ("endpoint", "endpoint = x\n")):
+        path = tmp_path / name
+        path.write_text(line, encoding="utf-8")
+        with pytest.raises(LexiforgeError, match="unknown config key"):
+            parse_config_file(path)
 
 
 def test_traced_attributes_exist():

@@ -15,8 +15,8 @@ from lexiforge import (
     embed_term,
     load_embedding_store,
     parse_embedding_store,
-    serialize_embedding_store,
 )
+from helpers import serialize_embedding_store
 
 
 def make_store(vocab: dict[str, list[float]]) -> EmbeddingStore:

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from lexiforge import (
-    FetchError,
     MissingTranslationError,
     ParseError,
     TranslationTable,
-    fetch_missing,
     load_translation_table,
     parse_translation_table,
     project_lexicon,
-    save_translation_table,
 )
-from helpers import build_lexicon
+from helpers import build_lexicon, save_translation_table
 
 
 # ---------------------------------------------------------------------------
@@ -145,80 +142,3 @@ def test_project_preserves_value_multiset():
     mt = project_lexicon(source, table)
     assert sorted(map(tuple, mt.values)) == sorted(map(tuple, source.values))
     assert mt.splits == source.splits
-
-
-# ---------------------------------------------------------------------------
-# fetch_missing
-# ---------------------------------------------------------------------------
-
-
-class ScriptedClient:
-    """Reverses each word; counts calls; can fail at a given batch."""
-
-    def __init__(self, fail_at_batch=None):
-        self.calls = 0
-        self.fail_at_batch = fail_at_batch
-
-    def translate(self, words, source_lang, target_lang):
-        self.calls += 1
-        if self.fail_at_batch is not None and self.calls == self.fail_at_batch:
-            raise OSError("connection reset")
-        return [w[::-1] for w in words]
-
-
-def test_fetch_all_cached_makes_zero_calls(tmp_path):
-    cache = tmp_path / "cache.tsv"
-    cache.write_text("a\tx\nb\ty\n", encoding="utf-8")
-    client = ScriptedClient()
-    table = fetch_missing({"a", "b"}, client, cache)
-    assert client.calls == 0
-    assert dict(table.mapping) == {"a": "x", "b": "y"}
-
-
-def test_fetch_empty_word_set(tmp_path):
-    cache = tmp_path / "cache.tsv"
-    cache.write_text("a\tx\n", encoding="utf-8")
-    table = fetch_missing(set(), ScriptedClient(), cache)
-    assert dict(table.mapping) == {"a": "x"}
-
-
-def test_fetch_uncached_words_appended(tmp_path):
-    cache = tmp_path / "cache.tsv"
-    cache.write_text("a\tx\n", encoding="utf-8")
-    words = {f"word{i}" for i in range(10)} | {"a"}
-    client = ScriptedClient()
-    table = fetch_missing(words, client, cache, batch_size=4)
-    assert len(table) == 11
-    # scripted stub replay oracle
-    for i in range(10):
-        assert table.get(f"word{i}") == f"word{i}"[::-1]
-    # cache file updated append-only: first line untouched
-    lines = cache.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "a\tx"
-    assert len(lines) == 11
-
-
-def test_fetch_is_idempotent(tmp_path):
-    cache = tmp_path / "cache.tsv"
-    words = {"alpha", "beta"}
-    fetch_missing(words, ScriptedClient(), cache)
-    before = cache.read_bytes()
-    client = ScriptedClient()
-    fetch_missing(words, client, cache)
-    assert client.calls == 0
-    assert cache.read_bytes() == before
-
-
-def test_fetch_failure_persists_partial_progress(tmp_path):
-    cache = tmp_path / "cache.tsv"
-    words = [f"w{i:02d}" for i in range(10)]
-    client = ScriptedClient(fail_at_batch=2)
-    with pytest.raises(FetchError) as err:
-        fetch_missing(set(words), client, cache, batch_size=4)
-    # first batch (4 words, sorted order) persisted; remainder reported
-    table = load_translation_table(cache)
-    assert len(table) == 4
-    assert set(err.value.remaining) == set(words[4:])
-    # a retry picks up where the failure left off
-    table = fetch_missing(set(words), ScriptedClient(), cache, batch_size=4)
-    assert len(table) == 10
