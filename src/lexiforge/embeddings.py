@@ -2,19 +2,27 @@
 
 Vector files use the common text format: a ``<count> <dim>`` header
 followed by one ``word v1 ... v_dim`` line per word, single-space
-separated; words are NFC-normalised on parse. Lookup never fails:
-terms missing from the vocabulary are split on spaces, apostrophes, and
-hyphens, the found parts averaged, and the zero vector used when
-nothing is recognized.
+separated; words are NFC-normalised on parse. A large file is parsed
+on several cores, with the same result as in one process. Lookup never
+fails: terms missing from the vocabulary are split on spaces,
+apostrophes, and hyphens, the found parts averaged, and the zero vector
+used when nothing is recognized.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import logging
+import mmap
+import os
+import pickle
 import re
+import signal
+import threading
 import unicodedata
 import warnings
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +39,9 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 # mask; larger blocks parsed no faster and left the process with more
 # resident memory after the parse.
 _BLOCK_ROWS = 512
+
+# Bytes read at once while counting the lines before a range's start.
+_COUNT_BYTES = 1 << 20
 
 class EmbeddingStore:
     """Immutable vocabulary-to-vector mapping of fixed dimension.
@@ -96,6 +107,79 @@ def parse_embedding_store(
     parser; a block it rejects, or cannot vouch for, is parsed again
     line by line, which yields the same rows or the exact error.
     """
+    count, dim, n_keep = _read_header(stream, max_vocab, path)
+    return _parse_parts(stream, path, count, dim, n_keep, [])
+
+
+def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
+    """Parse a vector file as :func:`parse_embedding_store` does, on several cores.
+
+    Unless ``max_vocab`` stops the parse early or this process runs other
+    threads, the lines after the header are split into ``_n_parts``
+    contiguous byte ranges: this process parses the first and a forked
+    worker each other one, every range into one shared array. If a worker
+    fails, or the ranges do not hold the header's count of lines, the file
+    is parsed again in one process, so the store and any ParseError are
+    exactly those of one process. No worker outlives the call.
+    """
+    with _open_text(path) as stream:
+        count, dim, n_keep = _read_header(stream, max_vocab, path)
+        size = os.fstat(stream.fileno()).st_size
+        cuts = []
+        # A fork copies only this thread, so a lock another thread holds
+        # would stay held in the worker. Every line holds at least a word,
+        # dim spaces and an end, so a file too short for its count fails,
+        # in one process.
+        if (
+            hasattr(os, "fork") and threading.active_count() == 1
+            and n_keep == count and count * (dim + 2) <= size
+        ):
+            cuts = _cut_points(path, size, _n_parts(count * dim * 8), count)
+        store = _parse_parts(stream, path, count, dim, n_keep, cuts)
+        if store is None:
+            stream.seek(0)
+            stream.readline()
+            store = _parse_parts(stream, path, count, dim, n_keep, [])
+    return store
+
+
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm", "rb") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def _n_parts(store_bytes: int) -> int:
+    """How many processes parse a file whose store takes ``store_bytes``.
+
+    A forked worker counts this process's resident memory as its own, so
+    the workers may add at most a quarter of the store to what the
+    process tree holds; each takes one usable core.
+    """
+    try:
+        resident = _resident_bytes()
+    except OSError:
+        return 1
+    return min(usable_cores(), 1 + store_bytes // (4 * resident))
+
+
+def _open_text(path, offset: int = 0) -> io.TextIOWrapper:
+    """The file as text from byte ``offset``, which starts a line."""
+    raw = open(path, "rb")
+    if offset:
+        raw.seek(offset)
+    # undecodable bytes become surrogates, so the parser can name their line
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+
+
+def _read_header(stream: IO[str], max_vocab: int | None, path) -> tuple[int, int, int]:
+    """The header's count and dimension, and how many entries to keep."""
     if max_vocab is not None and max_vocab < 1:
         raise ValueError(f"max_vocab must be at least 1, got {max_vocab}")
     header = stream.readline()
@@ -112,11 +196,180 @@ def parse_embedding_store(
             f"malformed header {header.strip()!r}, expected '<count> <dim>'",
             line_no=1, path=path,
         ) from None
+    return count, dim, count if max_vocab is None else min(count, max_vocab)
 
-    n_keep = count if max_vocab is None else min(count, max_vocab)
-    vectors = np.empty((n_keep, dim), dtype=np.float64)
-    words: list[str] = []
+
+def _cut_points(path, size: int, n_parts: int, count: int) -> list[tuple[int, int]]:
+    """Where ranges 2..``n_parts`` start: (byte offset, vector lines before it).
+
+    Each range starts just after the first ``\\n`` at or past an equal
+    share of the bytes, so it holds whole lines. A range that would
+    start after the header's ``count`` lines is left out.
+    """
+    cuts: list[tuple[int, int]] = []
+    lines, start = -1, 0  # the header is not a vector line
+    with open(path, "rb") as fh:
+        for k in range(1, n_parts):
+            target = size * k // n_parts
+            fh.seek(target)
+            offset = target + len(fh.readline())
+            if offset >= size:
+                break
+            if offset <= start:
+                continue
+            lines += _count_lines(fh, start, offset)
+            if lines >= count:
+                break
+            cuts.append((offset, lines))
+            start = offset
+    return cuts
+
+
+def _count_lines(fh: IO[bytes], start: int, stop: int) -> int:
+    """Lines in bytes ``start:stop``, split as the text parse splits them.
+
+    That is at ``\\n``, ``\\r\\n`` and a lone ``\\r``; byte ``stop - 1`` is
+    a ``\\n``.
+    """
+    fh.seek(start)
+    lines, last = 0, b""
+    while start < stop:
+        chunk = fh.read(min(_COUNT_BYTES, stop - start))
+        if not chunk:
+            break
+        start += len(chunk)
+        lines += chunk.count(b"\n")
+        if b"\r" in chunk:
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if last == b"\r" and chunk.startswith(b"\n"):
+            lines -= 1  # one "\r\n" across two chunks
+        last = chunk[-1:]
+    return lines
+
+
+def _parse_parts(
+    stream: IO[str], path, count: int, dim: int, n_keep: int, cuts: list[tuple[int, int]]
+) -> EmbeddingStore | None:
+    """The store from the lines after the header, in ``len(cuts) + 1`` ranges.
+
+    ``stream`` is read for the first range, and a forked worker parses
+    each other one. Once every worker has ended, the ranges are merged in
+    file order: a word keeps the vector of its first line, and the rows
+    after a dropped one move up. None means a worker failed or a range
+    did not hold its count of lines; the caller then parses in one range.
+    """
+    bounds = [0, *(lines for _, lines in cuts), count]  # vector lines before each range
+    if cuts:
+        shared = mmap.mmap(-1, n_keep * dim * 8)
+        vectors = np.frombuffer(shared, dtype=np.float64).reshape(n_keep, dim)
+    else:
+        vectors = np.empty((n_keep, dim), dtype=np.float64)
     index: dict[str, int] = {}
+    workers: dict[int, IO[bytes]] = {}  # pid -> read end of its pipe
+    try:
+        for (offset, lo), hi in zip(cuts, bounds[2:]):
+            pid, pipe = _fork_part(path, offset, vectors[lo:hi], lo + 2, dim)
+            workers[pid] = pipe
+        parts = [_parse_lines(stream, vectors[: bounds[1]], index, bounds[1], 2, dim, path)]
+        for pid, pipe in list(workers.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            parts.append(pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None)
+    finally:
+        for pid, pipe in workers.items():  # after an exception: end the workers left
+            pipe.close()
+            with contextlib.suppress(ChildProcessError):  # reaped already
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    if cuts and any(
+        part is None or part[2] != hi - lo for part, lo, hi in zip(parts, bounds, bounds[1:])
+    ):
+        return None
+
+    words, duplicates, lines_read = parts[0]
+    rows: list[int] = []  # where the later ranges' kept words have their vectors
+    for (part_words, part_duplicates, part_lines), lo in zip(parts[1:], bounds[1:]):
+        duplicates += part_duplicates
+        lines_read += part_lines
+        for row, word in enumerate(part_words, start=lo):
+            if word in index:
+                duplicates += 1  # its first line is in an earlier range
+            else:
+                index[word] = len(words)
+                words.append(word)
+                rows.append(row)
+    _move_rows_up(vectors, len(words) - len(rows), rows)
+    if lines_read < count and len(words) < n_keep:
+        raise ParseError(
+            f"header promised {count} vectors, file ends after {lines_read}",
+            line_no=lines_read + 1, path=path,
+        )
+    if duplicates:
+        log.warning("embedding file: ignored %d duplicate words", duplicates)
+    return EmbeddingStore(words, vectors[: len(words)], n_duplicates=duplicates, index=index)
+
+
+def _fork_part(
+    path, offset: int, vectors: np.ndarray, first_line_no: int, dim: int
+) -> tuple[int, IO[bytes]]:
+    """Fork a worker that parses ``len(vectors)`` lines from byte ``offset``.
+
+    The worker writes its rows into ``vectors`` and sends its words,
+    duplicate count and line count through a pipe; the pid and the
+    pipe's read end are returned. It leaves by ``os._exit``, so it runs
+    none of the caller's cleanup, with status 1 if it failed.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with _open_text(path, offset) as stream:
+                part = _parse_lines(stream, vectors, {}, len(vectors), first_line_no, dim, path)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _move_rows_up(vectors: np.ndarray, start: int, rows: list[int]) -> None:
+    """Copy rows ``rows``, increasing and none below its target, to ``start`` on."""
+    rows = np.asarray(rows, dtype=np.intp)
+    moved = np.flatnonzero(rows != np.arange(start, start + len(rows)))
+    if moved.size:
+        for lo in range(moved[0], len(rows), _BLOCK_ROWS):
+            targets = slice(start + lo, start + min(lo + _BLOCK_ROWS, len(rows)))
+            vectors[targets] = vectors[rows[lo : lo + _BLOCK_ROWS]]
+
+
+def _parse_lines(
+    stream: Iterable[str],
+    vectors: np.ndarray,
+    index: dict[str, int],
+    max_lines: int,
+    first_line_no: int,
+    dim: int,
+    path,
+) -> tuple[list[str], int, int]:
+    """Parse at most ``max_lines`` lines into ``vectors``, one row per new word.
+
+    Stops early once ``vectors`` is full. ``index`` receives the row of
+    each new word. Returns the new words, the number of duplicate lines
+    and the number of lines read.
+    """
+    words: list[str] = []
     duplicates = 0
     lines_read = 0
     # the kept lines not yet stored in ``vectors``: line numbers and the
@@ -140,8 +393,8 @@ def parse_embedding_store(
         line_nos.clear()
         rests.clear()
 
-    for line_no, raw in enumerate(stream, start=2):
-        if lines_read >= count or len(words) >= n_keep:
+    for line_no, raw in enumerate(stream, start=first_line_no):
+        if lines_read >= max_lines or len(words) >= len(vectors):
             break
         lines_read += 1
         word, sep, rest = raw.partition(" ")
@@ -164,14 +417,7 @@ def parse_embedding_store(
         if len(rests) == _BLOCK_ROWS:
             store_block()
     store_block()
-    if lines_read < count and len(words) < n_keep:
-        raise ParseError(
-            f"header promised {count} vectors, file ends after {lines_read}",
-            line_no=lines_read + 1, path=path,
-        )
-    if duplicates:
-        log.warning("embedding file: ignored %d duplicate words", duplicates)
-    return EmbeddingStore(words, vectors[: len(words)], n_duplicates=duplicates, index=index)
+    return words, duplicates, lines_read
 
 
 def _parse_numbers(rests: list[str], dim: int) -> np.ndarray | None:
@@ -230,12 +476,6 @@ def _check_decoded(text: str, line_no: int, path) -> None:
         raise ParseError("invalid UTF-8 byte sequence", line_no=line_no, path=path)
 
 
-def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
-    # undecodable bytes become surrogates, so the parser can name their line
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_embedding_store(fh, max_vocab, path=path)
-
-
 def embed_term(store: EmbeddingStore, term: str) -> tuple[np.ndarray, str]:
     """Resolve a term to a vector; never fails.
 
@@ -268,10 +508,15 @@ def embed_matrix(
     Row i is exactly ``embed_term(store, words[i])``; the second return
     value carries the per-row resolution tags.
     """
+    rows = [store._index.get(word, -1) for word in words]
     out = np.empty((len(words), store.dimension), dtype=np.float64)
-    tags: list[str] = []
-    for i, word in enumerate(words):
-        vec, tag = embed_term(store, word)
-        out[i] = vec
-        tags.append(tag)
+    if len(store):
+        # one gather for the vocabulary words; a miss reads row 0 and is
+        # overwritten below. "clip" writes straight into ``out``, where
+        # "raise" would buffer a copy.
+        np.take(store.vectors, rows, axis=0, out=out, mode="clip")
+    tags = ["direct"] * len(words)
+    for i, row in enumerate(rows):
+        if row < 0:
+            out[i], tags[i] = embed_term(store, words[i])
     return out, tags

@@ -8,6 +8,7 @@ are immutable after construction; every operation returns a new object.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -25,6 +26,9 @@ BE5_NAMES = ("Joy", "Ang", "Sad", "Fea", "Dis")
 CANONICAL_VARIABLES = VAD_NAMES + BE5_NAMES
 
 DEFAULT_DUPLICATE_TOL = 1e-6
+
+# Rows whose values serialize_lexicon converts to Python floats at once.
+_SERIALIZE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -336,7 +340,7 @@ def parse_lexicon(
                     f"non-numeric value {tok!r} for variable {name}",
                     line_no=line_no, path=path,
                 ) from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ParseError(
                     f"non-finite value for variable {name}", line_no=line_no, path=path
                 )
@@ -377,11 +381,16 @@ def serialize_lexicon(lex: Lexicon, stream: IO[str]) -> None:
     has_split = any(s != "none" for s in lex.splits)
     header = ["word", *lex.variables.names] + (["split"] if has_split else [])
     stream.write("\t".join(header) + "\n")
-    for i, word in enumerate(lex.words):
-        fields = [word] + [repr(float(v)) for v in lex.values[i]]
-        if has_split:
-            fields.append(lex.splits[i])
-        stream.write("\t".join(fields) + "\n")
+    # a block of rows at a time: every value of a large lexicon as a Python
+    # float at once would raise the process's peak memory
+    for lo in range(0, len(lex.words), _SERIALIZE_ROWS):
+        hi = lo + _SERIALIZE_ROWS
+        rows = lex.values[lo:hi].tolist()
+        for word, row, split in zip(lex.words[lo:hi], rows, lex.splits[lo:hi]):
+            fields = [word, *map(repr, row)]
+            if has_split:
+                fields.append(split)
+            stream.write("\t".join(fields) + "\n")
 
 
 def load_lexicon(path, expected_variables=None, *, provenance="human", language="und") -> Lexicon:

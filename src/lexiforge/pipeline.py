@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .embeddings import embed_matrix, load_embedding_store
+from .embeddings import embed_matrix, load_embedding_store, usable_cores
 from .errors import LexiforgeError, PipelineError
 from .evaluation import (
     EvalReport,
@@ -254,8 +254,7 @@ def _fit_concurrently(fits: list, stop: threading.Event) -> list:
     get_threads, set_threads = control
     before = get_threads()
     set_threads(1)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(fits), cores or 1) - 1  # threads beside this one
+    workers = min(len(fits), usable_cores()) - 1  # threads beside this one
     pool = ThreadPoolExecutor(max_workers=max(workers, 1))
     try:
         if not workers:

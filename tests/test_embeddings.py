@@ -1,5 +1,10 @@
 import io
+import os
+import signal
+import threading
+import time
 import unicodedata
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -194,9 +199,9 @@ def reference_parse(stream, max_vocab=None):
     return EmbeddingStore(words, vectors[: len(words)], n_duplicates=duplicates)
 
 
-def _outcome(parse, text, max_vocab):
+def _outcome(parse):
     try:
-        store = parse(io.StringIO(text), max_vocab)
+        store = parse()
     except ParseError as err:
         return ("error", str(err), err.line_no)
     return ("store", store.words, store.vectors.tobytes(), store.n_duplicates)
@@ -204,8 +209,8 @@ def _outcome(parse, text, max_vocab):
 
 def assert_matches_reference(text, max_vocab=None, block_rows=2):
     with mock.patch.object(embeddings, "_BLOCK_ROWS", block_rows):
-        got = _outcome(parse_embedding_store, text, max_vocab)
-    assert got == _outcome(reference_parse, text, max_vocab)
+        got = _outcome(lambda: parse_embedding_store(io.StringIO(text), max_vocab))
+    assert got == _outcome(lambda: reference_parse(io.StringIO(text), max_vocab))
     return got
 
 
@@ -243,15 +248,15 @@ _BAD_TOKENS = ["nan", "inf", "#", "x", "", "1\x1c"]
 
 
 @st.composite
-def vector_files(draw):
+def vector_files(draw, words=_WORDS, ends=("\n", "\r\n")):
     """A header and lines of which about one in five has a defect."""
     dim = draw(st.integers(1, 3))
     n_lines = draw(st.integers(0, 12))
     lines = []
     for _ in range(n_lines):
-        word = draw(st.sampled_from(_WORDS))
+        word = draw(st.sampled_from(words))
         tokens = [draw(st.sampled_from(_TOKENS)) for _ in range(dim)]
-        end = draw(st.sampled_from(["\n", "\r\n"]))
+        end = draw(st.sampled_from(ends))
         defect = draw(st.sampled_from(
             [None] * 25 + ["word", "short", "long", "token", "token", "token", "space"]
         ))
@@ -278,6 +283,177 @@ def vector_files(draw):
 def test_block_parser_matches_reference(case, block_rows):
     text, max_vocab = case
     assert_matches_reference(text, max_vocab, block_rows)
+
+
+# ---------------------------------------------------------------------------
+# parsing in several processes against the parse in one
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def recorded_forks():
+    """The pids of the workers forked inside the block, each checked to be reaped."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", recording_fork):
+        try:
+            yield pids
+        finally:
+            for pid in pids:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+
+
+def load_outcome(path, parts, max_vocab=None):
+    with mock.patch.object(embeddings, "_n_parts", lambda store_bytes: parts):
+        return _outcome(lambda: load_embedding_store(path, max_vocab))
+
+
+def assert_split_matches_one_part(path, parts, max_vocab=None):
+    """The outcome of a parse in ``parts`` ranges, which must equal one range's,
+    and the number of workers it forked."""
+    with recorded_forks() as pids:
+        got = load_outcome(path, parts, max_vocab)
+    assert got == load_outcome(path, 1, max_vocab)
+    return got, len(pids)
+
+
+NFC, NFD = unicodedata.normalize("NFC", "schön"), unicodedata.normalize("NFD", "schön")
+
+
+@pytest.mark.parametrize("data, parts, max_vocab, expected", [
+    # duplicates whose first line is in an earlier range
+    (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\na 9 9\nb 0 0\n", 2, None, ("a", "b", "c", "d")),
+    (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\na 9 9\nb 0 0\n", 3, None, ("a", "b", "c", "d")),
+    (f"4 2\n{NFD} 1 2\nb 3 4\nc 5 6\n{NFC} 7 8\n".encode(), 2, None, (NFC, "b", "c")),
+    # a duplicate whose numbers do not parse: skipped, as in one range
+    (b"4 2\na 1 2\nb 3 4\nc 5 6\na x y\n", 2, None, ("a", "b", "c")),
+    # line ends the text parse splits at
+    (b"4 2\r\na 1 2\r\nb 3 4\r\nc 5 6\r\nd 7 8\r\n", 2, None, ("a", "b", "c", "d")),
+    (b"4 2\ra 1 2\rb 3 4\nc 5 6\rd 7 8\r", 2, None, ("a", "b", "c", "d")),
+    (b"5 2\na 1 2\r\nb 3 4\rc 5 6\nd 7 8\r\ne 9 0", 3, None, ("a", "b", "c", "d", "e")),
+    # header counts below and above the number of lines
+    (b"3 2\na 1.000000 2.000000\nb 3 4\nc 5 6\nd x\ne 1\n", 2, None, ("a", "b", "c")),
+    (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\n", 2, None, "header promised 6 vectors"),
+    # a max_vocab cut parses in one range
+    (b"4 2\na 1 2\nb 3 4\nc 5 6\nd x\n", 2, 2, ("a", "b")),
+])
+def test_split_parse_matches_one_part_examples(tmp_path, data, parts, max_vocab, expected):
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(data)
+    got, n_workers = assert_split_matches_one_part(path, parts, max_vocab)
+    assert n_workers == (0 if max_vocab else parts - 1)
+    if isinstance(expected, tuple):
+        assert got[:2] == ("store", expected)
+    else:
+        assert got[0] == "error" and expected in got[1]
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("defect", range(6))
+def test_split_parse_reports_a_defect_in_any_range(tmp_path, parts, defect):
+    lines = [f"w{i} {'x' if i == defect else i} 2\n" for i in range(6)]
+    path = tmp_path / "vecs.txt"
+    path.write_text("6 2\n" + "".join(lines), encoding="utf-8")
+    got, n_workers = assert_split_matches_one_part(path, parts)
+    assert n_workers == parts - 1
+    assert got == ("error", f"{path}:line {defect + 2}: non-numeric vector component", defect + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=vector_files(words=[*_WORDS, "b\udcff"], ends=("\n", "\r\n", "\r")),
+    parts=st.integers(2, 3),
+)
+def test_split_parse_matches_one_part(tmp_path_factory, case, parts):
+    text, max_vocab = case
+    path = tmp_path_factory.getbasetemp() / "split.vec"
+    path.unlink(missing_ok=True)  # truncating a file in place can wait for a disk flush
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert_split_matches_one_part(path, parts, max_vocab)
+
+
+def _vector_file(tmp_path, n=30):
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"{n} 2\n" + "".join(f"w{i} {i} -{i}.5\n" for i in range(n)), encoding="utf-8")
+    return path
+
+
+def test_a_killed_worker_leaves_the_exact_store(tmp_path):
+    path = _vector_file(tmp_path)
+    parent, parse_lines = os.getpid(), embeddings._parse_lines
+
+    def dying_in_workers(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse_lines(*args)
+
+    with mock.patch.object(embeddings, "_parse_lines", dying_in_workers):
+        got, n_workers = assert_split_matches_one_part(path, 3)
+    assert n_workers == 2
+    assert got[:2] == ("store", tuple(f"w{i}" for i in range(30)))
+
+
+def test_an_interrupt_in_the_first_range_ends_every_worker(tmp_path):
+    path = _vector_file(tmp_path)
+    parent, parse_lines = os.getpid(), embeddings._parse_lines
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)  # a worker still running when the interrupt comes
+        return parse_lines(*args)
+
+    started = time.monotonic()
+    with recorded_forks() as pids, mock.patch.object(embeddings, "_parse_lines", interrupted):
+        with pytest.raises(KeyboardInterrupt):
+            load_outcome(path, 3)
+    assert len(pids) == 2
+    assert time.monotonic() - started < 10
+
+
+def test_without_fork_the_parse_uses_one_part(tmp_path, monkeypatch):
+    path = _vector_file(tmp_path)
+    expected = load_outcome(path, 1)
+    monkeypatch.delattr(os, "fork")
+    with mock.patch.object(embeddings, "_cut_points") as cut_points:
+        assert load_outcome(path, 3) == expected
+    cut_points.assert_not_called()
+
+
+def test_with_another_thread_the_parse_uses_one_part(tmp_path):
+    path = _vector_file(tmp_path)
+    expected = load_outcome(path, 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with mock.patch.object(embeddings, "_cut_points") as cut_points:
+            assert load_outcome(path, 3) == expected
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    cut_points.assert_not_called()
+
+
+@pytest.mark.parametrize("store_mib, resident_mib, cores, parts", [
+    (229, 45, 2, 2),  # a 100k x 300 store, as the run stage meets it
+    (46, 45, 2, 1),  # 20k x 300
+    (4578, 45, 8, 8),  # 2M x 300
+    (229, 45, 1, 1),
+])
+def test_parts_follow_the_store_size_and_the_usable_cores(store_mib, resident_mib, cores, parts):
+    with mock.patch.object(embeddings, "_resident_bytes", return_value=resident_mib << 20), \
+            mock.patch.object(embeddings, "usable_cores", return_value=cores):
+        assert embeddings._n_parts(store_mib << 20) == parts
 
 
 # ---------------------------------------------------------------------------

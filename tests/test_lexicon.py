@@ -197,6 +197,21 @@ def test_round_trip_identity(words, data):
     assert back.variables.names == lex.variables.names
 
 
+def test_serialize_writes_each_value_as_its_float_repr_across_row_blocks():
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((2500, 2)) * 10.0 ** rng.integers(-8, 8, (2500, 2))
+    tags = ["train", "dev", "test", "none"]
+    lex = build_lexicon(
+        [(f"w{i}", values[i], tags[i % 4]) for i in range(2500)], variables=("y1", "y2")
+    )
+    buf = io.StringIO()
+    serialize_lexicon(lex, buf)
+    expected = "word\ty1\ty2\tsplit\n" + "".join(
+        f"w{i}\t{float(a)!r}\t{float(b)!r}\t{tags[i % 4]}\n" for i, (a, b) in enumerate(values)
+    )
+    assert buf.getvalue() == expected
+
+
 # ---------------------------------------------------------------------------
 # filter_source_entries
 # ---------------------------------------------------------------------------
