@@ -13,7 +13,6 @@ from .embeddings import (
     embed_matrix,
     embed_term,
     load_embedding_store,
-    parse_embedding_store,
 )
 from .errors import (
     DegenerateVarianceError,
@@ -43,18 +42,14 @@ from .evaluation import (
 )
 from .lexicon import (
     BE5_NAMES,
-    BE5_SCALE,
     VAD_NAMES,
-    VAD_SCALE,
     Lexicon,
-    ScaleSpec,
     SplitSets,
     VariableSet,
     collapse_duplicates,
     derive_prediction_splits,
     filter_source_entries,
     load_lexicon,
-    make_variable_set,
     parse_lexicon,
     restrict_to_split,
     restrict_to_words,
@@ -76,12 +71,7 @@ from .models import (
     save_checkpoint,
     variable_groups,
 )
-from .pipeline import RunResult, RunSettings, prepare_source, run_pipeline
-from .translation import (
-    TranslationTable,
-    load_translation_table,
-    parse_translation_table,
-    project_lexicon,
-)
+from .pipeline import Evaluation, RunSettings, prepare_source, run_pipeline
+from .translation import load_translation_table, project_lexicon
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -46,14 +46,14 @@ from .reporting import (
 
 log = logging.getLogger(__name__)
 
-# Config-file keys: the training hyperparameters except Adam's and six
+# Config-file keys: the training hyperparameters except Adam's and five
 # run settings; a key left unset takes the dataclass default.
 _TRAIN_KEYS = {
     f.name: type(f.default) for f in fields(TrainConfig) if not f.name.startswith("adam_")
 }
 _RUN_KEYS = {
     f.name: type(f.default) for f in fields(RunSettings)
-    if f.name in ("model", "alpha", "max_vocab", "duplicate_tol", "source_lang", "target_lang")
+    if f.name in ("model", "alpha", "max_vocab", "source_lang", "target_lang")
 }
 _CONFIG_KEYS = {
     **_TRAIN_KEYS,
@@ -97,13 +97,16 @@ def _given(args, config: dict, keys) -> dict:
 
 
 def _parse_gold_args(pairs: list[str]) -> dict[str, Path]:
+    """Gold ids and paths; an id names report files, so it holds no '/'."""
     gold: dict[str, Path] = {}
     for pair in pairs or []:
-        if "=" not in pair:
-            raise LexiforgeError(f"--gold expects <id>=<path>, got {pair!r}")
         gold_id, _, path = pair.partition("=")
         if not gold_id or not path:
             raise LexiforgeError(f"--gold expects <id>=<path>, got {pair!r}")
+        if "/" in gold_id:
+            raise LexiforgeError(f"--gold id {gold_id!r} must not contain '/'")
+        if gold_id in gold:
+            raise LexiforgeError(f"--gold id {gold_id!r} is given twice")
         gold[gold_id] = Path(path)
     return gold
 
@@ -142,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vocab", type=int, help="cap on embedding vocabulary size")
     p.add_argument("--joint-mtl", action="store_true", default=None,
                    help="train one model across all variables instead of one per family")
-    p.add_argument("--duplicate-tol", type=float)
     p.add_argument("--strict-missing", action="store_true", default=None,
                    help="abort on source words without translation instead of skipping")
     p.add_argument("--source-lang")
@@ -200,16 +202,17 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise LexiforgeError(f"bad run settings: {exc}") from None
     result = run_pipeline(settings)
-    print(f"run complete: {result.out}")
+    print(f"run complete: {settings.out}")
     _print_tables(result)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    gold = _parse_gold_args(args.gold)
     mt = load_lexicon(args.mt, provenance="translated", language=args.target_lang)
     pred = load_lexicon(args.pred, provenance="predicted", language=args.target_lang)
     result = evaluate_protocols(
-        mt, pred, SplitSets.from_lexicons(mt, pred), _parse_gold_args(args.gold),
+        mt, pred, SplitSets.from_lexicons(mt, pred), gold,
         Path(args.out) if args.out else None, lang=args.target_lang,
     )
     _print_tables(result)

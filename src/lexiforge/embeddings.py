@@ -12,6 +12,7 @@ used when nothing is recognized.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import logging
 import mmap
@@ -42,6 +43,10 @@ _BLOCK_ROWS = 512
 
 # Bytes read at once while counting the lines before a range's start.
 _COUNT_BYTES = 1 << 20
+
+# prctl option: the signal the kernel sends this process when its parent dies
+_PR_SET_PDEATHSIG = 1
+
 
 class EmbeddingStore:
     """Immutable vocabulary-to-vector mapping of fixed dimension.
@@ -92,9 +97,7 @@ class EmbeddingStore:
         return self.vectors[self._index[word]]
 
 
-def parse_embedding_store(
-    stream: IO[str], max_vocab: int | None = None, *, path=None
-) -> EmbeddingStore:
+def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
     """Parse a text vector file, keeping at most ``max_vocab`` entries.
 
     Entries are read in file order; with ``max_vocab`` set, reading
@@ -106,13 +109,6 @@ def parse_embedding_store(
     The numbers of each block of kept lines go through numpy's C text
     parser; a block it rejects, or cannot vouch for, is parsed again
     line by line, which yields the same rows or the exact error.
-    """
-    count, dim, n_keep = _read_header(stream, max_vocab, path)
-    return _parse_parts(stream, path, count, dim, n_keep, [])
-
-
-def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
-    """Parse a vector file as :func:`parse_embedding_store` does, on several cores.
 
     Unless ``max_vocab`` stops the parse early or this process runs other
     threads, the lines after the header are split into ``_n_parts``
@@ -120,7 +116,8 @@ def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
     worker each other one, every range into one shared array. If a worker
     fails, or the ranges do not hold the header's count of lines, the file
     is parsed again in one process, so the store and any ParseError are
-    exactly those of one process. No worker outlives the call.
+    exactly those of one process. No worker outlives the call, nor this
+    process.
     """
     with _open_text(path) as stream:
         count, dim, n_keep = _read_header(stream, max_vocab, path)
@@ -320,8 +317,10 @@ def _fork_part(
     The worker writes its rows into ``vectors`` and sends its words,
     duplicate count and line count through a pipe; the pid and the
     pipe's read end are returned. It leaves by ``os._exit``, so it runs
-    none of the caller's cleanup, with status 1 if it failed.
+    none of the caller's cleanup, with status 1 if it failed. Where libc
+    has ``prctl``, the kernel kills it when the caller dies.
     """
+    parent = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -333,6 +332,12 @@ def _fork_part(
         status = 1
         try:
             os.close(read_fd)
+            with contextlib.suppress(AttributeError, OSError):  # no prctl here
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+                prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+            if os.getppid() != parent:  # the caller died before the call
+                os._exit(1)
             with _open_text(path, offset) as stream:
                 part = _parse_lines(stream, vectors, {}, len(vectors), first_line_no, dim, path)
             with open(write_fd, "wb") as pipe:

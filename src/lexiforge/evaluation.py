@@ -87,11 +87,21 @@ def save_reports(reports: Sequence[EvalReport], path) -> None:
 
 
 def load_reports(path) -> list[EvalReport]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        data = [data]
-    return [EvalReport.from_dict(item) for item in data]
+    """The reports in a file that :func:`save_reports` wrote.
+
+    Raises SchemaError, naming the file, when it is not JSON or holds
+    anything but reports.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if isinstance(data, dict):
+            data = [data]
+        return [EvalReport.from_dict(item) for item in data]
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise SchemaError(
+            f"{path}: not a file of evaluation reports ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 _MIN_NORMAL = float(np.finfo(np.float64).tiny)

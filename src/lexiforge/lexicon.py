@@ -25,44 +25,23 @@ VAD_NAMES = ("Val", "Aro", "Dom")
 BE5_NAMES = ("Joy", "Ang", "Sad", "Fea", "Dis")
 CANONICAL_VARIABLES = VAD_NAMES + BE5_NAMES
 
-DEFAULT_DUPLICATE_TOL = 1e-6
-
 # Rows whose values serialize_lexicon converts to Python floats at once.
 _SERIALIZE_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class ScaleSpec:
-    """Numeric rating scale: bounds plus the neutral resting value."""
-
-    min: float
-    max: float
-    neutral: float
-
-    def __post_init__(self):
-        if not self.min < self.max:
-            raise ValueError(f"scale min {self.min} must be < max {self.max}")
-        if not self.min <= self.neutral <= self.max:
-            raise ValueError(f"neutral {self.neutral} outside [{self.min}, {self.max}]")
-
-
-#: 1-to-9 scale with neutral 5, used by the dimensional variables.
-VAD_SCALE = ScaleSpec(1.0, 9.0, 5.0)
-#: 1-to-5 scale with neutral 1, used by the discrete basic emotions.
-BE5_SCALE = ScaleSpec(1.0, 5.0, 1.0)
-
-FAMILIES = ("dimensional", "discrete", "other")
+#: (min, max) of the rating scale of each variable family that has one:
+#: 1 to 9 for the dimensional variables, 1 to 5 for the basic emotions.
+_SCALES = {"dimensional": (1.0, 9.0), "discrete": (1.0, 5.0)}
 
 
 @dataclass(frozen=True)
 class VariableSet:
-    """Ordered set of emotion variable names plus a family tag.
+    """Ordered set of emotion variable names.
 
     Column order in files and matrices always follows ``names``.
     """
 
     names: tuple[str, ...]
-    family: str = "other"
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -72,8 +51,10 @@ class VariableSet:
             raise ValueError(f"duplicate variable names: {self.names}")
         if any(not n for n in self.names):
             raise ValueError("variable names must be non-empty")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+
+    @property
+    def family(self) -> str:
+        return infer_family(self.names)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -86,26 +67,13 @@ class VariableSet:
 
 
 def infer_family(names: Iterable[str]) -> str:
+    """The family of the names: dimensional (VAD only), discrete (BE5 only) or other."""
     names = tuple(names)
     if names and all(n in VAD_NAMES for n in names):
         return "dimensional"
     if names and all(n in BE5_NAMES for n in names):
         return "discrete"
     return "other"
-
-
-def make_variable_set(names: Iterable[str]) -> VariableSet:
-    names = tuple(names)
-    return VariableSet(names, infer_family(names))
-
-
-def default_scale(family: str) -> ScaleSpec | None:
-    """Built-in scale for a variable family, or None when mixed/unknown."""
-    if family == "dimensional":
-        return VAD_SCALE
-    if family == "discrete":
-        return BE5_SCALE
-    return None
 
 
 def canonical_variable_order(names: Iterable[str]) -> tuple[str, ...]:
@@ -307,15 +275,14 @@ def parse_lexicon(
     has_split = len(header) > 2 and header[-1] == "split"
     names = tuple(header[1:-1] if has_split else header[1:])
     try:
-        variables = make_variable_set(names)
+        variables = VariableSet(names)
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", line_no=1, path=path) from exc
     if expected_variables is not None and names != tuple(expected_variables.names):
         raise SchemaError(
             f"variable columns {names} do not match expected {tuple(expected_variables.names)}"
         )
-    scale = default_scale(variables.family)
-    check_range = scale is not None and provenance == "human"
+    scale = _SCALES.get(variables.family) if provenance == "human" else None
 
     k = len(names)
     arity = 1 + k + (1 if has_split else 0)
@@ -344,9 +311,9 @@ def parse_lexicon(
                 raise ParseError(
                     f"non-finite value for variable {name}", line_no=line_no, path=path
                 )
-            if check_range and not scale.min <= v <= scale.max:
+            if scale and not scale[0] <= v <= scale[1]:
                 raise ParseError(
-                    f"value {v} for {name} outside scale [{scale.min}, {scale.max}]",
+                    f"value {v} for {name} outside scale [{scale[0]}, {scale[1]}]",
                     line_no=line_no, path=path,
                 )
             row.append(v)
@@ -458,7 +425,7 @@ def split_by_reference(lex: Lexicon, test_ref: set[str], dev_ref: set[str]) -> L
     return replace(lex, splits=tags)
 
 
-def collapse_duplicates(lex: Lexicon, tol: float = DEFAULT_DUPLICATE_TOL) -> Lexicon:
+def collapse_duplicates(lex: Lexicon, tol: float = 1e-6) -> Lexicon:
     """Merge partial duplicates into one entry per word type.
 
     Keeps the first occurrence of each word. Any duplicate whose values

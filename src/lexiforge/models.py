@@ -20,15 +20,7 @@ import numpy as np
 
 from .embeddings import EmbeddingStore, embed_matrix
 from .errors import DivergenceError, LexiforgeError, NumericError
-from .lexicon import (
-    DEFAULT_DUPLICATE_TOL,
-    Lexicon,
-    SplitSets,
-    VariableSet,
-    collapse_duplicates,
-    infer_family,
-    make_variable_set,
-)
+from .lexicon import Lexicon, SplitSets, VariableSet, collapse_duplicates, infer_family
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,7 @@ def _linear(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _default_variables(k: int) -> VariableSet:
-    return VariableSet(tuple(f"var{i}" for i in range(k)), "other")
+    return VariableSet(tuple(f"var{i}" for i in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +499,7 @@ def variable_groups(variables: VariableSet, joint: bool = False) -> list[Variabl
     groups: dict[str, list[str]] = {}
     for name in variables.names:
         groups.setdefault(infer_family((name,)), []).append(name)
-    return [make_variable_set(names) for names in groups.values()]
+    return [VariableSet(names) for names in groups.values()]
 
 
 # Most rows embedded and predicted at once by predict_lexicon; it bounds
@@ -558,7 +550,7 @@ def predict_lexicon(
         del matrix  # else it lives on while the next chunk's is built
 
     return Lexicon(
-        variables=make_variable_set(names),
+        variables=VariableSet(names),
         words=tuple(words),
         values=values,
         splits=tuple(splits.tag(w) for w in words),
@@ -568,21 +560,16 @@ def predict_lexicon(
 
 
 def expand_lexicon(
-    models: Sequence[Model],
-    store: EmbeddingStore,
-    mt: Lexicon,
-    splits: SplitSets,
-    *,
-    duplicate_tol: float = DEFAULT_DUPLICATE_TOL,
+    models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets
 ) -> Lexicon:
     """Predicted lexicon over all MT and embedding words, one entry per type.
 
     Partial duplicates inherited from MT receive identical predictions
     (same word, same vector, deterministic forward pass) and are merged;
-    a value spread above ``duplicate_tol`` would mean the prediction
-    step is broken and raises IntegrityError.
+    a value spread above :func:`collapse_duplicates`'s tolerance would
+    mean the prediction step is broken and raises IntegrityError.
     """
-    return collapse_duplicates(predict_lexicon(models, store, mt, splits), tol=duplicate_tol)
+    return collapse_duplicates(predict_lexicon(models, store, mt, splits))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +628,9 @@ def load_checkpoint(path) -> Model:
             if len(raw) != n_bytes:
                 raise ValueError(f"{path}: truncated checkpoint")
             tensors[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    variables = VariableSet(tuple(header["variables"]["names"]), header["variables"]["family"])
+    variables = VariableSet(tuple(header["variables"]["names"]))
+    if header["variables"]["family"] != variables.family:
+        raise ValueError(f"{path}: stored family does not match variables {variables.names}")
     if header["kind"] == "mtlffn":
         cfg_dict = dict(header["config"])
         cfg_dict["hidden"] = tuple(cfg_dict["hidden"])

@@ -41,7 +41,6 @@ from .evaluation import (
     silver_eval,
 )
 from .lexicon import (
-    DEFAULT_DUPLICATE_TOL,
     Lexicon,
     SplitSets,
     derive_prediction_splits,
@@ -59,7 +58,7 @@ from .models import (
     save_checkpoint,
     variable_groups,
 )
-from .translation import TranslationTable, load_translation_table, project_lexicon
+from .translation import load_translation_table, project_lexicon
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +82,6 @@ class RunSettings:
     train: TrainConfig = field(default_factory=TrainConfig)
     max_vocab: int | None = None
     joint_mtl: bool = False
-    duplicate_tol: float = DEFAULT_DUPLICATE_TOL
     missing_policy: str = "skip"
 
     def __post_init__(self):
@@ -113,16 +111,6 @@ class Evaluation:
     gold: dict[str, EvalReport] = field(default_factory=dict)
     isr: list[IsrResult] = field(default_factory=list)
     mt_vs_pred: dict[str, MtVsPredResult] = field(default_factory=dict)
-
-
-@dataclass(kw_only=True)
-class RunResult(Evaluation):
-    """Paths and reports produced by a completed run."""
-
-    out: Path
-    manifest_path: Path
-    mt_path: Path
-    pred_path: Path
 
 
 def file_sha256(path) -> str:
@@ -158,7 +146,6 @@ class _Manifest:
                 "alpha": settings.alpha,
                 "max_vocab": settings.max_vocab,
                 "joint_mtl": settings.joint_mtl,
-                "duplicate_tol": settings.duplicate_tol,
                 "skip_translation": settings.skip_translation,
                 "missing_policy": settings.missing_policy,
             },
@@ -331,8 +318,11 @@ def prepare_source(
     return tagged
 
 
-def run_pipeline(settings: RunSettings) -> RunResult:
-    """Execute the full generation-and-evaluation pipeline."""
+def run_pipeline(settings: RunSettings) -> Evaluation:
+    """Execute the full generation-and-evaluation pipeline.
+
+    Writes every output under ``settings.out``; returns the reports.
+    """
     out = settings.out
     checkpoints_dir = out / "checkpoints"
     manifest = _Manifest(out / "manifest.json", settings)
@@ -359,14 +349,12 @@ def run_pipeline(settings: RunSettings) -> RunResult:
 
         with _stage(manifest, "translate"):
             if settings.skip_translation:
-                table = TranslationTable.identity(source.words, settings.target_lang)
+                table = {w: w for w in source.words}
             else:
-                table = load_translation_table(
-                    settings.table,
-                    source_lang=settings.source_lang,
-                    target_lang=settings.target_lang,
-                )
-            mt = project_lexicon(source, table, missing=settings.missing_policy)
+                table = load_translation_table(settings.table)
+            mt = project_lexicon(
+                source, table, language=settings.target_lang, missing=settings.missing_policy
+            )
             mt_path = out / "target_mt.tsv"
             save_lexicon(mt, mt_path)
             manifest.add_output("target_mt", mt_path)
@@ -401,7 +389,7 @@ def run_pipeline(settings: RunSettings) -> RunResult:
                 manifest.add_output(f"checkpoint:{settings.model}_{label}", ckpt)
 
         with _stage(manifest, "expand"):
-            pred = expand_lexicon(models, store, mt, splits, duplicate_tol=settings.duplicate_tol)
+            pred = expand_lexicon(models, store, mt, splits)
             pred_path = out / "target_pred.tsv"
             save_lexicon(pred, pred_path)
             manifest.add_output("target_pred", pred_path)
@@ -412,14 +400,7 @@ def run_pipeline(settings: RunSettings) -> RunResult:
         )
         manifest.data["status"] = "complete"
         manifest.write()
-
-    return RunResult(
-        **vars(evaluation),
-        out=out,
-        manifest_path=manifest.path,
-        mt_path=out / "target_mt.tsv",
-        pred_path=out / "target_pred.tsv",
-    )
+    return evaluation
 
 
 def evaluate_protocols(

@@ -12,17 +12,17 @@ from lexiforge import (
     EmbeddingStore,
     Lexicon,
     TrainConfig,
+    VariableSet,
     derive_prediction_splits,
     embed_matrix,
     fit_mtlffn,
-    make_variable_set,
     save_lexicon,
     variable_groups,
 )
 
 
 def serialize_embedding_store(store: EmbeddingStore, stream) -> None:
-    """Write a store in the text vector format that ``parse_embedding_store`` reads."""
+    """Write a store in the text vector format that ``load_embedding_store`` reads."""
     stream.write(f"{len(store)} {store.dimension}\n")
     for i, word in enumerate(store.words):
         stream.write(" ".join([word, *(repr(float(v)) for v in store.vectors[i])]) + "\n")
@@ -33,10 +33,10 @@ def save_embedding_store(store: EmbeddingStore, path) -> None:
         serialize_embedding_store(store, fh)
 
 
-def save_translation_table(table, path) -> None:
+def save_translation_table(table: dict[str, str], path) -> None:
     """Write a table as the two-column TSV that ``load_translation_table`` reads."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for src, tgt in table.mapping.items():
+        for src, tgt in table.items():
             fh.write(f"{src}\t{tgt}\n")
 
 
@@ -61,7 +61,7 @@ def build_lexicon(
         splits.append(split)
     k = len(tuple(variables))
     return Lexicon(
-        variables=make_variable_set(tuple(variables)),
+        variables=VariableSet(tuple(variables)),
         words=tuple(words),
         values=np.asarray(values, dtype=np.float64).reshape(len(words), k),
         splits=tuple(splits),

@@ -19,7 +19,6 @@ from lexiforge import (
     EmbeddingStore,
     RunSettings,
     TrainConfig,
-    TranslationTable,
     collapse_duplicates,
     derive_prediction_splits,
     embed_term,
@@ -238,17 +237,17 @@ def end_to_end(tmp_path_factory):
 
     mtlffn_result, mtlffn_seconds = run("mtlffn", "mtlffn_run")
     ridge_result, _ = run("ridge", "ridge_run")
-    repeat_result, _ = run("mtlffn", "mtlffn_repeat")
+    run("mtlffn", "mtlffn_repeat")
 
     quad = write_pipeline_bundle(root / "quad", seed=1234, quadratic=0.5)
     quad_mtlffn, _ = run("mtlffn", "quad_mtlffn", data=quad, gold=False)
     quad_ridge, _ = run("ridge", "quad_ridge", data=quad, gold=False)
 
     return {
+        "root": root,
         "mtlffn": mtlffn_result,
         "mtlffn_seconds": mtlffn_seconds,
         "ridge": ridge_result,
-        "repeat": repeat_result,
         "quad_mtlffn": quad_mtlffn,
         "quad_ridge": quad_ridge,
     }
@@ -282,14 +281,15 @@ def test_c6_synthetic_end_to_end(end_to_end):
 
 
 def test_c7_determinism_bitwise(end_to_end):
-    first = end_to_end["mtlffn"]
-    second = end_to_end["repeat"]
-    pred_equal = first.pred_path.read_bytes() == second.pred_path.read_bytes()
-    silver_equal = (
-        (first.out / "reports" / "silver.json").read_bytes()
-        == (second.out / "reports" / "silver.json").read_bytes()
-    )
-    mt_equal = first.mt_path.read_bytes() == second.mt_path.read_bytes()
+    first = end_to_end["root"] / "mtlffn_run"
+    second = end_to_end["root"] / "mtlffn_repeat"
+
+    def same(name):
+        return (first / name).read_bytes() == (second / name).read_bytes()
+
+    pred_equal = same("target_pred.tsv")
+    silver_equal = same("reports/silver.json")
+    mt_equal = same("target_mt.tsv")
     check(
         "C7", "determinism",
         pred_equal and silver_equal and mt_equal,
@@ -376,8 +376,7 @@ def test_c9_duplicate_merge_soundness(tmp_path):
         source_rows.append((f"s{i:03d}", rng.standard_normal(2).tolist(), tag))
         mapping[f"s{i:03d}"] = words[i // 2]
     source = build_lexicon(source_rows, variables=("y1", "y2"))
-    table = TranslationTable(mapping)
-    mt = project_lexicon(source, table)
+    mt = project_lexicon(source, mapping)
     assert not mt.unique_words  # the injection worked
 
     splits = derive_prediction_splits(mt, store.words)

@@ -622,6 +622,57 @@ def test_run_reports_bad_settings_in_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("gold_ids, message", [
+    (["a/b"], "--gold id 'a/b' must not contain '/'"),
+    (["a", "a"], "--gold id 'a' is given twice"),
+], ids=["slash", "twice"])
+def test_bad_gold_ids_fail_before_the_output_directory_exists(
+    tmp_path, small_bundle, capsys, command, gold_ids, message
+):
+    out = tmp_path / "out"
+    gold_args = [a for gold_id in gold_ids for a in ("--gold", f"{gold_id}={small_bundle['gold']}")]
+    if command == "run":
+        args = _run_args(small_bundle, out, _write_fast_config(tmp_path), gold_args)
+    else:  # the source lexicon's tags pass as an MT and a predicted lexicon's
+        args = ["evaluate", "--mt", str(small_bundle["source"]),
+                "--pred", str(small_bundle["source"]), *gold_args, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_has_no_duplicate_tolerance_flag(tmp_path, small_bundle):
+    args = _run_args(small_bundle, tmp_path / "out", _write_fast_config(tmp_path),
+                     ["--duplicate-tol", "1e-6"])
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, problem", [
+    (None, "KeyError: 'lexicons'"),  # a run directory: its manifest.json
+    ('[{"protocol": "silver", "lexicons": ["a", "b"],', "JSONDecodeError: Expecting"),
+    ("[1, 2]", "TypeError"),
+], ids=["run-dir", "truncated", "not-objects"])
+def test_report_names_a_file_that_is_not_a_report(
+    tmp_path, small_bundle, capsys, content, problem
+):
+    if content is None:
+        target = tmp_path / "out"
+        assert main(_run_args(small_bundle, target, _write_fast_config(tmp_path))) == 0
+        bad = target / "manifest.json"
+    else:
+        target = bad = tmp_path / "report.json"
+        bad.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not a file of evaluation reports ({problem}")
+    assert err.count("\n") == 1 and err.endswith(")\n")
+
+
 def test_report_renders_and_meta(tmp_path, capsys):
     reports_dir = tmp_path / "reports"
     reports_dir.mkdir()
@@ -719,11 +770,11 @@ def test_every_config_key_reaches_the_manifest(tmp_path, small_bundle):
     config.write_text(
         "seed = 3\nepochs = 2\nbatch_size = 8\nlearning_rate = 0.002\n"
         "input_dropout = 0.1\nhidden_dropout = 0.25\nleaky_slope = 0.05\nhidden = 8,4\n"
-        "model = mtlffn\nalpha = 0.5\nmax_vocab = 150\nduplicate_tol = 1e-5\n"
+        "model = mtlffn\nalpha = 0.5\nmax_vocab = 150\n"
         "source_lang = en\ntarget_lang = de\n",
         encoding="utf-8",
     )
-    assert len(parse_config_file(config)) == 14  # every accepted key
+    assert len(parse_config_file(config)) == 13  # every accepted key
     out = tmp_path / "out"
     assert main([
         "run", "--source", str(small_bundle["source"]), "--table", str(small_bundle["table"]),
@@ -738,9 +789,9 @@ def test_every_config_key_reaches_the_manifest(tmp_path, small_bundle):
     assert manifest["model"] == "mtlffn"
     assert manifest["language_pair"] == {"source": "en", "target": "de"}
     settings = manifest["settings"]
-    assert (settings["alpha"], settings["max_vocab"], settings["duplicate_tol"]) == \
-        (0.5, 150, 1e-5)
-    for name, line in (("adam", "adam_beta1 = 0.5\n"), ("endpoint", "endpoint = x\n")):
+    assert (settings["alpha"], settings["max_vocab"]) == (0.5, 150)
+    for name, line in (("adam", "adam_beta1 = 0.5\n"), ("endpoint", "endpoint = x\n"),
+                       ("duplicate_tol", "duplicate_tol = 1e-6\n")):
         path = tmp_path / name
         path.write_text(line, encoding="utf-8")
         with pytest.raises(LexiforgeError, match="unknown config key"):

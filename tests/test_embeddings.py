@@ -1,10 +1,12 @@
-import io
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import unicodedata
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,9 +21,8 @@ from lexiforge import (
     embed_matrix,
     embed_term,
     load_embedding_store,
-    parse_embedding_store,
 )
-from helpers import serialize_embedding_store
+from helpers import save_embedding_store
 
 
 def make_store(vocab: dict[str, list[float]]) -> EmbeddingStore:
@@ -29,58 +30,74 @@ def make_store(vocab: dict[str, list[float]]) -> EmbeddingStore:
     return EmbeddingStore(words, np.array([vocab[w] for w in words], dtype=float))
 
 
+def write_text(path, text):
+    """Write ``text`` as it is: no newline translation, surrogates as bytes."""
+    path.unlink(missing_ok=True)  # truncating a file in place can wait for a disk flush
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.fixture
+def load_text(tmp_path):
+    """Load a store from a file holding the given text."""
+
+    def load(text, max_vocab=None):
+        return load_embedding_store(write_text(tmp_path / "vecs.txt", text), max_vocab)
+
+    return load
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
 
-def test_parse_minimal_file():
-    store = parse_embedding_store(io.StringIO("2 3\na 1 0 0\nb 0 1 0\n"))
+def test_parse_minimal_file(load_text):
+    store = load_text("2 3\na 1 0 0\nb 0 1 0\n")
     assert store.dimension == 3
     assert len(store) == 2
     assert store.vector("a").tolist() == [1.0, 0.0, 0.0]
     assert store.words == ("a", "b")
 
 
-def test_parse_max_vocab_truncates_in_file_order():
-    store = parse_embedding_store(io.StringIO("2 3\na 1 0 0\nb 0 1 0\n"), max_vocab=1)
+def test_parse_max_vocab_truncates_in_file_order(load_text):
+    store = load_text("2 3\na 1 0 0\nb 0 1 0\n", max_vocab=1)
     assert len(store) == 1
     assert "a" in store and "b" not in store
 
 
-def test_parse_errors():
+def test_parse_errors(load_text):
     with pytest.raises(ParseError):
-        parse_embedding_store(io.StringIO(""))
+        load_text("")
     with pytest.raises(ParseError):
-        parse_embedding_store(io.StringIO("x y\n"))
+        load_text("x y\n")
     with pytest.raises(ParseError) as err:
-        parse_embedding_store(io.StringIO("1 3\na 1 0\n"))
+        load_text("1 3\na 1 0\n")
     assert err.value.line_no == 2
     with pytest.raises(ParseError):
-        parse_embedding_store(io.StringIO("1 2\na 1 inf\n"))
+        load_text("1 2\na 1 inf\n")
     with pytest.raises(ParseError):
-        parse_embedding_store(io.StringIO("1 2\na 1 x\n"))
+        load_text("1 2\na 1 x\n")
     with pytest.raises(ParseError):
-        parse_embedding_store(io.StringIO("3 2\na 1 2\nb 3 4\n"))
+        load_text("3 2\na 1 2\nb 3 4\n")
 
 
-def test_parse_duplicate_words_first_wins():
-    store = parse_embedding_store(io.StringIO("3 2\na 1 2\na 9 9\nb 3 4\n"))
+def test_parse_duplicate_words_first_wins(load_text):
+    store = load_text("3 2\na 1 2\na 9 9\nb 3 4\n")
     assert len(store) == 2
     assert store.vector("a").tolist() == [1.0, 2.0]
     assert store.n_duplicates == 1
 
 
-def test_round_trip_numeric_equality():
+def test_round_trip_numeric_equality(tmp_path):
     rng = np.random.default_rng(11)
     n, d = 1000, 8
     words = [f"w{i}" for i in range(n)]
     vectors = np.round(rng.standard_normal((n, d)), 4)
     original = EmbeddingStore(words, vectors)
-    buf = io.StringIO()
-    serialize_embedding_store(original, buf)
-    buf.seek(0)
-    reloaded = parse_embedding_store(buf)
+    save_embedding_store(original, tmp_path / "vecs.txt")
+    reloaded = load_embedding_store(tmp_path / "vecs.txt")
     assert reloaded.words == original.words
     assert np.array_equal(reloaded.vectors, original.vectors)
 
@@ -101,17 +118,17 @@ def test_load_from_path(tmp_path):
     assert store.vector("hello").tolist() == [0.5, -0.25]
 
 
-def test_parse_rejects_max_vocab_below_one():
+def test_parse_rejects_max_vocab_below_one(load_text):
     for bad in (0, -1):
         with pytest.raises(ValueError, match="max_vocab"):
-            parse_embedding_store(io.StringIO("1 2\na 1 2\n"), max_vocab=bad)
+            load_text("1 2\na 1 2\n", max_vocab=bad)
 
 
-def test_parse_merges_nfc_and_nfd_twins():
+def test_parse_merges_nfc_and_nfd_twins(load_text):
     nfc = unicodedata.normalize("NFC", "schön")
     nfd = unicodedata.normalize("NFD", "schön")
     assert nfc != nfd
-    store = parse_embedding_store(io.StringIO(f"3 2\n{nfd} 1 2\n{nfc} 3 4\nb 5 6\n"))
+    store = load_text(f"3 2\n{nfd} 1 2\n{nfc} 3 4\nb 5 6\n")
     assert store.words == (nfc, "b")
     assert store.vector(nfc).tolist() == [1.0, 2.0]
     assert store.n_duplicates == 1
@@ -150,11 +167,11 @@ def test_load_reports_undecodable_byte_line(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def reference_parse(stream, max_vocab=None):
+def reference_parse(stream, max_vocab=None, path=None):
     """The per-line parser that block parsing replaced, plus NFC words."""
     header = stream.readline()
     if not header:
-        raise ParseError("empty input, missing '<count> <dim>' header", line_no=1)
+        raise ParseError("empty input, missing '<count> <dim>' header", line_no=1, path=path)
     parts = header.split()
     try:
         count, dim = int(parts[0]), int(parts[1])
@@ -162,7 +179,8 @@ def reference_parse(stream, max_vocab=None):
             raise ValueError
     except (ValueError, IndexError):
         raise ParseError(
-            f"malformed header {header.strip()!r}, expected '<count> <dim>'", line_no=1
+            f"malformed header {header.strip()!r}, expected '<count> <dim>'",
+            line_no=1, path=path,
         ) from None
     n_keep = count if max_vocab is None else min(count, max_vocab)
     vectors = np.empty((n_keep, dim), dtype=np.float64)
@@ -174,27 +192,28 @@ def reference_parse(stream, max_vocab=None):
         parts = raw.rstrip("\n").split(" ")
         if len(parts) != dim + 1:
             raise ParseError(
-                f"expected word plus {dim} values, found {len(parts) - 1}", line_no=line_no
+                f"expected word plus {dim} values, found {len(parts) - 1}",
+                line_no=line_no, path=path,
             )
         word = unicodedata.normalize("NFC", parts[0])
         if not word:
-            raise ParseError("empty word", line_no=line_no)
+            raise ParseError("empty word", line_no=line_no, path=path)
         if word in index:
             duplicates += 1
             continue
         try:
             row = [float(tok) for tok in parts[1:]]
         except ValueError:
-            raise ParseError("non-numeric vector component", line_no=line_no) from None
+            raise ParseError("non-numeric vector component", line_no=line_no, path=path) from None
         if not all(np.isfinite(row)):
-            raise ParseError("non-finite vector component", line_no=line_no)
+            raise ParseError("non-finite vector component", line_no=line_no, path=path)
         index[word] = len(words)
         vectors[len(words)] = row
         words.append(word)
     if lines_read < count and len(words) < n_keep:
         raise ParseError(
             f"header promised {count} vectors, file ends after {lines_read}",
-            line_no=lines_read + 1,
+            line_no=lines_read + 1, path=path,
         )
     return EmbeddingStore(words, vectors[: len(words)], n_duplicates=duplicates)
 
@@ -207,10 +226,13 @@ def _outcome(parse):
     return ("store", store.words, store.vectors.tobytes(), store.n_duplicates)
 
 
-def assert_matches_reference(text, max_vocab=None, block_rows=2):
+def assert_matches_reference(path, text, max_vocab=None, block_rows=2):
+    """Write ``text`` to ``path``; its parse in one range must equal the reference's."""
+    write_text(path, text)
     with mock.patch.object(embeddings, "_BLOCK_ROWS", block_rows):
-        got = _outcome(lambda: parse_embedding_store(io.StringIO(text), max_vocab))
-    assert got == _outcome(lambda: reference_parse(io.StringIO(text), max_vocab))
+        got = load_outcome(path, 1, max_vocab)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        assert got == _outcome(lambda: reference_parse(fh, max_vocab, path))
     return got
 
 
@@ -237,12 +259,13 @@ def assert_matches_reference(text, max_vocab=None, block_rows=2):
     ("2 2\na 1 2 \nb 3 4\n", None, "error"),
     ("2 1\na \nb 3\n", None, "error"),
 ])
-def test_block_parser_matches_reference_examples(text, max_vocab, expected):
-    assert assert_matches_reference(text, max_vocab)[0] == expected
+def test_block_parser_matches_reference_examples(tmp_path, text, max_vocab, expected):
+    assert assert_matches_reference(tmp_path / "vecs.txt", text, max_vocab)[0] == expected
 
 
 _WORDS = ["a", "b", "c", "d", "e", unicodedata.normalize("NFD", "schön"), "schön"]
-# all accepted by float(); "1_0", "\u0661" and a mid-line "\r" are not by numpy
+# all accepted by float(); "1_0" and "\u0661" are not by numpy, and a
+# mid-line "\r" ends its line
 _TOKENS = ["0", "1.5", "-2", "0.25", "+1", "1e5", "-0", "3.", "1_0", "\u0661", "2\r"]
 _BAD_TOKENS = ["nan", "inf", "#", "x", "", "1\x1c"]
 
@@ -280,9 +303,10 @@ def vector_files(draw, words=_WORDS, ends=("\n", "\r\n")):
 
 @settings(max_examples=400, deadline=None)
 @given(case=vector_files(), block_rows=st.integers(2, 3))
-def test_block_parser_matches_reference(case, block_rows):
+def test_block_parser_matches_reference(tmp_path_factory, case, block_rows):
     text, max_vocab = case
-    assert_matches_reference(text, max_vocab, block_rows)
+    path = tmp_path_factory.getbasetemp() / "reference.vec"
+    assert_matches_reference(path, text, max_vocab, block_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +398,7 @@ def test_split_parse_reports_a_defect_in_any_range(tmp_path, parts, defect):
 )
 def test_split_parse_matches_one_part(tmp_path_factory, case, parts):
     text, max_vocab = case
-    path = tmp_path_factory.getbasetemp() / "split.vec"
-    path.unlink(missing_ok=True)  # truncating a file in place can wait for a disk flush
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    path = write_text(tmp_path_factory.getbasetemp() / "split.vec", text)
     assert_split_matches_one_part(path, parts, max_vocab)
 
 
@@ -417,6 +439,55 @@ def test_an_interrupt_in_the_first_range_ends_every_worker(tmp_path):
             load_outcome(path, 3)
     assert len(pids) == 2
     assert time.monotonic() - started < 10
+
+
+def _ended(pid: int) -> bool:
+    """Whether ``pid`` has exited; a zombie counts, as its reaping may lag."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_a_worker_ends_when_its_parent_is_killed(tmp_path):
+    path = _vector_file(tmp_path)
+    # the parent prints its worker's pid; both sleep in their range
+    script = (
+        "import os, time\n"
+        "from unittest import mock\n"
+        "from lexiforge import embeddings\n"
+        "fork = os.fork\n"
+        "def fork_and_tell():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "with mock.patch.object(os, 'fork', fork_and_tell), \\\n"
+        "        mock.patch.object(embeddings, '_n_parts', lambda store_bytes: 2), \\\n"
+        "        mock.patch.object(embeddings, '_parse_lines', lambda *a: time.sleep(60)):\n"
+        f"    embeddings.load_embedding_store({str(path)!r})\n"
+    )
+    package_root = str(Path(embeddings.__file__).resolve().parents[1])
+    parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": package_root}, text=True)
+    worker = None
+    try:
+        worker = int(parent.stdout.readline())
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 2
+        while not _ended(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _ended(worker)
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+        if worker is not None:
+            with suppress(ProcessLookupError):
+                os.kill(worker, signal.SIGKILL)
 
 
 def test_without_fork_the_parse_uses_one_part(tmp_path, monkeypatch):

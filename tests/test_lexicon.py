@@ -11,14 +11,12 @@ from lexiforge import (
     IntegrityError,
     Lexicon,
     ParseError,
-    ScaleSpec,
     SchemaError,
     SplitSets,
     VariableSet,
     collapse_duplicates,
     derive_prediction_splits,
     filter_source_entries,
-    make_variable_set,
     parse_lexicon,
     restrict_to_split,
     restrict_to_words,
@@ -40,25 +38,14 @@ def test_variable_set_rejects_duplicates_and_empty():
         VariableSet(("Val", "Val"))
     with pytest.raises(ValueError):
         VariableSet(())
-    with pytest.raises(ValueError):
-        VariableSet(("Val",), family="bogus")
-
-
-def test_scale_spec_invariants():
-    with pytest.raises(ValueError):
-        ScaleSpec(9, 1, 5)
-    with pytest.raises(ValueError):
-        ScaleSpec(1, 9, 12)
-    spec = ScaleSpec(1, 5, 1)
-    assert spec.neutral == 1
 
 
 def test_family_inference():
-    assert make_variable_set(("Val", "Aro", "Dom")).family == "dimensional"
-    assert make_variable_set(("Val", "Aro")).family == "dimensional"
-    assert make_variable_set(("Joy", "Ang", "Sad", "Fea", "Dis")).family == "discrete"
-    assert make_variable_set(EIGHT_VARS).family == "other"
-    assert make_variable_set(("y1", "y2")).family == "other"
+    assert VariableSet(("Val", "Aro", "Dom")).family == "dimensional"
+    assert VariableSet(("Val", "Aro")).family == "dimensional"
+    assert VariableSet(("Joy", "Ang", "Sad", "Fea", "Dis")).family == "discrete"
+    assert VariableSet(EIGHT_VARS).family == "other"
+    assert VariableSet(("y1", "y2")).family == "other"
 
 
 def test_lexicon_rejects_bad_shapes_and_tags():
@@ -66,7 +53,7 @@ def test_lexicon_rejects_bad_shapes_and_tags():
         build_lexicon([("a", (1.0,))], variables=("Val", "Aro"))
     with pytest.raises(ValueError):
         Lexicon(
-            variables=make_variable_set(("Val",)),
+            variables=VariableSet(("Val",)),
             words=("a",),
             values=np.array([[np.nan]]),
             splits=("none",),
@@ -139,13 +126,19 @@ def test_parse_expected_variables_mismatch():
     with pytest.raises(SchemaError):
         parse_lexicon(
             io.StringIO("word\tVal\tAro\na\t1\t2\n"),
-            expected_variables=make_variable_set(("Val", "Aro", "Dom")),
+            expected_variables=VariableSet(("Val", "Aro", "Dom")),
         )
 
 
 def test_parse_rejects_human_values_outside_scale():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_lexicon(io.StringIO("word\tVal\tAro\na\t12.0\t5.0\n"))
+    assert str(err.value) == "line 2: value 12.0 for Val outside scale [1.0, 9.0]"
+    with pytest.raises(ParseError) as err:
+        parse_lexicon(io.StringIO("word\tJoy\na\t5.0\nb\t0.5\n"))
+    assert str(err.value) == "line 3: value 0.5 for Joy outside scale [1.0, 5.0]"
+    # no scale for a mixed variable set
+    assert parse_lexicon(io.StringIO("word\tVal\tJoy\na\t12.0\t0.5\n")).row("a")[0] == 12.0
     # predicted lexicons may exceed the scale range
     lex = parse_lexicon(
         io.StringIO("word\tVal\tAro\na\t12.0\t5.0\n"), provenance="predicted"

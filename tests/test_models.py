@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ from lexiforge import (
     IntegrityError,
     NumericError,
     TrainConfig,
+    VariableSet,
     collapse_duplicates,
     derive_prediction_splits,
     embed_matrix,
@@ -24,7 +27,6 @@ from lexiforge import (
     fit_ridge,
     grad_check,
     load_checkpoint,
-    make_variable_set,
     predict,
     predict_lexicon,
     save_checkpoint,
@@ -319,7 +321,7 @@ def test_fit_rejects_bad_shapes():
         fit_mtlffn(np.zeros((0, 3)), np.zeros((0, 2)), SMALL)
     with pytest.raises(ValueError):
         fit_mtlffn(np.zeros((4, 3)), np.zeros((4, 2)), SMALL,
-                   variables=make_variable_set(("a", "b", "c")))
+                   variables=VariableSet(("a", "b", "c")))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +462,7 @@ def test_checkpoint_round_trip_mtlffn(tmp_path):
     model = fit_mtlffn(
         rng.standard_normal((20, 4)), rng.standard_normal((20, 2)),
         TrainConfig(hidden=(8, 4), epochs=2, seed=9),
-        variables=make_variable_set(("Val", "Aro")),
+        variables=VariableSet(("Val", "Aro")),
     )
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
@@ -487,6 +489,26 @@ def test_checkpoint_round_trip_ridge(tmp_path):
     assert loaded.alpha == model.alpha
 
 
+@pytest.mark.parametrize("family", ["discrete", "other", "bogus"])
+def test_checkpoint_rejects_a_family_its_names_contradict(tmp_path, family):
+    rng = np.random.default_rng(19)
+    model = fit_ridge(rng.standard_normal((10, 3)), rng.standard_normal((10, 2)), 0.7,
+                      VariableSet(("Val", "Aro")))
+    path = tmp_path / "ridge.ckpt"
+    save_checkpoint(model, path)
+    data = path.read_bytes()
+    start = len(b"LEXIFORGE-MODEL\n") + 8
+    (n_header,) = struct.unpack(">Q", data[start - 8:start])
+    header = json.loads(data[start:start + n_header])
+    assert header["variables"] == {"names": ["Val", "Aro"], "family": "dimensional"}
+    header["variables"]["family"] = family
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:start - 8] + struct.pack(">Q", len(blob)) + blob
+                     + data[start + n_header:])
+    with pytest.raises(ValueError, match="stored family does not match"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"not a checkpoint at all")
@@ -500,14 +522,14 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
 
 
 def test_variable_groups_splits_families():
-    mixed = make_variable_set(("Val", "Aro", "Dom", "Joy", "Ang", "Sad", "Fea", "Dis"))
+    mixed = VariableSet(("Val", "Aro", "Dom", "Joy", "Ang", "Sad", "Fea", "Dis"))
     groups = variable_groups(mixed)
     assert [g.names for g in groups] == [
         ("Val", "Aro", "Dom"), ("Joy", "Ang", "Sad", "Fea", "Dis")
     ]
     assert [g.family for g in groups] == ["dimensional", "discrete"]
     assert variable_groups(mixed, joint=True) == [mixed]
-    other = make_variable_set(("y1", "y2"))
+    other = VariableSet(("y1", "y2"))
     assert variable_groups(other) == [other]
 
 
@@ -663,11 +685,11 @@ def test_chunked_prediction_same_bytes_across_blas_threads():
         "import hashlib\n"
         "import numpy as np\n"
         "from helpers import expansion_fixture\n"
-        "from lexiforge import (RidgeModel, TrainConfig, embed_matrix, fit_mtlffn,\n"
-        "                       make_variable_set, predict_lexicon)\n"
+        "from lexiforge import (RidgeModel, TrainConfig, VariableSet, embed_matrix,\n"
+        "                       fit_mtlffn, predict_lexicon)\n"
         f"models, store, mt, splits = expansion_fixture({3 * CHUNK + 1})\n"
         "X, _ = embed_matrix(store, mt.words[:256])\n"
-        "val, y = make_variable_set(('Val',)), mt.values[:256, :1]\n"
+        "val, y = VariableSet(('Val',)), mt.values[:256, :1]\n"
         "coef = np.random.default_rng(5).standard_normal((X.shape[1], 1))\n"
         "for group in (models, [fit_mtlffn(X, y, TrainConfig(epochs=1, seed=5), val)],\n"
         "              [RidgeModel(val, coef, np.ones(1), 1.0)]):\n"

@@ -1,4 +1,3 @@
-import io
 from collections import Counter
 
 import numpy as np
@@ -7,12 +6,23 @@ import pytest
 from lexiforge import (
     MissingTranslationError,
     ParseError,
-    TranslationTable,
     load_translation_table,
-    parse_translation_table,
     project_lexicon,
 )
 from helpers import build_lexicon, save_translation_table
+
+
+@pytest.fixture
+def load_text(tmp_path):
+    """Load a table from a file holding the given text."""
+
+    def load(text):
+        path = tmp_path / "table.tsv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return load_translation_table(path)
+
+    return load
 
 
 # ---------------------------------------------------------------------------
@@ -20,53 +30,44 @@ from helpers import build_lexicon, save_translation_table
 # ---------------------------------------------------------------------------
 
 
-def test_parse_single_pair():
-    table = parse_translation_table(io.StringIO("sunshine\tSonnenschein\n"))
-    assert table.get("sunshine") == "Sonnenschein"
-    assert len(table) == 1
+def test_parse_single_pair(load_text):
+    assert load_text("sunshine\tSonnenschein\n") == {"sunshine": "Sonnenschein"}
 
 
-def test_parse_empty_file():
-    assert len(parse_translation_table(io.StringIO(""))) == 0
+def test_parse_empty_file(load_text):
+    assert load_text("") == {}
 
 
-def test_parse_duplicate_sources_last_wins():
+def test_parse_duplicate_sources_last_wins(load_text):
     lines = [
         ("a", "x"), ("b", "y"), ("a", "z"), ("c", "w"), ("b", "y2"), ("a", "final"),
     ]
     text = "".join(f"{s}\t{t}\n" for s, t in lines)
-    table = parse_translation_table(io.StringIO(text))
+    table = load_text(text)
     # sequential-replay oracle: naive line-by-line map build
     expected = {}
     for s, t in lines:
         expected[s] = t
-    assert dict(table.mapping) == expected
+    assert table == expected
 
 
-def test_parse_rejects_malformed_lines():
+def test_parse_rejects_malformed_lines(load_text):
     with pytest.raises(ParseError) as err:
-        parse_translation_table(io.StringIO("a\tx\nnotab\n"))
+        load_text("a\tx\nnotab\n")
     assert err.value.line_no == 2
     with pytest.raises(ParseError):
-        parse_translation_table(io.StringIO("a\tb\tc\n"))
+        load_text("a\tb\tc\n")
     with pytest.raises(ParseError):
-        parse_translation_table(io.StringIO("a\t\n"))
+        load_text("a\t\n")
     with pytest.raises(ParseError):
-        parse_translation_table(io.StringIO("\tb\n"))
+        load_text("\tb\n")
 
 
 def test_table_round_trip(tmp_path):
-    table = TranslationTable({"a": "x y", "b": "l'eau"}, "en", "fr")
+    table = {"a": "x y", "b": "l'eau"}
     path = tmp_path / "table.tsv"
     save_translation_table(table, path)
-    back = load_translation_table(path, source_lang="en", target_lang="fr")
-    assert dict(back.mapping) == dict(table.mapping)
-
-
-def test_identity_table():
-    table = TranslationTable.identity(["a", "b"], "en")
-    assert table.get("a") == "a"
-    assert table.source_lang == table.target_lang == "en"
+    assert load_translation_table(path) == table
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +81,8 @@ def test_project_copies_labels_and_splits():
         variables=("Val", "Aro"),
         language="en",
     )
-    table = TranslationTable(
-        {"sunshine": "Sonnenschein", "terrorism": "Terrorismus"}, "en", "de"
-    )
-    mt = project_lexicon(source, table)
+    table = {"sunshine": "Sonnenschein", "terrorism": "Terrorismus"}
+    mt = project_lexicon(source, table, language="de")
     assert mt.words == ("Sonnenschein", "Terrorismus")
     assert np.array_equal(mt.values, source.values)
     assert mt.splits == ("train", "test")
@@ -97,7 +96,7 @@ def test_project_identity_table_keeps_content():
         variables=("Val", "Aro"),
         language="en",
     )
-    mt = project_lexicon(source, TranslationTable.identity(source.words, "en"))
+    mt = project_lexicon(source, {w: w for w in source.words}, language="en")
     assert mt.words == source.words
     assert np.array_equal(mt.values, source.values)
     assert mt.splits == source.splits
@@ -110,7 +109,7 @@ def test_project_many_to_one_creates_partial_duplicates():
          ("tree", (3.0, 3.0), "train")],
         variables=("y1", "y2"),
     )
-    table = TranslationTable({"bank1": "Bank", "bank2": "Bank", "tree": "Baum"})
+    table = {"bank1": "Bank", "bank2": "Bank", "tree": "Baum"}
     mt = project_lexicon(source, table)
     # group-by oracle over word types
     counts = Counter(mt.words)
@@ -122,7 +121,7 @@ def test_project_many_to_one_creates_partial_duplicates():
 
 def test_project_missing_policies(caplog):
     source = build_lexicon([("a", (1.0, 2.0)), ("b", (3.0, 4.0))], variables=("y1", "y2"))
-    table = TranslationTable({"a": "x"})
+    table = {"a": "x"}
     with caplog.at_level("WARNING"):
         mt = project_lexicon(source, table)
     assert mt.words == ("x",)
@@ -138,7 +137,7 @@ def test_project_preserves_value_multiset():
         [(f"w{i}", (float(i), float(-i)), "train") for i in range(30)],
         variables=("y1", "y2"),
     )
-    table = TranslationTable({f"w{i}": f"t{i % 7}" for i in range(30)})
+    table = {f"w{i}": f"t{i % 7}" for i in range(30)}
     mt = project_lexicon(source, table)
     assert sorted(map(tuple, mt.values)) == sorted(map(tuple, source.values))
     assert mt.splits == source.splits
