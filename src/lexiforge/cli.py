@@ -14,6 +14,7 @@ file over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import sys
 from dataclasses import fields
@@ -97,7 +98,11 @@ def _given(args, config: dict, keys) -> dict:
 
 
 def _parse_gold_args(pairs: list[str]) -> dict[str, Path]:
-    """Gold ids and paths; an id names report files, so it holds no '/'."""
+    """Gold ids and paths; an id names report files, so it holds no '/'.
+
+    Ids whose pairs would share an ``isr_<id1>_<id2>`` report name, such
+    as (a, b_c) and (a_b, c), are rejected too.
+    """
     gold: dict[str, Path] = {}
     for pair in pairs or []:
         gold_id, _, path = pair.partition("=")
@@ -108,6 +113,14 @@ def _parse_gold_args(pairs: list[str]) -> dict[str, Path]:
         if gold_id in gold:
             raise LexiforgeError(f"--gold id {gold_id!r} is given twice")
         gold[gold_id] = Path(path)
+    isr_names: dict[str, tuple[str, str]] = {}
+    for ids in itertools.combinations(gold, 2):
+        name = "isr_{}_{}".format(*ids)
+        if name in isr_names:
+            raise LexiforgeError(
+                f"--gold id pairs {isr_names[name]} and {ids} would both write {name}.json"
+            )
+        isr_names[name] = ids
     return gold
 
 

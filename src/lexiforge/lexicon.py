@@ -143,10 +143,6 @@ class Lexicon:
     def word_types(self) -> frozenset[str]:
         return frozenset(self.words)
 
-    def row(self, word: str) -> np.ndarray:
-        """Values of a word's first occurrence."""
-        return self.values[self.row_index[word]]
-
     def split_words(self, tag: str) -> set[str]:
         """Word types carrying the given split tag."""
         if tag not in SPLIT_TAGS:

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not np.isfinite(self.leaky_slope):
+            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,15 +221,43 @@ def _near_equal_bounds(n: int, max_rows: int) -> list[int]:
     return [n * i // n_slices for i in range(n_slices + 1)]
 
 
+def _leaky_factor(z: np.ndarray, slope: float, out: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Write the leaky ReLU's factor for ``z`` into ``out`` and return it.
+
+    The factor is ``slope`` where ``z <= 0`` and 1.0 elsewhere, NaN
+    entries included, set bit by bit. So ``z * factor`` has the bytes of
+    multiplying only the entries ``z <= 0`` by ``slope``, as ``x * 1.0``
+    is ``x``. A masked ufunc over a random sign pattern runs about eight
+    times slower than these dense integer ufuncs and the multiply.
+    ``sign`` is a bool scratch array of ``z``'s shape, left holding no
+    valid bools.
+    """
+    np.less_equal(z, 0.0, out=sign)
+    flags = sign.view(np.int8)
+    np.negative(flags, out=flags)  # -1 where z <= 0, else 0
+    bits = out.view(np.int64)
+    np.copyto(bits, flags)  # sign-extended: every bit set where z <= 0
+    one = np.float64(1.0).view(np.int64)
+    # 1.0's bits, with the bits in which slope's differ flipped where z <= 0
+    np.bitwise_and(bits, one ^ np.float64(slope).view(np.int64), out=bits)
+    np.bitwise_xor(bits, one, out=bits)
+    return out
+
+
 def _forward(params: dict[str, np.ndarray], X: np.ndarray, slope: float) -> np.ndarray:
     bounds = _near_equal_bounds(len(X), _HIDDEN_BLOCK_ROWS)
     hidden = np.empty((len(X), params["w2"].shape[1]))
+    # one factor and one sign buffer serve every block and layer
+    rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    size = rows * max(params["w1"].shape[1], params["w2"].shape[1])
+    factor, sign = np.empty(size), np.empty(size, dtype=bool)
     for lo, hi in zip(bounds, bounds[1:]):
         a = X[lo:hi]
-        for i in (1, 2):  # bias and leaky ReLU in place: no temporaries
+        for i in (1, 2):  # bias and leaky ReLU in place
             a = a @ params[f"w{i}"]
             a += params[f"b{i}"]
-            np.multiply(a, slope, out=a, where=a <= 0)
+            a *= _leaky_factor(a, slope, factor[: a.size].reshape(a.shape),
+                               sign[: a.size].reshape(a.shape))
         hidden[lo:hi] = a
     # the output layer runs once over all rows: with a narrow output its
     # rows depend on the row count
@@ -252,12 +282,14 @@ class _TrainStep:
 
     The flat parameters, their gradient, Adam's m and v and the batch
     buffers (with Adam's temporary vector over them) share one float64
-    workspace; the activations' signs and the dropout keep flags share
-    one bool workspace. A step allocates no array, so a fit holds two arrays
-    however long it trains and frees them whole when it ends, which
-    keeps concurrent fits small. Every step computes the same values as
-    the out-of-place formulas, bit for bit: the same operations on the
-    same operands, into ``out=`` buffers.
+    workspace. The batch buffers include each hidden layer's leaky ReLU
+    factor, which the forward pass writes and the backward pass reads.
+    The dropout keep flags and the sign tests behind the factors take
+    turns in one bool workspace. A step allocates no array, so a fit
+    holds two arrays however long it trains and frees them whole when it
+    ends, which keeps concurrent fits small. Every step computes the
+    same values as the out-of-place formulas, bit for bit: the same
+    operations on the same operands, into ``out=`` buffers.
 
     A batch of ``n`` rows uses the first ``n`` rows of each batch buffer,
     which are C-contiguous like a fresh array of that shape.
@@ -270,7 +302,7 @@ class _TrainStep:
         shapes = {name: init[name].shape for name in _PARAM_ORDER}
         n_params = sum(p.size for p in init.values())
         batch = {"x": (rows, d), "y": (rows, k), "a1": (rows, h1), "a2": (rows, h2),
-                 "out": (rows, k), "g": (rows, k)}
+                 "f1": (rows, h1), "f2": (rows, h2), "out": (rows, k), "g": (rows, k)}
         if cfg.input_dropout > 0.0:
             batch["mask_in"] = (rows, d)
         if cfg.hidden_dropout > 0.0:
@@ -286,9 +318,7 @@ class _TrainStep:
         self.grads = _views(flat["grad"], shapes)
         for name in _PARAM_ORDER:
             self.params[name][...] = init[name]
-        bools = np.empty(rows * (h1 + h2 + max(d, h1, h2)), dtype=bool)
-        self.signs = _views(bools, {"neg1": (rows, h1), "neg2": (rows, h2),
-                                    "keep": (rows * max(d, h1, h2),)})
+        self.flags = np.empty(rows * max(d, h1, h2), dtype=bool)
 
     def load(self, X: np.ndarray, Y: np.ndarray, idx: np.ndarray) -> int:
         """Copy rows ``idx`` of X and Y into the batch; returns the row count."""
@@ -305,7 +335,7 @@ class _TrainStep:
                            ("mask2", cfg.hidden_dropout)):
             if rate > 0.0:
                 mask = self.flat[name][:n]
-                keep = self.signs["keep"][: mask.size].reshape(mask.shape)
+                keep = self.flags[: mask.size].reshape(mask.shape)
                 rng.random(out=mask)
                 np.greater_equal(mask, rate, out=keep)
                 np.divide(keep, 1.0 - rate, out=mask)
@@ -314,8 +344,9 @@ class _TrainStep:
         """Forward pass over the batch's ``n`` rows; returns the mean squared error.
 
         Dropout masks, where the config has them, must have been drawn.
-        Leaves the masked input in ``x`` and the masked activations in
-        ``a1`` and ``a2``, which the backward pass reads.
+        Leaves the masked input in ``x``, the masked activations in
+        ``a1`` and ``a2`` and their leaky ReLU factors in ``f1`` and
+        ``f2``, which the backward pass reads.
         """
         p, flat = self.params, self.flat
         a = flat["x"][:n]
@@ -323,11 +354,10 @@ class _TrainStep:
             np.multiply(a, flat["mask_in"][:n], out=a)
         for i in (1, 2):
             z = flat[f"a{i}"][:n]
-            neg = self.signs[f"neg{i}"][:n]
             np.matmul(a, p[f"w{i}"], out=z)
             z += p[f"b{i}"]
-            np.less_equal(z, 0.0, out=neg)
-            np.multiply(z, self.cfg.leaky_slope, out=z, where=neg)  # leaky ReLU in place
+            z *= _leaky_factor(z, self.cfg.leaky_slope, flat[f"f{i}"][:n],
+                               self.flags[: z.size].reshape(z.shape))
             if f"mask{i}" in flat:
                 np.multiply(z, flat[f"mask{i}"][:n], out=z)
             a = z
@@ -345,7 +375,7 @@ class _TrainStep:
         Each layer's input buffer receives the gradient with respect to
         that input once the layer's weight gradient has read it.
         """
-        p, grads, flat, slope = self.params, self.grads, self.flat, self.cfg.leaky_slope
+        p, grads, flat = self.params, self.grads, self.flat
         g = flat["g"][:n]
         g *= 2.0 / g.size
         inputs = {1: flat["x"][:n], 2: flat["a1"][:n], 3: flat["a2"][:n]}
@@ -357,7 +387,7 @@ class _TrainStep:
                 np.matmul(g, p[f"w{i}"].T, out=back)
                 if f"mask{i - 1}" in flat:
                     np.multiply(back, flat[f"mask{i - 1}"][:n], out=back)
-                np.multiply(back, slope, out=back, where=self.signs[f"neg{i - 1}"][:n])
+                back *= flat[f"f{i - 1}"][:n]
                 g = back
 
     def adam(self, step: int) -> None:

@@ -610,6 +610,8 @@ def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle, capsys):
     ([], "hidden_dropout = 1\n", "hidden_dropout must be in [0, 1)"),
     (["--model", "ridge", "--alpha", "-1"], "", "alpha must be >= 0, got -1.0"),
     ([], "model = ridge\nalpha = nan\n", "alpha must be >= 0, got nan"),
+    ([], "leaky_slope = nan\n", "leaky_slope must be finite, got nan"),
+    ([], "leaky_slope = -inf\n", "leaky_slope must be finite, got -inf"),
 ])
 def test_run_reports_bad_settings_in_one_line(
     tmp_path, small_bundle, capsys, flags, config_line, message
@@ -626,7 +628,9 @@ def test_run_reports_bad_settings_in_one_line(
 @pytest.mark.parametrize("gold_ids, message", [
     (["a/b"], "--gold id 'a/b' must not contain '/'"),
     (["a", "a"], "--gold id 'a' is given twice"),
-], ids=["slash", "twice"])
+    (["a", "b_c", "a_b", "c"],
+     "--gold id pairs ('a', 'b_c') and ('a_b', 'c') would both write isr_a_b_c.json"),
+], ids=["slash", "twice", "isr-name-collision"])
 def test_bad_gold_ids_fail_before_the_output_directory_exists(
     tmp_path, small_bundle, capsys, command, gold_ids, message
 ):

@@ -168,7 +168,7 @@ def _silver_fixture(transform=None, seed=3):
     pred_rows = []
     for w in vocab:
         if w in mt.row_index:
-            vals = mt.row(w)
+            vals = mt.values[mt.row_index[w]]
         else:
             vals = rng.standard_normal(2)
         if transform is not None:
@@ -273,7 +273,8 @@ def test_gold_inside_train_split_is_leakage_guarded():
     mt, pred, splits = _silver_fixture()
     train_words = sorted(splits.pred_train)[:10]
     gold = build_lexicon(
-        [(w, pred.row(w).tolist()) for w in train_words], variables=("y1", "y2")
+        [(w, pred.values[pred.row_index[w]].tolist()) for w in train_words],
+        variables=("y1", "y2"),
     )
     with pytest.raises(InsufficientOverlapError):
         gold_eval(gold, pred, splits)
@@ -294,23 +295,23 @@ def test_gold_half_overlap_counts_and_oracle():
     ]
     pred = build_lexicon(pred_rows, variables=("y1",), provenance="predicted")
     # gold: 250 words inside pred_test, 250 unknown words
-    gold_rows = [(f"p{i}", (float(pred.row(f"p{i}")[0] + rng.standard_normal() * 0.5),))
+    pred_p = [pred.values[pred.row_index[f"p{i}"]][0] for i in range(250)]
+    gold_rows = [(f"p{i}", (float(pred_p[i] + rng.standard_normal() * 0.5),))
                  for i in range(250)]
     gold_rows += [(f"g{i}", (float(rng.standard_normal()),)) for i in range(250)]
     gold = build_lexicon(gold_rows, variables=("y1",))
     report = gold_eval(gold, pred, splits)
     assert report.n_shared == 250
     assert report.coverage == 0.5
-    aligned_gold = [gold.row(f"p{i}")[0] for i in range(250)]
-    aligned_pred = [pred.row(f"p{i}")[0] for i in range(250)]
-    assert abs(report.r["y1"] - pearson_oracle(aligned_gold, aligned_pred)) < 1e-12
+    aligned_gold = [gold.values[gold.row_index[f"p{i}"]][0] for i in range(250)]
+    assert abs(report.r["y1"] - pearson_oracle(aligned_gold, pred_p)) < 1e-12
 
 
 def test_gold_skips_variables_missing_from_gold():
     mt, pred, splits = _silver_fixture()
     gold_words = [w for w in pred.words if w in splits.pred_test][:10]
     gold = build_lexicon(
-        [(w, (pred.row(w)[0],)) for w in gold_words], variables=("y1",)
+        [(w, (pred.values[pred.row_index[w]][0],)) for w in gold_words], variables=("y1",)
     )
     report = gold_eval(gold, pred, splits)
     assert set(report.r) == {"y1"}

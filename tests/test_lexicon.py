@@ -84,9 +84,10 @@ def test_parse_eight_variable_sample():
     lex = parse_lexicon(io.StringIO(SOURCE_SAMPLE))
     assert lex.variables.names == EIGHT_VARS
     assert lex.words == ("sunshine", "terrorism")
-    assert lex.row("sunshine").tolist() == [8.1, 5.3, 5.4, 4.2, 1.2, 1.3, 1.3, 1.2]
-    assert lex.row("terrorism")[0] == 1.6
-    assert lex.row("terrorism")[6] == 3.9
+    sunshine, terrorism = lex.values[[lex.row_index["sunshine"], lex.row_index["terrorism"]]]
+    assert sunshine.tolist() == [8.1, 5.3, 5.4, 4.2, 1.2, 1.3, 1.3, 1.2]
+    assert terrorism[0] == 1.6
+    assert terrorism[6] == 3.9
     assert lex.provenance == "human"
 
 
@@ -138,12 +139,13 @@ def test_parse_rejects_human_values_outside_scale():
         parse_lexicon(io.StringIO("word\tJoy\na\t5.0\nb\t0.5\n"))
     assert str(err.value) == "line 3: value 0.5 for Joy outside scale [1.0, 5.0]"
     # no scale for a mixed variable set
-    assert parse_lexicon(io.StringIO("word\tVal\tJoy\na\t12.0\t0.5\n")).row("a")[0] == 12.0
+    mixed = parse_lexicon(io.StringIO("word\tVal\tJoy\na\t12.0\t0.5\n"))
+    assert mixed.values[mixed.row_index["a"]][0] == 12.0
     # predicted lexicons may exceed the scale range
     lex = parse_lexicon(
         io.StringIO("word\tVal\tAro\na\t12.0\t5.0\n"), provenance="predicted"
     )
-    assert lex.row("a")[0] == 12.0
+    assert lex.values[lex.row_index["a"]][0] == 12.0
 
 
 def test_parse_normalizes_nfc():

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -322,6 +323,62 @@ def test_fit_rejects_bad_shapes():
     with pytest.raises(ValueError):
         fit_mtlffn(np.zeros((4, 3)), np.zeros((4, 2)), SMALL,
                    variables=VariableSet(("a", "b", "c")))
+
+
+@pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
+def test_config_rejects_a_non_finite_leaky_slope(slope):
+    with pytest.raises(ValueError, match=f"leaky_slope must be finite, got {slope}"):
+        TrainConfig(leaky_slope=slope)
+
+
+# +-0, the smallest subnormal, a larger subnormal, huge and ordinary
+# values, the infinities and NaNs of either sign
+_FACTOR_INPUTS = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e300, -1e300, 1.0, -1.0, 0.3, -0.7,
+    np.inf, -np.inf, np.nan, -np.nan,
+])
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.0, -0.0, -0.5, 1.0, 1.5])
+def test_leaky_factor_gives_the_masked_multiply_bytes(slope):
+    z = np.tile(_FACTOR_INPUTS, (3, 1))
+    factor = lexiforge.models._leaky_factor(
+        z, slope, np.full(z.shape, 7.0), np.empty(z.shape, dtype=bool))
+    expected = np.where(z <= 0, slope, 1.0)
+    assert factor.tobytes() == expected.tobytes()
+    with np.errstate(invalid="ignore"):  # -inf * 0 is NaN, in both forms
+        masked = np.multiply(z, slope, out=z.copy(), where=z <= 0)
+        assert (z * factor).tobytes() == masked.tobytes()
+
+
+def test_training_steps_allocate_no_batch_buffer():
+    # the paper's network at batch 128. numpy's iterator takes a buffer
+    # of up to getbufsize() elements to add a broadcast bias; a small
+    # bufsize keeps it below the bound, which a bool array of the
+    # smallest activation shape (128 x 128, 16 KiB) would pass.
+    rng = np.random.default_rng(12)
+    X, Y = rng.standard_normal((512, 300)), rng.standard_normal((512, 5))
+    train = lexiforge.models._TrainStep(300, 5, TrainConfig(hidden=(256, 128)), 128, rng)
+    batch = rng.permutation(512)[:128]
+
+    def step(number):
+        rows = train.load(X, Y, batch)
+        train.draw_masks(rng, rows)
+        assert np.isfinite(train.forward(rows))
+        train.backward(rows)
+        train.adam(number)
+
+    bufsize = np.setbufsize(256)
+    try:
+        step(1)  # the warm-up: first calls may set up caches
+        tracemalloc.start()
+        for number in range(2, 12):
+            step(number)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert peak < 8 * 1024
 
 
 # ---------------------------------------------------------------------------
