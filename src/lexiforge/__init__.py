@@ -71,7 +71,7 @@ from .models import (
     save_checkpoint,
     variable_groups,
 )
-from .pipeline import Evaluation, RunSettings, prepare_source, run_pipeline
+from .pipeline import RunSettings, prepare_source, run_pipeline
 from .translation import load_translation_table, project_lexicon
 
 __all__ = [name for name in dir() if not name.startswith("_")]

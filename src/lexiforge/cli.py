@@ -14,17 +14,20 @@ file over built-in defaults.
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
 from .errors import LexiforgeError, SchemaError
 from .evaluation import (  # noqa: F401 -- perfbench/tracer.py wraps the protocols here too
+    EvalReport,
+    IsrResult,
+    MtVsPredResult,
     gold_eval,
     isr_compare,
     load_reports,
@@ -36,7 +39,13 @@ from .evaluation import (  # noqa: F401 -- perfbench/tracer.py wraps the protoco
 )
 from .lexicon import SplitSets, load_lexicon
 from .models import TrainConfig, grad_check
-from .pipeline import Evaluation, RunSettings, evaluate_protocols, prepare_source, run_pipeline
+from .pipeline import (
+    RunSettings,
+    evaluate_protocols,
+    isr_report_names,
+    prepare_source,
+    run_pipeline,
+)
 from .reporting import (
     render_isr_table,
     render_meta_table,
@@ -98,29 +107,16 @@ def _given(args, config: dict, keys) -> dict:
 
 
 def _parse_gold_args(pairs: list[str]) -> dict[str, Path]:
-    """Gold ids and paths; an id names report files, so it holds no '/'.
-
-    Ids whose pairs would share an ``isr_<id1>_<id2>`` report name, such
-    as (a, b_c) and (a_b, c), are rejected too.
-    """
+    """Gold ids and paths, with ids that name distinct report files."""
     gold: dict[str, Path] = {}
     for pair in pairs or []:
         gold_id, _, path = pair.partition("=")
         if not gold_id or not path:
             raise LexiforgeError(f"--gold expects <id>=<path>, got {pair!r}")
-        if "/" in gold_id:
-            raise LexiforgeError(f"--gold id {gold_id!r} must not contain '/'")
         if gold_id in gold:
             raise LexiforgeError(f"--gold id {gold_id!r} is given twice")
         gold[gold_id] = Path(path)
-    isr_names: dict[str, tuple[str, str]] = {}
-    for ids in itertools.combinations(gold, 2):
-        name = "isr_{}_{}".format(*ids)
-        if name in isr_names:
-            raise LexiforgeError(
-                f"--gold id pairs {isr_names[name]} and {ids} would both write {name}.json"
-            )
-        isr_names[name] = ids
+    isr_report_names(gold)
     return gold
 
 
@@ -214,9 +210,9 @@ def _cmd_run(args) -> int:
         )
     except ValueError as exc:
         raise LexiforgeError(f"bad run settings: {exc}") from None
-    result = run_pipeline(settings)
+    reports = run_pipeline(settings)
     print(f"run complete: {settings.out}")
-    _print_tables(result)
+    _print_reports(reports.values())
     return 0
 
 
@@ -224,22 +220,12 @@ def _cmd_evaluate(args) -> int:
     gold = _parse_gold_args(args.gold)
     mt = load_lexicon(args.mt, provenance="translated", language=args.target_lang)
     pred = load_lexicon(args.pred, provenance="predicted", language=args.target_lang)
-    result = evaluate_protocols(
+    reports = evaluate_protocols(
         mt, pred, SplitSets.from_lexicons(mt, pred), gold,
         Path(args.out) if args.out else None, lang=args.target_lang,
     )
-    _print_tables(result)
+    _print_reports(reports.values())
     return 0
-
-
-def _print_tables(result: Evaluation) -> None:
-    print(render_pair_table([result.silver], title="silver evaluation"))
-    if result.gold:
-        print(render_pair_table(list(result.gold.values()), title="gold evaluation"))
-    if result.isr:
-        print(render_isr_table(result.isr))
-    if result.mt_vs_pred:
-        print(render_mt_vs_pred_table(result.mt_vs_pred.values()))
 
 
 def _collect_report_paths(paths: list[str]) -> list[Path]:
@@ -253,9 +239,13 @@ def _collect_report_paths(paths: list[str]) -> list[Path]:
     return collected
 
 
-def _cmd_report(args) -> int:
-    from lexiforge.evaluation import IsrResult, MtVsPredResult
+def _print_reports(files: Iterable[list[EvalReport]]) -> list[EvalReport]:
+    """Print the tables of the reports of each file; returns them in TSV order.
 
+    A file's three ``isr`` reports make one ISR row group and its two
+    ``mt_vs_pred`` reports one comparison. A meta agreement table follows
+    when two or more languages have both silver and gold reports.
+    """
     silver_by_lang: dict[str, dict[str, float]] = {}
     gold_by_lang: dict[str, list[dict[str, float]]] = {}
     silver_reports = []
@@ -263,8 +253,7 @@ def _cmd_report(args) -> int:
     isr_results = []
     comparisons = []
     other_reports = []
-    for path in _collect_report_paths(args.paths):
-        file_reports = load_reports(path)
+    for file_reports in files:
         isr_group = [r for r in file_reports if r.protocol == "isr"]
         if len(isr_group) == 3:
             isr_results.append(IsrResult(*isr_group))
@@ -275,11 +264,10 @@ def _cmd_report(args) -> int:
             file_reports = [r for r in file_reports if r.protocol != "mt_vs_pred"]
         for report in file_reports:
             if report.protocol == "silver":
-                if report.language in silver_by_lang and silver_by_lang[report.language] != report.r:
+                if silver_by_lang.setdefault(report.language, report.r) != report.r:
                     raise SchemaError(
                         f"conflicting silver reports for language {report.language!r}"
                     )
-                silver_by_lang[report.language] = report.r
                 silver_reports.append(report)
             elif report.protocol == "gold":
                 gold_by_lang.setdefault(report.language, []).append(report.r)
@@ -298,19 +286,16 @@ def _cmd_report(args) -> int:
     if other_reports:
         print(render_pair_table(other_reports, title="other reports"))
 
-    langs_with_both = [
-        lang for lang in silver_by_lang if gold_by_lang.get(lang)
-    ]
-    if len(langs_with_both) >= 2:
-        meta = meta_agreement(gold_by_lang, silver_by_lang)
-        print(render_meta_table(meta))
+    if len(silver_by_lang.keys() & gold_by_lang.keys()) >= 2:
+        print(render_meta_table(meta_agreement(gold_by_lang, silver_by_lang)))
+    pairs = [(result.pred_report, result.mt_report) for result in comparisons]
+    return [*silver_reports, *gold_reports, *other_reports,
+            *(report for group in isr_results + pairs for report in group)]
 
+
+def _cmd_report(args) -> int:
+    everything = _print_reports(load_reports(path) for path in _collect_report_paths(args.paths))
     if args.tsv:
-        everything = silver_reports + gold_reports + other_reports
-        for result in isr_results:
-            everything.extend(result.reports)
-        for result in comparisons:
-            everything.extend([result.pred_report, result.mt_report])
         with open(args.tsv, "w", encoding="utf-8", newline="") as fh:
             write_reports_tsv(everything, fh)
         print(f"wrote {args.tsv}")

@@ -268,23 +268,20 @@ class IsrResult(NamedTuple):
     gold1_vs_pred: EvalReport
     gold2_vs_pred: EvalReport
 
-    @property
-    def reports(self) -> tuple[EvalReport, EvalReport, EvalReport]:
-        return tuple(self)
-
 
 def isr_compare(
     gold1: Lexicon,
     gold2: Lexicon,
     pred: Lexicon,
+    splits: SplitSets,
     *,
     ids: tuple[str, str, str] | None = None,
 ) -> IsrResult:
     """Compare two human studies and the predictions on common support.
 
-    ``pred`` should already be restricted to the prediction test split.
-    All three pairwise correlations are computed on the three-way word
-    intersection, per variable shared by all three lexicons.
+    All three pairwise correlations are computed on the words of both
+    golds that are predicted inside the prediction test split, per
+    variable shared by all three lexicons.
     """
     for lex in (gold1, gold2, pred):
         lex.require_unique("isr_compare")
@@ -292,7 +289,9 @@ def isr_compare(
         _lexicon_id(gold1), _lexicon_id(gold2), _lexicon_id(pred)
     )
     shared = "words shared by all three lexicons"
-    g1, g2 = _align(restrict_to_words(gold1, pred.word_types), gold2, shared)
+    pred_rows = pred.row_index
+    tested = [i for i, w in enumerate(gold1.words) if w in splits.pred_test and w in pred_rows]
+    g1, g2 = _align(_take(gold1, tested), gold2, shared)
     _, p = _align(g1, pred, shared)
     names = [
         v for v in gold1.variables.names if v in gold2.variables and v in pred.variables

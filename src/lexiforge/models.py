@@ -43,14 +43,14 @@ class TrainConfig:
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if len(self.hidden) != 2 or any(h < 1 for h in self.hidden):
             raise ValueError("hidden must be two positive layer sizes")
-        for name in ("input_dropout", "hidden_dropout"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
+        for name in ("input_dropout", "hidden_dropout", "adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:  # also rejects NaN
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("learning_rate", "adam_epsilon"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not np.isfinite(self.leaky_slope):
             raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope}")
 
@@ -107,7 +107,7 @@ class RidgeModel:
             raise ValueError("inconsistent parameter shapes")
         if self.coef.shape[1] != len(self.variables):
             raise ValueError("output width does not match variable set")
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # also rejects NaN
             raise ValueError("alpha must be >= 0")
         if not (np.all(np.isfinite(self.coef)) and np.all(np.isfinite(self.intercept))):
             raise ValueError("parameters must be finite")
@@ -162,7 +162,7 @@ def fit_ridge(X, Y, alpha: float = 1.0, variables: VariableSet | None = None) ->
     n, d = X.shape
     if n < 1 or Y.shape[0] != n:
         raise ValueError("X and Y must have the same positive number of rows")
-    if alpha < 0:
+    if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be >= 0")
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
@@ -338,7 +338,8 @@ class _TrainStep:
                 keep = self.flags[: mask.size].reshape(mask.shape)
                 rng.random(out=mask)
                 np.greater_equal(mask, rate, out=keep)
-                np.divide(keep, 1.0 - rate, out=mask)
+                np.copyto(mask, keep)  # a mixed-type divide would take a 64 KiB buffer
+                mask /= 1.0 - rate
 
     def forward(self, n: int) -> float:
         """Forward pass over the batch's ``n`` rows; returns the mean squared error.

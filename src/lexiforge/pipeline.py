@@ -21,6 +21,7 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -31,15 +32,13 @@ from .embeddings import embed_matrix, load_embedding_store, usable_cores
 from .errors import LexiforgeError, PipelineError
 from .evaluation import (
     EvalReport,
-    IsrResult,
-    MtVsPredResult,
     gold_eval,
     isr_compare,
     mt_vs_pred,
-    restrict_to_test_predictions,
     save_reports,
     silver_eval,
 )
+from .evaluation import restrict_to_test_predictions  # noqa: F401 -- perfbench/tracer.py wraps it
 from .lexicon import (
     Lexicon,
     SplitSets,
@@ -101,16 +100,6 @@ class RunSettings:
             raise LexiforgeError(
                 "a translation table is required unless translation is skipped"
             )
-
-
-@dataclass
-class Evaluation:
-    """Reports of the evaluation protocols run on one MT and predicted lexicon."""
-
-    silver: EvalReport
-    gold: dict[str, EvalReport] = field(default_factory=dict)
-    isr: list[IsrResult] = field(default_factory=list)
-    mt_vs_pred: dict[str, MtVsPredResult] = field(default_factory=dict)
 
 
 def file_sha256(path) -> str:
@@ -318,13 +307,15 @@ def prepare_source(
     return tagged
 
 
-def run_pipeline(settings: RunSettings) -> Evaluation:
+def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
     """Execute the full generation-and-evaluation pipeline.
 
-    Writes every output under ``settings.out``; returns the reports.
+    Writes every output under ``settings.out``; returns the reports as
+    :func:`evaluate_protocols` does.
     """
     out = settings.out
     checkpoints_dir = out / "checkpoints"
+    isr_report_names(settings.gold)  # bad gold ids fail before the output directory exists
     manifest = _Manifest(out / "manifest.json", settings)
     # hashing the inputs first: a missing one fails before the output directory exists
     manifest.add_input("source", settings.source)
@@ -394,13 +385,33 @@ def run_pipeline(settings: RunSettings) -> Evaluation:
             save_lexicon(pred, pred_path)
             manifest.add_output("target_pred", pred_path)
 
-        evaluation = evaluate_protocols(
+        reports = evaluate_protocols(
             mt, pred, splits, settings.gold, out / "reports",
             lang=settings.target_lang, manifest=manifest,
         )
         manifest.data["status"] = "complete"
         manifest.write()
-    return evaluation
+    return reports
+
+
+def isr_report_names(gold_ids: Collection[str]) -> dict[tuple[str, str], str]:
+    """The ``isr_<id1>_<id2>`` report name of each pair of gold ids, in order.
+
+    An id names report files, so it holds no '/'. Ids whose pairs would
+    share a name, such as (a, b_c) and (a_b, c), raise LexiforgeError.
+    """
+    for gold_id in gold_ids:
+        if "/" in gold_id:
+            raise LexiforgeError(f"--gold id {gold_id!r} must not contain '/'")
+    pairs: dict[str, tuple[str, str]] = {}
+    for ids in itertools.combinations(gold_ids, 2):
+        name = "isr_{}_{}".format(*ids)
+        if name in pairs:
+            raise LexiforgeError(
+                f"--gold id pairs {pairs[name]} and {ids} would both write {name}.json"
+            )
+        pairs[name] = ids
+    return {ids: name for name, ids in pairs.items()}
 
 
 def evaluate_protocols(
@@ -412,53 +423,48 @@ def evaluate_protocols(
     *,
     lang: str,
     manifest: _Manifest | None = None,
-) -> Evaluation:
+) -> dict[str, list[EvalReport]]:
     """Run every evaluation protocol on an MT and a predicted lexicon.
 
     In order: silver; gold for each gold lexicon (read as language
     ``lang``); inter-study reliability for each pair of golds sharing a
     variable; MT vs. prediction for each gold. Each comparison is one
-    stage and, unless ``out_dir`` is None, one report file there:
-    ``silver.json``, ``gold_<id>.json``, ``isr_<id1>_<id2>.json`` and
-    ``mt_vs_pred_<id>.json``. A manifest records the stages and files.
+    stage and one report file, named ``silver``, ``gold_<id>``,
+    ``isr_<id1>_<id2>`` and ``mt_vs_pred_<id>``. Returns each name's
+    reports in run order and, unless ``out_dir`` is None, writes them
+    to ``<name>.json`` there. A manifest records the stages and files.
     """
+    isr_names = isr_report_names(gold_paths)
+    reports: dict[str, list[EvalReport]] = {}
 
-    def save(name: str, reports: list[EvalReport]) -> None:
+    def save(name: str, *file_reports: EvalReport) -> None:
+        reports[name] = list(file_reports)
         if out_dir is not None:
             path = out_dir / f"{name}.json"
-            save_reports(reports, path)
+            save_reports(reports[name], path)
             if manifest is not None:
                 manifest.add_output(f"report:{name}", path)
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     with _stage(manifest, "silver-eval"):
-        result = Evaluation(
-            silver_eval(mt, pred, splits, ids=(f"{lang}-mt", f"{lang}-pred"))
-        )
-        save("silver", [result.silver])
+        save("silver", silver_eval(mt, pred, splits, ids=(f"{lang}-mt", f"{lang}-pred")))
 
     golds: dict[str, Lexicon] = {}
     for gold_id, gold_path in gold_paths.items():
         with _stage(manifest, f"gold-eval-{gold_id}"):
             gold = golds[gold_id] = load_lexicon(gold_path, language=lang)
-            result.gold[gold_id] = gold_eval(gold, pred, splits, gold_id=gold_id)
-            save(f"gold_{gold_id}", [result.gold[gold_id]])
+            save(f"gold_{gold_id}", gold_eval(gold, pred, splits, gold_id=gold_id))
 
-    pred_test = restrict_to_test_predictions(pred, splits) if len(golds) > 1 else None
-    for id_a, id_b in itertools.combinations(golds, 2):
+    for (id_a, id_b), name in isr_names.items():
         if not any(n in golds[id_b].variables for n in golds[id_a].variables.names):
             continue
         with _stage(manifest, f"isr-{id_a}-{id_b}"):
-            isr = isr_compare(
-                golds[id_a], golds[id_b], pred_test, ids=(id_a, id_b, f"{lang}-pred")
-            )
-            save(f"isr_{id_a}_{id_b}", list(isr.reports))
-            result.isr.append(isr)
+            save(name, *isr_compare(golds[id_a], golds[id_b], pred, splits,
+                                    ids=(id_a, id_b, f"{lang}-pred")))
 
     for gold_id, gold in golds.items():
         with _stage(manifest, f"mt-vs-pred-{gold_id}"):
             comparison = mt_vs_pred(gold, mt, pred, splits, gold_id=gold_id)
-            save(f"mt_vs_pred_{gold_id}", [comparison.pred_report, comparison.mt_report])
-            result.mt_vs_pred[gold_id] = comparison
-    return result
+            save(f"mt_vs_pred_{gold_id}", comparison.pred_report, comparison.mt_report)
+    return reports

@@ -17,6 +17,7 @@ import pytest
 
 from lexiforge import (
     EmbeddingStore,
+    IsrResult,
     RunSettings,
     TrainConfig,
     collapse_duplicates,
@@ -258,11 +259,11 @@ def test_c6_synthetic_end_to_end(end_to_end):
     ridge = end_to_end["ridge"]
     seconds = end_to_end["mtlffn_seconds"]
 
-    mtlffn_min = min(mtlffn.silver.r.values())
-    ridge_min = min(ridge.silver.r.values())
-    gold_min = min(mtlffn.gold["gen"].r.values())
-    quad_mean_mtlffn = float(np.mean(list(end_to_end["quad_mtlffn"].silver.r.values())))
-    quad_mean_ridge = float(np.mean(list(end_to_end["quad_ridge"].silver.r.values())))
+    mtlffn_min = min(mtlffn["silver"][0].r.values())
+    ridge_min = min(ridge["silver"][0].r.values())
+    gold_min = min(mtlffn["gold_gen"][0].r.values())
+    quad_mean_mtlffn = float(np.mean(list(end_to_end["quad_mtlffn"]["silver"][0].r.values())))
+    quad_mean_ridge = float(np.mean(list(end_to_end["quad_ridge"]["silver"][0].r.values())))
 
     ok = (
         seconds < 60.0
@@ -478,18 +479,18 @@ def test_c10_reference_fixtures(tmp_path):
         target_lang="en",
         train=TrainConfig(seed=0),
     )
-    result = run_pipeline(settings)
-    silver = result.silver.r
-    gold = result.gold["en1"].r
+    reports = run_pipeline(settings)
+    silver = reports["silver"][0].r
+    gold = reports["gold_en1"][0].r
     expected_silver = {"Val": 0.94, "Aro": 0.76}
     expected_gold = {"Val": 0.94, "Aro": 0.76, "Dom": 0.88}
     silver_ok = all(abs(silver[k] - v) <= 0.03 for k, v in expected_silver.items())
     gold_ok = all(abs(gold[k] - v) <= 0.03 for k, v in expected_gold.items())
     isr_ok = True
     isr_detail = ""
-    if result.isr:
+    if "isr_en1_en2" in reports:
         # inter-study reliability fixture: both English studies vs predictions
-        isr = result.isr[0]
+        isr = IsrResult(*reports["isr_en1_en2"])
         isr_ok = (
             isr.gold1_vs_gold2.n_shared == 1032
             and abs(isr.gold1_vs_gold2.r["Val"] - 0.953) <= 0.03

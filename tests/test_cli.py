@@ -21,13 +21,19 @@ from lexiforge import (
     DivergenceError,
     EvalReport,
     LexiforgeError,
+    RunSettings,
+    SplitSets,
     TrainConfig,
     embed_matrix,
     expand_lexicon,
+    load_lexicon,
+    load_reports,
+    run_pipeline,
     save_lexicon,
     save_reports,
 )
 from lexiforge.cli import main, parse_config_file
+from lexiforge.pipeline import evaluate_protocols
 from helpers import build_lexicon, write_pipeline_bundle
 
 
@@ -561,6 +567,23 @@ def test_evaluate_rewrites_the_run_report_files(tmp_path, small_bundle):
     assert json.loads(run_files["silver.json"])[0]["lexicons"] == ["und-mt", "und-pred"]
 
 
+def test_run_evaluate_and_report_print_the_same_tables(tmp_path, small_bundle, capsys):
+    gold2 = tmp_path / "gold2.tsv"
+    save_lexicon(load_lexicon(small_bundle["gold"]), gold2)
+    golds = ["--gold", f"g1={small_bundle['gold']}", "--gold", f"g2={gold2}"]
+    out = tmp_path / "out"
+    assert main(_run_args(small_bundle, out, _write_fast_config(tmp_path), golds)) == 0
+    run_printed = capsys.readouterr().out
+    assert main(["evaluate", "--mt", str(out / "target_mt.tsv"),
+                 "--pred", str(out / "target_pred.tsv"), *golds]) == 0
+    evaluate_printed = capsys.readouterr().out
+    assert main(["report", str(out / "reports")]) == 0
+    report_printed = capsys.readouterr().out
+    assert "Gold1" in report_printed and "Series" in report_printed
+    assert run_printed == f"run complete: {out}\n" + report_printed
+    assert evaluate_printed == report_printed
+
+
 @pytest.mark.parametrize("flag, problem", [
     ("--mt", "No such file or directory"), ("--pred", "Is a directory"),
 ])
@@ -612,6 +635,7 @@ def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle, capsys):
     ([], "model = ridge\nalpha = nan\n", "alpha must be >= 0, got nan"),
     ([], "leaky_slope = nan\n", "leaky_slope must be finite, got nan"),
     ([], "leaky_slope = -inf\n", "leaky_slope must be finite, got -inf"),
+    ([], "learning_rate = nan\n", "learning_rate must be positive and finite, got nan"),
 ])
 def test_run_reports_bad_settings_in_one_line(
     tmp_path, small_bundle, capsys, flags, config_line, message
@@ -644,6 +668,45 @@ def test_bad_gold_ids_fail_before_the_output_directory_exists(
     assert main(args) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("caller", ["evaluate_protocols", "run_pipeline"])
+@pytest.mark.parametrize("gold_ids, message", [
+    (["a/b"], "--gold id 'a/b' must not contain '/'"),
+    (["a", "b_c", "a_b", "c"],
+     "--gold id pairs ('a', 'b_c') and ('a_b', 'c') would both write isr_a_b_c.json"),
+], ids=["slash", "isr-name-collision"])
+def test_library_calls_reject_bad_gold_ids_before_any_output(
+    tmp_path, small_bundle, caller, gold_ids, message
+):
+    gold = {gold_id: small_bundle["gold"] for gold_id in gold_ids}
+    out = tmp_path / "out"
+    with pytest.raises(LexiforgeError) as raised:
+        if caller == "run_pipeline":
+            run_pipeline(RunSettings(source=small_bundle["source"], out=out, gold=gold,
+                                     embeddings=small_bundle["embeddings"],
+                                     table=small_bundle["table"]))
+        else:  # the source lexicon's tags pass as an MT and a predicted lexicon's
+            source = load_lexicon(small_bundle["source"])
+            evaluate_protocols(source, source, SplitSets.from_lexicons(source, source),
+                               gold, out, lang="und")
+    assert str(raised.value) == message
+    assert not out.exists()
+
+
+def test_run_pipeline_returns_the_reports_it_writes(tmp_path, small_bundle):
+    gold2 = tmp_path / "gold2.tsv"
+    save_lexicon(load_lexicon(small_bundle["gold"]), gold2)
+    out = tmp_path / "out"
+    reports = run_pipeline(RunSettings(
+        source=small_bundle["source"], embeddings=small_bundle["embeddings"], out=out,
+        table=small_bundle["table"], gold={"g2": gold2, "g1": small_bundle["gold"]},
+        train=TrainConfig(hidden=(16, 8), epochs=4, batch_size=16),
+    ))
+    assert list(reports) == [
+        "silver", "gold_g2", "gold_g1", "isr_g2_g1", "mt_vs_pred_g2", "mt_vs_pred_g1",
+    ]
+    assert reports == {p.stem: load_reports(p) for p in (out / "reports").iterdir()}
 
 
 def test_run_has_no_duplicate_tolerance_flag(tmp_path, small_bundle):
@@ -811,3 +874,12 @@ def test_traced_attributes_exist():
     for caller, attr, _, _ in tracer.TRACED:
         module = importlib.import_module(f"lexiforge.{caller}")
         assert callable(getattr(module, attr, None)), f"lexiforge.{caller}.{attr}"
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py checks what the tracer pins and that evaluate reproduces run."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("perfbench self-test passed\n")

@@ -18,6 +18,7 @@ from lexiforge import (
     LexiforgeError,
     MtVsPredResult,
     SchemaError,
+    SplitSets,
     derive_prediction_splits,
     gold_eval,
     isr_compare,
@@ -325,13 +326,18 @@ def test_gold_skips_variables_missing_from_gold():
 # ---------------------------------------------------------------------------
 
 
+def _all_test(words):
+    """Splits that put every one of ``words`` in the prediction test split."""
+    return SplitSets((), (), (), words)
+
+
 def test_isr_identical_lexicons_all_one():
     words = [f"w{i}" for i in range(20)]
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((20, 2))
     make = lambda: build_lexicon(list(zip(words, vals.tolist())), variables=("Val", "Aro"))
-    result = isr_compare(make(), make(), make(), ids=("g1", "g2", "pred"))
-    for report in result.reports:
+    result = isr_compare(make(), make(), make(), _all_test(words), ids=("g1", "g2", "pred"))
+    for report in result:
         assert report.r == {"Val": 1.0, "Aro": 1.0}
         assert report.n_shared == 20
 
@@ -348,7 +354,7 @@ def test_isr_matches_triple_intersection_oracle():
     pred = build_lexicon(
         [(w, (v,)) for w, v in zip(words, p_vals)], variables=("Val",), provenance="predicted"
     )
-    result = isr_compare(g1, g2, pred)
+    result = isr_compare(g1, g2, pred, _all_test(words))
     common = words[50:150]
     assert result.gold1_vs_gold2.n_shared == 100
     idx = {w: i for i, w in enumerate(words)}
@@ -516,7 +522,7 @@ def reference_gold_eval(gold, pred, splits, *, gold_id=None):
     )
 
 
-def reference_isr_compare(gold1, gold2, pred, *, ids=None):
+def reference_isr_compare(gold1, gold2, pred, splits, *, ids=None):
     for lex in (gold1, gold2, pred):
         lex.require_unique("isr_compare")
     id1, id2, idp = ids if ids is not None else (
@@ -526,7 +532,7 @@ def reference_isr_compare(gold1, gold2, pred, *, ids=None):
     triples = [
         (gold1.row_index[w], rows2[w], rowsp[w])
         for w in gold1.words
-        if w in rows2 and w in rowsp
+        if w in rows2 and w in rowsp and w in splits.pred_test
     ]
     if len(triples) < 2:
         raise InsufficientOverlapError(
@@ -645,7 +651,7 @@ def _same(result, expected):
             as_json([expected.pred_report, expected.mt_report])
         assert json.dumps(result.diff) == json.dumps(expected.diff)
     elif isinstance(result, IsrResult):
-        assert as_json(result.reports) == as_json(expected.reports)
+        assert as_json(result) == as_json(expected)
     else:
         assert as_json([result]) == as_json([expected])
 
@@ -665,7 +671,6 @@ def _check_against_reference(protocol, reference, *args, **kwargs):
 @given(inputs=_protocol_inputs())
 def test_protocols_match_reference_implementations(inputs):
     mt, pred, splits, (gold1, gold2) = inputs
-    pred_test = restrict_to_test_predictions(pred, splits)
     _check_against_reference(silver_eval, reference_silver_eval, mt, pred, splits)
     _check_against_reference(silver_eval, reference_silver_eval, mt, pred, splits,
                              ids=("de-mt", "de-pred"))
@@ -673,9 +678,16 @@ def test_protocols_match_reference_implementations(inputs):
         _check_against_reference(gold_eval, reference_gold_eval, gold, pred, splits,
                                  gold_id="g")
         _check_against_reference(mt_vs_pred, reference_mt_vs_pred, gold, mt, pred, splits)
-    _check_against_reference(isr_compare, reference_isr_compare, gold1, gold2, pred_test)
+    _check_against_reference(isr_compare, reference_isr_compare, gold1, gold2, pred, splits)
+    # the split filter gives the intersection with the test predictions, copied or not
+    _check_against_reference(
+        isr_compare,
+        lambda g1, g2, p, s: isr_compare(g1, g2, restrict_to_test_predictions(p, s),
+                                         _all_test(p.words)),
+        gold1, gold2, pred, splits,
+    )
     _check_against_reference(isr_compare, reference_isr_compare, gold1, gold2, pred,
-                             ids=("a", "b", "de-pred"))
+                             _all_test(pred.words), ids=("a", "b", "de-pred"))
 
 
 # ---------------------------------------------------------------------------

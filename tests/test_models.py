@@ -18,6 +18,7 @@ from lexiforge import (
     EmbeddingStore,
     IntegrityError,
     NumericError,
+    RidgeModel,
     TrainConfig,
     VariableSet,
     collapse_duplicates,
@@ -125,6 +126,14 @@ def test_ridge_singular_system_advises_alpha():
     Y = np.array([[1.0], [2.0], [3.0]])
     with pytest.raises(NumericError, match="alpha"):
         fit_ridge(X, Y, alpha=0.0)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, np.nan])
+def test_ridge_rejects_a_negative_or_nan_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        fit_ridge(np.eye(3), np.ones((3, 1)), alpha)
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        RidgeModel(VariableSet(("a",)), np.zeros((3, 1)), np.zeros(1), alpha)
 
 
 def test_ridge_gradient_descent_converges_to_closed_form():
@@ -331,6 +340,20 @@ def test_config_rejects_a_non_finite_leaky_slope(slope):
         TrainConfig(leaky_slope=slope)
 
 
+@pytest.mark.parametrize("name, value", [
+    *[("learning_rate", v) for v in (np.nan, np.inf, -np.inf, 0.0, -1e-3)],
+    *[(name, v) for name in ("adam_beta1", "adam_beta2") for v in (np.nan, 1.0, -0.1)],
+    *[("adam_epsilon", v) for v in (np.nan, np.inf, 0.0, -1e-8)],
+])
+def test_config_rejects_a_bad_optimizer_setting(name, value):
+    with pytest.raises(ValueError) as raised:
+        TrainConfig(**{name: value})
+    assert str(raised.value) == (
+        f"{name} must be in [0, 1)" if name.startswith("adam_beta")
+        else f"{name} must be positive and finite, got {value}"
+    )
+
+
 # +-0, the smallest subnormal, a larger subnormal, huge and ordinary
 # values, the infinities and NaNs of either sign
 _FACTOR_INPUTS = np.array([
@@ -378,6 +401,21 @@ def test_training_steps_allocate_no_batch_buffer():
     finally:
         tracemalloc.stop()
         np.setbufsize(bufsize)
+    assert peak < 8 * 1024
+
+
+def test_drawing_dropout_masks_takes_no_iterator_buffer():
+    # at the default getbufsize(), numpy's iterator would take a 64 KiB
+    # buffer for a mixed-type (bool by float) ufunc call
+    rng = np.random.default_rng(13)
+    train = lexiforge.models._TrainStep(300, 5, TrainConfig(hidden=(256, 128)), 128, rng)
+    train.draw_masks(rng, 128)  # the warm-up: first calls may set up caches
+    tracemalloc.start()
+    try:
+        train.draw_masks(rng, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 8 * 1024
 
 
