@@ -40,6 +40,7 @@ from .evaluation import (  # noqa: F401 -- perfbench/tracer.py wraps the protoco
 from .lexicon import SplitSets, load_lexicon
 from .models import TrainConfig, grad_check
 from .pipeline import (
+    MODEL_KINDS,
     RunSettings,
     evaluate_protocols,
     isr_report_names,
@@ -149,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
-    p.add_argument("--model", choices=("mtlffn", "ridge"))
+    p.add_argument("--model", choices=MODEL_KINDS)
     p.add_argument("--alpha", type=float, help="ridge regularization strength")
     p.add_argument("--max-vocab", type=int, help="cap on embedding vocabulary size")
     p.add_argument("--joint-mtl", action="store_true", default=None,
@@ -197,10 +198,10 @@ def _cmd_run(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
     try:
         settings = RunSettings(
-            source=Path(args.source),
-            embeddings=Path(args.embeddings),
-            out=Path(args.out),
-            table=Path(args.table) if args.table else None,
+            source=args.source,
+            embeddings=args.embeddings,
+            out=args.out,
+            table=args.table or None,
             skip_translation=bool(args.skip_translation),
             gold=_parse_gold_args(args.gold),
             train=TrainConfig(**_given(args, config, _TRAIN_KEYS)),

@@ -2,11 +2,11 @@
 
 Vector files use the common text format: a ``<count> <dim>`` header
 followed by one ``word v1 ... v_dim`` line per word, single-space
-separated; words are NFC-normalised on parse. A large file is parsed
-on several cores, with the same result as in one process. Lookup never
-fails: terms missing from the vocabulary are split on spaces,
-apostrophes, and hyphens, the found parts averaged, and the zero vector
-used when nothing is recognized.
+separated; words are stored by ``lexicon.normalize_word``. A large file
+is parsed on several cores, with the same result as in one process.
+Lookup never fails: terms missing from the vocabulary are split on
+spaces, apostrophes, and hyphens, the found parts averaged, and the
+zero vector used when nothing is recognized.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import pickle
 import re
 import signal
 import threading
-import unicodedata
 import warnings
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParseError
+from .lexicon import normalize_word
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +102,8 @@ def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
 
     Entries are read in file order; with ``max_vocab`` set, reading
     stops once that many entries are stored, so the tail of a large file
-    is never touched. Words are NFC-normalised. A duplicate word keeps
+    is never touched. Words are stored by ``normalize_word``; one empty
+    under that rule, or holding a tab, is an error. A duplicate word keeps
     its first vector (the number of ignored lines is logged and recorded
     on the store). The error raised is the first defect in file order.
 
@@ -403,9 +404,8 @@ def _parse_lines(
             break
         lines_read += 1
         word, sep, rest = raw.partition(" ")
-        if not word.isascii() and not unicodedata.is_normalized("NFC", word):
-            word = unicodedata.normalize("NFC", word)
-        if not sep or not word or word in index or not _decodable(word):
+        word = normalize_word(word)
+        if not sep or not word or "\t" in word or word in index or not _decodable(word):
             # a duplicate, or a line whose word alone shows a defect: only a
             # duplicate passes the exact checks
             try:
@@ -456,8 +456,11 @@ def _split_checked(raw: str, line_no: int, dim: int, path) -> list[str]:
             f"expected word plus {dim} values, found {len(parts) - 1}",
             line_no=line_no, path=path,
         )
-    if not parts[0]:
+    word = normalize_word(parts[0])
+    if not word:
         raise ParseError("empty word", line_no=line_no, path=path)
+    if "\t" in word:
+        raise ParseError("word holds a tab", line_no=line_no, path=path)
     return parts
 
 

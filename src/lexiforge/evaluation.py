@@ -195,7 +195,7 @@ def _correlate(
         protocol=protocol,
         lexicons=ids,
         language=language,
-        n_shared=len(x.word_types) if n_shared is None else n_shared,
+        n_shared=len(x.row_index) if n_shared is None else n_shared,
         r=r,
         coverage=coverage,
         notes=notes,
@@ -341,7 +341,7 @@ def mt_vs_pred(
     ]
     if not names:
         raise SchemaError("no variable is shared by gold, MT, and predictions")
-    common = splits.pred_train & pred.word_types & mt.word_types
+    common = {w for w in splits.pred_train if w in pred.row_index and w in mt.row_index}
     shared = "gold words inside the train split"
     g, p = _align(restrict_to_words(gold, common), pred, shared)
     gid = gold_id if gold_id is not None else _lexicon_id(gold)

@@ -16,7 +16,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError, SchemaError
+from .errors import IntegrityError, ParseError
 
 SPLIT_TAGS = ("train", "dev", "test", "none")
 PROVENANCES = ("human", "translated", "predicted")
@@ -27,6 +27,10 @@ CANONICAL_VARIABLES = VAD_NAMES + BE5_NAMES
 
 # Rows whose values serialize_lexicon converts to Python floats at once.
 _SERIALIZE_ROWS = 1024
+
+# Largest value spread between duplicate entries that collapse_duplicates
+# merges: float round-off, never a real difference.
+_DUPLICATE_TOL = 1e-6
 
 
 #: (min, max) of the rating scale of each variable family that has one:
@@ -66,6 +70,13 @@ class VariableSet:
         return self.names.index(name)
 
 
+def normalize_word(text: str) -> str:
+    """The stored form of a word read from any input: NFC, with
+    surrounding whitespace stripped. An ASCII word needs no NFC."""
+    text = text.strip()
+    return text if text.isascii() else unicodedata.normalize("NFC", text)
+
+
 def infer_family(names: Iterable[str]) -> str:
     """The family of the names: dimensional (VAD only), discrete (BE5 only) or other."""
     names = tuple(names)
@@ -90,8 +101,8 @@ class Lexicon:
 
     ``values`` has one row per word in ``words`` and one column per
     variable. Word types need not be unique: a translated lexicon may
-    contain partial duplicates (same word, different values). Use
-    :attr:`unique_words` to test, :func:`collapse_duplicates` to merge.
+    contain partial duplicates (same word, different values);
+    :func:`collapse_duplicates` merges them.
     """
 
     variables: VariableSet
@@ -128,20 +139,13 @@ class Lexicon:
         return len(self.words)
 
     @cached_property
-    def unique_words(self) -> bool:
-        return len(set(self.words)) == len(self.words)
-
-    @cached_property
     def row_index(self) -> dict[str, int]:
-        """Word -> row of its first occurrence."""
+        """Word -> row of its first occurrence, in row order; every word-type
+        test and lookup on a lexicon reads it."""
         index: dict[str, int] = {}
         for i, w in enumerate(self.words):
             index.setdefault(w, i)
         return index
-
-    @cached_property
-    def word_types(self) -> frozenset[str]:
-        return frozenset(self.words)
 
     def split_words(self, tag: str) -> set[str]:
         """Word types carrying the given split tag."""
@@ -156,8 +160,8 @@ class Lexicon:
         return sizes
 
     def require_unique(self, context: str) -> None:
-        if not self.unique_words:
-            n_dup = len(self.words) - len(self.word_types)
+        n_dup = len(self.words) - len(self.row_index)
+        if n_dup:
             raise IntegrityError(
                 f"{context} requires unique word types; found {n_dup} duplicate entries"
             )
@@ -245,20 +249,14 @@ def derive_prediction_splits(mt: Lexicon, embedding_vocab: Iterable[str]) -> Spl
 
 
 def parse_lexicon(
-    stream: IO[str],
-    expected_variables: VariableSet | None = None,
-    *,
-    provenance: str = "human",
-    language: str = "und",
-    path=None,
+    stream: IO[str], *, provenance: str = "human", language: str = "und", path=None
 ) -> Lexicon:
     """Parse a lexicon TSV.
 
-    Words are NFC-normalized on ingestion; no case folding is applied.
+    Words are stored by :func:`normalize_word`; no case folding is applied.
     Human-provenance values must lie within the variable family's scale
     when one is known (predicted lexicons are allowed to exceed it).
-    Raises ParseError with a line number on malformed input and
-    SchemaError when the header does not match ``expected_variables``.
+    Raises ParseError with a line number on malformed input.
     """
     header_line = stream.readline()
     if not header_line:
@@ -274,10 +272,6 @@ def parse_lexicon(
         variables = VariableSet(names)
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", line_no=1, path=path) from exc
-    if expected_variables is not None and names != tuple(expected_variables.names):
-        raise SchemaError(
-            f"variable columns {names} do not match expected {tuple(expected_variables.names)}"
-        )
     scale = _SCALES.get(variables.family) if provenance == "human" else None
 
     k = len(names)
@@ -291,7 +285,7 @@ def parse_lexicon(
             raise ParseError(
                 f"expected {arity} fields, found {len(fields)}", line_no=line_no, path=path
             )
-        word = unicodedata.normalize("NFC", fields[0].strip())
+        word = normalize_word(fields[0])
         if not word:
             raise ParseError("empty word", line_no=line_no, path=path)
         row = []
@@ -356,11 +350,9 @@ def serialize_lexicon(lex: Lexicon, stream: IO[str]) -> None:
             stream.write("\t".join(fields) + "\n")
 
 
-def load_lexicon(path, expected_variables=None, *, provenance="human", language="und") -> Lexicon:
+def load_lexicon(path, *, provenance="human", language="und") -> Lexicon:
     with open(path, encoding="utf-8") as fh:
-        return parse_lexicon(
-            fh, expected_variables, provenance=provenance, language=language, path=path
-        )
+        return parse_lexicon(fh, provenance=provenance, language=language, path=path)
 
 
 def save_lexicon(lex: Lexicon, path) -> None:
@@ -369,14 +361,9 @@ def save_lexicon(lex: Lexicon, path) -> None:
 
 
 def load_word_list(path) -> set[str]:
-    """Read a reference word list (one word per line, NFC-normalized)."""
-    words = set()
+    """Read a reference word list: one word per line, blank lines skipped."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            w = unicodedata.normalize("NFC", raw.strip())
-            if w:
-                words.add(w)
-    return words
+        return {w for w in map(normalize_word, fh) if w}
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +408,25 @@ def split_by_reference(lex: Lexicon, test_ref: set[str], dev_ref: set[str]) -> L
     return replace(lex, splits=tags)
 
 
-def collapse_duplicates(lex: Lexicon, tol: float = 1e-6) -> Lexicon:
+def collapse_duplicates(lex: Lexicon) -> Lexicon:
     """Merge partial duplicates into one entry per word type.
 
     Keeps the first occurrence of each word. Any duplicate whose values
-    differ from the first occurrence by more than ``tol`` raises
-    IntegrityError: predictions for identical word types come from
-    identical vectors and must agree to float round-off.
+    differ from the first occurrence by more than ``_DUPLICATE_TOL``
+    raises IntegrityError: predictions for identical word types come
+    from identical vectors and must agree to float round-off.
     """
-    first: dict[str, int] = {}
-    keep: list[int] = []
-    for i, w in enumerate(lex.words):
-        j = first.get(w)
-        if j is None:
-            first[w] = i
-            keep.append(i)
-        else:
-            spread = float(np.max(np.abs(lex.values[i] - lex.values[j]))) if len(lex.variables) else 0.0
-            if spread > tol:
-                raise IntegrityError(
-                    f"duplicate entries for {w!r} differ by {spread:.3g} (tol {tol:g})"
-                )
-    if len(keep) == len(lex.words):
+    first = lex.row_index
+    if len(first) == len(lex.words):
         return lex
-    return _take(lex, keep)
+    for i, w in enumerate(lex.words):
+        j = first[w]
+        if j != i:
+            spread = float(np.max(np.abs(lex.values[i] - lex.values[j])))
+            if spread > _DUPLICATE_TOL:
+                raise IntegrityError(f"duplicate entries for {w!r} differ by {spread:.3g} "
+                                     f"(tol {_DUPLICATE_TOL:g})")
+    return _take(lex, list(first.values()))
 
 
 def restrict_to_words(lex: Lexicon, words: set[str] | frozenset[str]) -> Lexicon:

@@ -142,8 +142,18 @@ def _linear(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return X @ w + b
 
 
-def _default_variables(k: int) -> VariableSet:
-    return VariableSet(tuple(f"var{i}" for i in range(k)))
+def _fit_inputs(X, Y, variables: VariableSet | None = None):
+    """X and Y as finite float64 matrices with the same positive number of
+    rows, and the variables of Y's columns (``var0``, ``var1``, ... if None)."""
+    X = _as_matrix(X, "X")
+    Y = _as_matrix(Y, "Y")
+    if len(X) < 1 or len(Y) != len(X):
+        raise ValueError("X and Y must have the same positive number of rows")
+    if variables is None:
+        variables = VariableSet(tuple(f"var{i}" for i in range(Y.shape[1])))
+    if len(variables) != Y.shape[1]:
+        raise ValueError("variable set does not match Y width")
+    return X, Y, variables
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +167,10 @@ def fit_ridge(X, Y, alpha: float = 1.0, variables: VariableSet | None = None) ->
     Minimizes ||Y - XW - b||^2 + alpha * ||W||^2 with an unpenalized
     intercept, which is obtained by centering X and Y before the solve.
     """
-    X = _as_matrix(X, "X")
-    Y = _as_matrix(Y, "Y")
-    n, d = X.shape
-    if n < 1 or Y.shape[0] != n:
-        raise ValueError("X and Y must have the same positive number of rows")
+    X, Y, variables = _fit_inputs(X, Y, variables)
     if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be >= 0")
+    d = X.shape[1]
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean
@@ -178,10 +185,6 @@ def fit_ridge(X, Y, alpha: float = 1.0, variables: VariableSet | None = None) ->
     if not np.all(np.isfinite(coef)):
         raise NumericError("normal-equations solve produced non-finite coefficients; use alpha > 0")
     intercept = y_mean - x_mean @ coef
-    k = Y.shape[1]
-    variables = variables if variables is not None else _default_variables(k)
-    if len(variables) != k:
-        raise ValueError("variable set does not match Y width")
     return RidgeModel(variables=variables, coef=coef, intercept=intercept, alpha=float(alpha))
 
 
@@ -425,15 +428,9 @@ def fit_mtlffn(
     identical parameters. Once the ``stop`` event (if any) is set, the
     next step raises instead.
     """
-    X = _as_matrix(X, "X")
-    Y = _as_matrix(Y, "Y")
+    X, Y, variables = _fit_inputs(X, Y, variables)
     n, d = X.shape
-    if n < 1 or Y.shape[0] != n:
-        raise ValueError("X and Y must have the same positive number of rows")
     k = Y.shape[1]
-    variables = variables if variables is not None else _default_variables(k)
-    if len(variables) != k:
-        raise ValueError("variable set does not match Y width")
 
     rng = np.random.default_rng(cfg.seed)
     train = _TrainStep(d, k, cfg, min(n, cfg.batch_size), rng)
@@ -482,8 +479,7 @@ def grad_check(cfg: TrainConfig, X, Y, *, step: float = 1e-5) -> float:
     """
     if cfg.input_dropout != 0.0 or cfg.hidden_dropout != 0.0:
         raise ValueError("grad_check requires zero dropout rates")
-    X = _as_matrix(X, "X")
-    Y = _as_matrix(Y, "Y")
+    X, Y, _ = _fit_inputs(X, Y)
     train = _TrainStep(X.shape[1], Y.shape[1], cfg, len(X), np.random.default_rng(cfg.seed))
     rows = train.load(X, Y, np.arange(len(X)))
     train.forward(rows)
@@ -571,7 +567,7 @@ def predict_lexicon(
                 f"model expects {model.input_dim}-dim input, store has {store.dimension}"
             )
 
-    extra = [w for w in store.words if w not in mt.word_types]
+    extra = [w for w in store.words if w not in mt.row_index]
     words = list(mt.words) + extra
     values = np.empty((len(words), len(names)), dtype=np.float64)
     bounds = _near_equal_bounds(len(words), _PREDICT_CHUNK_ROWS)

@@ -8,12 +8,11 @@ tags are copied unchanged.
 from __future__ import annotations
 
 import logging
-import unicodedata
 from dataclasses import replace
 from typing import Mapping
 
 from .errors import MissingTranslationError, ParseError
-from .lexicon import Lexicon, _take
+from .lexicon import Lexicon, _take, normalize_word
 
 log = logging.getLogger(__name__)
 
@@ -22,10 +21,10 @@ def load_translation_table(path) -> dict[str, str]:
     """Read a two-column headerless TSV as a source word -> target dict.
 
     Target strings may contain spaces, hyphens, or apostrophes (the
-    embedding lookup handles multi-token terms). Both columns are
-    NFC-normalized. Later lines overwrite earlier ones for the same
-    source word. A line without exactly one tab, or with an empty
-    column, is an error.
+    embedding lookup handles multi-token terms). Both columns are stored
+    by :func:`normalize_word`. Later lines overwrite earlier ones for the
+    same source word. A line without exactly one tab, or with a column
+    empty under that rule, is an error.
     """
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -36,9 +35,7 @@ def load_translation_table(path) -> dict[str, str]:
                     f"expected exactly one tab, found {line.count(chr(9))}",
                     line_no=line_no, path=path,
                 )
-            src, tgt = line.split("\t")
-            src = unicodedata.normalize("NFC", src)
-            tgt = unicodedata.normalize("NFC", tgt)
+            src, tgt = map(normalize_word, line.split("\t"))
             if not src or not tgt:
                 raise ParseError("empty source or target word", line_no=line_no, path=path)
             mapping[src] = tgt

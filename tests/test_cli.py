@@ -514,31 +514,38 @@ def test_evaluate_recomputes_from_files(tmp_path, small_bundle, capsys):
 
 
 def test_evaluate_reproduces_run_with_nfc_nfd_twin_words(tmp_path, small_bundle):
+    """Twins are words the word rule makes one: NFC and NFD forms, a word
+    with and without a no-break space, a table target with whitespace
+    around it and the vocabulary word it names."""
     vectors = small_bundle["embeddings"]
     header, *lines = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
     count, dim = header.split()
-    twins = [
-        unicodedata.normalize(form, "schön") + " " + " ".join(["0.5"] * int(dim)) + "\n"
-        for form in ("NFC", "NFD")
-    ]
-    vectors.write_text(f"{int(count) + 2} {dim}\n" + "".join(lines + twins), encoding="utf-8")
-    config = _write_fast_config(tmp_path)
+    extra = [unicodedata.normalize("NFC", "schön"), unicodedata.normalize("NFD", "schön"),
+             "foo", "foo\xa0"]
+    lines += [f"{w} {' '.join([str(i + 0.5)] * int(dim))}\n" for i, w in enumerate(extra)]
+    vectors.write_text(f"{int(count) + len(extra)} {dim}\n" + "".join(lines), encoding="utf-8")
+    table = small_bundle["table"]
+    table.write_text(
+        table.read_text(encoding="utf-8")
+        .replace("w00001\tw00001\n", "w00001\tw00001 \n")  # a train word
+        .replace("w00055\tw00055\n", "w00055\t\u3000w00055\n"),  # a test word
+        encoding="utf-8",
+    )
+    golds = ["--gold", f"g1={small_bundle['gold']}"]
     out = tmp_path / "out"
-    assert main(_run_args(small_bundle, out, config, ["--gold", f"g1={small_bundle['gold']}"])) == 0
+    assert main(_run_args(small_bundle, out, _write_fast_config(tmp_path), golds)) == 0
+    pred_words = [line.split("\t")[0] for line in
+                  (out / "target_pred.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(pred_words) == len(set(pred_words)) == 202  # 200 + schön + foo
 
     eval_out = tmp_path / "eval_reports"
     assert main([
         "evaluate", "--mt", str(out / "target_mt.tsv"),
-        "--pred", str(out / "target_pred.tsv"),
-        "--gold", f"g1={small_bundle['gold']}",
-        "--out", str(eval_out),
+        "--pred", str(out / "target_pred.tsv"), *golds, "--out", str(eval_out),
     ]) == 0
-    for name in ("silver.json", "gold_g1.json"):
-        run_reports = json.loads((out / "reports" / name).read_text(encoding="utf-8"))
-        redone = json.loads((eval_out / name).read_text(encoding="utf-8"))
-        assert [(r["n_shared"], r["r"]) for r in redone] == [
-            (r["n_shared"], r["r"]) for r in run_reports
-        ]
+    run_files = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+    assert sorted(run_files) == ["gold_g1.json", "mt_vs_pred_g1.json", "silver.json"]
+    assert {p.name: p.read_bytes() for p in eval_out.iterdir()} == run_files
 
 
 def test_evaluate_rewrites_the_run_report_files(tmp_path, small_bundle):

@@ -168,7 +168,8 @@ def test_load_reports_undecodable_byte_line(tmp_path):
 
 
 def reference_parse(stream, max_vocab=None, path=None):
-    """The per-line parser that block parsing replaced, plus NFC words."""
+    """The per-line parser that block parsing replaced, plus the word rule:
+    NFC with surrounding whitespace stripped, never empty, no tab."""
     header = stream.readline()
     if not header:
         raise ParseError("empty input, missing '<count> <dim>' header", line_no=1, path=path)
@@ -195,9 +196,11 @@ def reference_parse(stream, max_vocab=None, path=None):
                 f"expected word plus {dim} values, found {len(parts) - 1}",
                 line_no=line_no, path=path,
             )
-        word = unicodedata.normalize("NFC", parts[0])
+        word = unicodedata.normalize("NFC", parts[0]).strip()
         if not word:
             raise ParseError("empty word", line_no=line_no, path=path)
+        if "\t" in word:
+            raise ParseError("word holds a tab", line_no=line_no, path=path)
         if word in index:
             duplicates += 1
             continue
@@ -263,7 +266,10 @@ def test_block_parser_matches_reference_examples(tmp_path, text, max_vocab, expe
     assert assert_matches_reference(tmp_path / "vecs.txt", text, max_vocab)[0] == expected
 
 
-_WORDS = ["a", "b", "c", "d", "e", unicodedata.normalize("NFD", "schön"), "schön"]
+# "a\xa0" and "\x1fe" are stored as "a" and "e"; "\u3000" is empty and
+# "c\td" holds a tab under the word rule
+_WORDS = ["a", "b", "c", "d", "e", unicodedata.normalize("NFD", "schön"), "schön",
+          "a\xa0", "\x1fe", "\u3000", "c\td"]
 # all accepted by float(); "1_0" and "\u0661" are not by numpy, and a
 # mid-line "\r" ends its line
 _TOKENS = ["0", "1.5", "-2", "0.25", "+1", "1e5", "-0", "3.", "1_0", "\u0661", "2\r"]
@@ -368,6 +374,11 @@ NFC, NFD = unicodedata.normalize("NFC", "schön"), unicodedata.normalize("NFD", 
     (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\n", 2, None, "header promised 6 vectors"),
     # a max_vocab cut parses in one range
     (b"4 2\na 1 2\nb 3 4\nc 5 6\nd x\n", 2, 2, ("a", "b")),
+    # a word that holds a tab, or is empty under the word rule, in either range
+    (b"6 2\na 1 2\nc\td 3 4\nb 5 6\nd 7 8\ne 9 0\nf 1 1\n", 2, None, "line 3: word holds a tab"),
+    (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9 0\nc\td 1 1\n", 2, None, "line 7: word holds a tab"),
+    ("6 2\na 1 2\n\u3000 3 4\nb 5 6\nd 7 8\ne 9 0\nf 1 1\n".encode(), 2, None, "line 3: empty word"),
+    ("6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9 0\n\u3000 1 1\n".encode(), 2, None, "line 7: empty word"),
 ])
 def test_split_parse_matches_one_part_examples(tmp_path, data, parts, max_vocab, expected):
     path = tmp_path / "vecs.txt"

@@ -569,7 +569,7 @@ def reference_mt_vs_pred(gold, mt, pred, splits, *, gold_id=None):
     gold_rows, pred_rows = gold.row_index, pred.row_index
     common = {
         w for w in gold.words
-        if w in splits.pred_train and w in pred_rows and w in mt.word_types
+        if w in splits.pred_train and w in pred_rows and w in mt.row_index
     }
     if len(common) < 2:
         raise InsufficientOverlapError(

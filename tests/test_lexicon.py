@@ -11,18 +11,21 @@ from lexiforge import (
     IntegrityError,
     Lexicon,
     ParseError,
-    SchemaError,
     SplitSets,
     VariableSet,
     collapse_duplicates,
     derive_prediction_splits,
     filter_source_entries,
+    load_embedding_store,
+    load_lexicon,
+    load_translation_table,
     parse_lexicon,
     restrict_to_split,
     restrict_to_words,
     serialize_lexicon,
     split_by_reference,
 )
+from lexiforge.lexicon import load_word_list
 from helpers import build_lexicon
 
 EIGHT_VARS = ("Val", "Aro", "Dom", "Joy", "Ang", "Sad", "Fea", "Dis")
@@ -123,14 +126,6 @@ def test_parse_errors_carry_line_numbers():
         parse_lexicon(io.StringIO(""))
 
 
-def test_parse_expected_variables_mismatch():
-    with pytest.raises(SchemaError):
-        parse_lexicon(
-            io.StringIO("word\tVal\tAro\na\t1\t2\n"),
-            expected_variables=VariableSet(("Val", "Aro", "Dom")),
-        )
-
-
 def test_parse_rejects_human_values_outside_scale():
     with pytest.raises(ParseError) as err:
         parse_lexicon(io.StringIO("word\tVal\tAro\na\t12.0\t5.0\n"))
@@ -153,6 +148,37 @@ def test_parse_normalizes_nfc():
     text = "word\tVal\ncafé\t1.0\n"
     lex = parse_lexicon(io.StringIO(text))
     assert lex.words == ("café",)
+
+
+def _stored_words(tmp_path, raw: str) -> dict[str, object]:
+    """The words each of the four readers stores for a line holding ``raw``."""
+    files = {"lexicon": f"word\tVal\n{raw}\t5\n", "table": f"{raw}\t{raw}\n",
+             "vectors": f"1 2\n{raw} 1 2\n", "word list": f"{raw}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    table = load_translation_table(tmp_path / "table")
+    return {
+        "lexicon": load_lexicon(tmp_path / "lexicon").words,
+        "table source": tuple(table),
+        "table target": tuple(table.values()),
+        "vectors": load_embedding_store(tmp_path / "vectors").words,
+        "word list": tuple(load_word_list(tmp_path / "word list")),
+    }
+
+
+@pytest.mark.parametrize("raw, stored", [
+    ("plain", "plain"),
+    ("cafe\u0301", "café"),  # NFD
+    ("foo\xa0", "foo"),
+    ("\u3000bar", "bar"),
+    ("\x1fbaz\u2029", "baz"),
+    ("\u2003e\u0301\x85", "é"),
+    ("in\xa0side\u0301", "in\xa0sidé"),
+])
+def test_every_reader_stores_the_same_word(tmp_path, raw, stored):
+    assert _stored_words(tmp_path, raw) == dict.fromkeys(
+        ["lexicon", "table source", "table target", "vectors", "word list"], (stored,)
+    )
 
 
 words_strategy = st.lists(
@@ -404,7 +430,7 @@ def test_collapse_exact_duplicates():
     )
     merged = collapse_duplicates(lex)
     assert merged.words == ("bank", "tree")
-    assert merged.unique_words
+    assert len(set(merged.words)) == len(merged.words)
 
 
 def test_collapse_identity_on_unique():
@@ -418,7 +444,7 @@ def test_collapse_within_tolerance_keeps_first():
         variables=("y1", "y2"),
         provenance="predicted",
     )
-    merged = collapse_duplicates(lex, tol=1e-6)
+    merged = collapse_duplicates(lex)
     assert merged.words == ("bank",)
     assert merged.values[0, 0] == 5.0
 
@@ -431,7 +457,7 @@ def test_collapse_within_tolerance_keeps_first():
         v = base[w]
         rows.append((w, (v[0] + rng.uniform(-1e-9, 1e-9), v[1])))
     lex = build_lexicon(rows, variables=("y1", "y2"), provenance="predicted")
-    merged = collapse_duplicates(lex, tol=1e-6)
+    merged = collapse_duplicates(lex)
     assert list(merged.words) == list(dict.fromkeys(w for w, _ in rows))
     assert len(merged) == len({w for w, _ in rows})
 
@@ -443,7 +469,7 @@ def test_collapse_raises_beyond_tolerance():
         provenance="predicted",
     )
     with pytest.raises(IntegrityError):
-        collapse_duplicates(lex, tol=1e-6)
+        collapse_duplicates(lex)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,29 @@ def test_divergence_raises_with_step_index():
     assert err.value.step >= 1
 
 
+@pytest.mark.parametrize("fit", [
+    lambda X, Y: fit_ridge(X, Y, 0.0),
+    lambda X, Y: fit_mtlffn(X, Y, SMALL),
+    lambda X, Y: grad_check(SMALL, X, Y),
+], ids=["ridge", "mtlffn", "grad_check"])
+@pytest.mark.parametrize("X, Y, message", [
+    (np.zeros(3), np.zeros((3, 1)), "X must be a 2-d matrix"),
+    (np.zeros((3, 2)), np.full((3, 1), np.inf), "Y must be finite"),
+    (np.zeros((3, 2)), np.zeros((4, 1)), "X and Y must have the same positive number of rows"),
+    (np.zeros((0, 2)), np.zeros((0, 1)), "X and Y must have the same positive number of rows"),
+    (np.zeros((3, 2)), np.zeros((3, 0)), "variable set must not be empty"),
+], ids=["1-d X", "infinite Y", "other row counts", "no rows", "no Y columns"])
+def test_every_fitter_checks_its_inputs_alike(fit, X, Y, message):
+    with pytest.raises(ValueError, match=message):
+        fit(X, Y)
+
+
+def test_ridge_checks_its_variables_before_the_solve():
+    # the zero matrix makes the normal equations singular at alpha 0
+    with pytest.raises(ValueError, match="variable set does not match Y width"):
+        fit_ridge(np.zeros((3, 2)), np.zeros((3, 1)), 0.0, VariableSet(("a", "b")))
+
+
 def test_fit_rejects_bad_shapes():
     with pytest.raises(ValueError):
         fit_mtlffn(np.zeros((4, 3)), np.zeros((5, 2)), SMALL)
@@ -659,7 +682,7 @@ def test_expand_includes_embedding_only_words():
     model, store, mt, splits = _expansion_fixture()
     result = expand_lexicon([model], store, mt, splits)
     assert set(result.words) == set(mt.words) | {"new1", "new2"}
-    assert result.unique_words
+    assert len(set(result.words)) == len(result.words)
     assert result.provenance == "predicted"
     # embedding-only words carry predicted scores and the test tag
     i = result.words.index("new1")
@@ -697,7 +720,7 @@ def test_expand_duplicate_words_get_identical_predictions():
     assert len(rows) == 2
     assert np.array_equal(pre.values[rows[0]], pre.values[rows[1]])
     merged = collapse_duplicates(pre)
-    assert merged.unique_words
+    assert len(set(merged.words)) == len(merged.words)
 
 
 def test_expand_concatenates_model_groups():
@@ -750,7 +773,7 @@ def test_chunked_prediction_equals_one_call(n_rows, monkeypatch):
     assert sum(chunks) == n_rows
     assert max(chunks) - min(chunks) <= 1 and max(chunks) <= CHUNK
 
-    words = list(mt.words) + [w for w in store.words if w not in mt.word_types]
+    words = list(mt.words) + [w for w in store.words if w not in mt.row_index]
     matrix, _ = embed_matrix(store, words)
     expected = np.hstack([predict(model, matrix) for model in models])
     assert pred.words == tuple(words)
