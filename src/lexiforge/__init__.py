@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .embeddings import (
     EmbeddingStore,
+    WordRows,
     embed_matrix,
     embed_term,
     load_embedding_store,

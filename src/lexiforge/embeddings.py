@@ -22,6 +22,7 @@ import re
 import signal
 import threading
 import warnings
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -66,10 +67,7 @@ class EmbeddingStore:
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] != len(words):
             raise ValueError(f"vectors shape {vectors.shape} does not match {len(words)} words")
-        if not all(
-            np.isfinite(vectors[lo:lo + _BLOCK_ROWS]).all()
-            for lo in range(0, len(vectors), _BLOCK_ROWS)
-        ):
+        if not all_finite(vectors):
             raise ValueError("vectors must be finite")
         if vectors.shape[1] < 1:
             raise ValueError("dimension must be positive")
@@ -95,6 +93,12 @@ class EmbeddingStore:
 
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self._index[word]]
+
+
+def all_finite(rows: np.ndarray) -> bool:
+    """Whether every entry of ``rows`` is finite, checked ``_BLOCK_ROWS`` rows at a time."""
+    return all(np.isfinite(rows[lo:lo + _BLOCK_ROWS]).all()
+               for lo in range(0, len(rows), _BLOCK_ROWS))
 
 
 def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
@@ -508,23 +512,59 @@ def embed_term(store: EmbeddingStore, term: str) -> tuple[np.ndarray, str]:
     return store.vectors[hits].mean(axis=0), "averaged"
 
 
-def embed_matrix(
-    store: EmbeddingStore, words: Sequence[str]
-) -> tuple[np.ndarray, list[str]]:
-    """Stack embed_term results for an ordered word list.
+@dataclass(frozen=True, eq=False)
+class WordRows:
+    """The vectors of an ordered word list, gathered from the store on demand.
 
-    Row i is exactly ``embed_term(store, words[i])``; the second return
-    value carries the per-row resolution tags.
+    Row i is ``embed_term(store, words[i])``: ``rows[i]`` is its row in
+    the store's vectors, or ``len(store) + j`` for row j of ``extra``,
+    which holds the averaged and zero vectors. Copying rows out writes
+    only to the caller's buffer, so threads may share one instance.
+    """
+
+    store: EmbeddingStore
+    rows: np.ndarray
+    extra: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.store.dimension
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, indices, out: np.ndarray) -> np.ndarray:
+        """Copy the rows at ``indices`` (an index array or a slice) into ``out``."""
+        rows = self.rows[indices]
+        n_store = len(self.store)
+        if n_store:
+            # a row of ``extra`` reads the last store row and is overwritten
+            # below; "clip" writes straight into ``out``, where "raise"
+            # would buffer a copy
+            np.take(self.store.vectors, rows, axis=0, out=out, mode="clip")
+        if len(self.extra):
+            outside = np.flatnonzero(rows >= n_store)
+            out[outside] = self.extra[rows[outside] - n_store]
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """A new matrix of all rows; numpy casts it to ``dtype``."""
+        return self.take(slice(None), np.empty(self.shape))
+
+
+def embed_matrix(store: EmbeddingStore, words: Sequence[str]) -> tuple[WordRows, list[str]]:
+    """Resolve an ordered word list by embed_term, without copying store rows.
+
+    Row i of the returned rows is exactly ``embed_term(store, words[i])``;
+    the second return value carries the per-row resolution tags.
     """
     rows = [store._index.get(word, -1) for word in words]
-    out = np.empty((len(words), store.dimension), dtype=np.float64)
-    if len(store):
-        # one gather for the vocabulary words; a miss reads row 0 and is
-        # overwritten below. "clip" writes straight into ``out``, where
-        # "raise" would buffer a copy.
-        np.take(store.vectors, rows, axis=0, out=out, mode="clip")
     tags = ["direct"] * len(words)
+    extra = []
     for i, row in enumerate(rows):
         if row < 0:
-            out[i], tags[i] = embed_term(store, words[i])
-    return out, tags
+            vector, tags[i] = embed_term(store, words[i])
+            rows[i] = len(store) + len(extra)
+            extra.append(vector)
+    extra = np.array(extra, dtype=np.float64).reshape(len(extra), store.dimension)
+    return WordRows(store, np.array(rows, dtype=np.intp), extra), tags

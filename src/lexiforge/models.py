@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, embed_matrix
+from .embeddings import EmbeddingStore, WordRows, all_finite, embed_matrix
 from .errors import DivergenceError, LexiforgeError, NumericError
 from .lexicon import Lexicon, SplitSets, VariableSet, collapse_duplicates, infer_family
 
@@ -120,11 +121,15 @@ class RidgeModel:
 Model = MtlffnModel | RidgeModel
 
 
-def _as_matrix(X, name: str) -> np.ndarray:
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {X.shape}")
-    if X.size and not np.all(np.isfinite(X)):
+def _as_matrix(X, name: str) -> np.ndarray | WordRows:
+    """X as a C-contiguous float64 matrix, or WordRows as they are; finite."""
+    if isinstance(X, WordRows):
+        checked = X.extra  # the store checked its own rows when it was built
+    else:
+        X = checked = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"{name} must be a 2-d matrix, got shape {X.shape}")
+    if not all_finite(checked):
         raise ValueError(f"{name} must be finite")
     return X
 
@@ -143,8 +148,8 @@ def _linear(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fit_inputs(X, Y, variables: VariableSet | None = None):
-    """X and Y as finite float64 matrices with the same positive number of
-    rows, and the variables of Y's columns (``var0``, ``var1``, ... if None)."""
+    """X and Y as by ``_as_matrix``, with the same positive number of rows,
+    and the variables of Y's columns (``var0``, ``var1``, ... if None)."""
     X = _as_matrix(X, "X")
     Y = _as_matrix(Y, "Y")
     if len(X) < 1 or len(Y) != len(X):
@@ -166,14 +171,16 @@ def fit_ridge(X, Y, alpha: float = 1.0, variables: VariableSet | None = None) ->
 
     Minimizes ||Y - XW - b||^2 + alpha * ||W||^2 with an unpenalized
     intercept, which is obtained by centering X and Y before the solve.
+    X may be a matrix or WordRows.
     """
     X, Y, variables = _fit_inputs(X, Y, variables)
     if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be >= 0")
     d = X.shape[1]
-    x_mean = X.mean(axis=0)
+    Xc = np.array(X)  # a copy, centred in place
+    x_mean = Xc.mean(axis=0)
     y_mean = Y.mean(axis=0)
-    Xc = X - x_mean
+    Xc -= x_mean
     Yc = Y - y_mean
     gram = Xc.T @ Xc + alpha * np.eye(d)
     try:
@@ -247,21 +254,27 @@ def _leaky_factor(z: np.ndarray, slope: float, out: np.ndarray, sign: np.ndarray
     return out
 
 
-def _forward(params: dict[str, np.ndarray], X: np.ndarray, slope: float) -> np.ndarray:
+def _forward(params: dict[str, np.ndarray], X: np.ndarray | WordRows,
+             slope: float) -> np.ndarray:
     bounds = _near_equal_bounds(len(X), _HIDDEN_BLOCK_ROWS)
-    hidden = np.empty((len(X), params["w2"].shape[1]))
-    # one factor and one sign buffer serve every block and layer
+    h1, h2 = params["w1"].shape[1], params["w2"].shape[1]
     rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    size = rows * max(params["w1"].shape[1], params["w2"].shape[1])
-    factor, sign = np.empty(size), np.empty(size, dtype=bool)
+    # Buffers that serve every block: the gathered input rows (of
+    # WordRows), the first layer's output and, for both layers, one
+    # factor and one sign buffer. The second layer writes its block of
+    # ``hidden``.
+    hidden = np.empty((len(X), h2))
+    first = np.empty((rows, h1))
+    factor, sign = np.empty(rows * max(h1, h2)), np.empty(rows * max(h1, h2), dtype=bool)
+    block = np.empty((rows, X.shape[1])) if isinstance(X, WordRows) else None
     for lo, hi in zip(bounds, bounds[1:]):
-        a = X[lo:hi]
-        for i in (1, 2):  # bias and leaky ReLU in place
-            a = a @ params[f"w{i}"]
-            a += params[f"b{i}"]
-            a *= _leaky_factor(a, slope, factor[: a.size].reshape(a.shape),
-                               sign[: a.size].reshape(a.shape))
-        hidden[lo:hi] = a
+        a = X[lo:hi] if block is None else X.take(slice(lo, hi), block[: hi - lo])
+        for i, z in ((1, first[: hi - lo]), (2, hidden[lo:hi])):
+            np.matmul(a, params[f"w{i}"], out=z)  # then bias and leaky ReLU in place
+            z += params[f"b{i}"]
+            z *= _leaky_factor(z, slope, factor[: z.size].reshape(z.shape),
+                               sign[: z.size].reshape(z.shape))
+            a = z
     # the output layer runs once over all rows: with a narrow output its
     # rows depend on the row count
     return _linear(hidden, params["w3"], params["b3"])
@@ -323,11 +336,14 @@ class _TrainStep:
             self.params[name][...] = init[name]
         self.flags = np.empty(rows * max(d, h1, h2), dtype=bool)
 
-    def load(self, X: np.ndarray, Y: np.ndarray, idx: np.ndarray) -> int:
+    def load(self, X: np.ndarray | WordRows, Y: np.ndarray, idx: np.ndarray) -> int:
         """Copy rows ``idx`` of X and Y into the batch; returns the row count."""
         n = len(idx)
-        # mode="clip": with the default "raise", take buffers its output
-        np.take(X, idx, axis=0, out=self.flat["x"][:n], mode="clip")
+        if isinstance(X, WordRows):
+            X.take(idx, self.flat["x"][:n])
+        else:
+            # mode="clip": with the default "raise", take buffers its output
+            np.take(X, idx, axis=0, out=self.flat["x"][:n], mode="clip")
         np.take(Y, idx, axis=0, out=self.flat["y"][:n], mode="clip")
         return n
 
@@ -425,7 +441,8 @@ def fit_mtlffn(
     visits a fresh seeded permutation of the rows and the last partial
     batch is used, not dropped. Dropout uses inverted scaling at train
     time. Two runs with equal inputs and config produce bitwise
-    identical parameters. Once the ``stop`` event (if any) is set, the
+    identical parameters. X may be a matrix or WordRows, whose rows
+    each batch gathers. Once the ``stop`` event (if any) is set, the
     next step raises instead.
     """
     X, Y, variables = _fit_inputs(X, Y, variables)
@@ -458,7 +475,9 @@ def predict(model: Model, X) -> np.ndarray:
     """Deterministic forward pass; dropout is never applied.
 
     Identical rows of X yield identical output rows, which is what makes
-    duplicate collapsing of the predicted lexicon sound.
+    duplicate collapsing of the predicted lexicon sound. X may be a
+    matrix or WordRows; the network gathers the rows of WordRows one
+    hidden block at a time, a ridge model all at once.
     """
     X = _as_matrix(X, "X")
     if X.shape[1] != model.input_dim:
@@ -466,7 +485,7 @@ def predict(model: Model, X) -> np.ndarray:
             f"input has {X.shape[1]} columns, model expects {model.input_dim}"
         )
     if isinstance(model, RidgeModel):
-        return _linear(X, model.coef, model.intercept)
+        return _linear(np.asarray(X), model.coef, model.intercept)
     return _forward(model.params(), X, model.config.leaky_slope)
 
 
@@ -541,7 +560,8 @@ _PREDICT_CHUNK_ROWS = 8192
 
 
 def predict_lexicon(
-    models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets
+    models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets,
+    *, resolution: Counter | None = None,
 ) -> Lexicon:
     """Predict ratings for every MT entry plus every embedding-only word.
 
@@ -552,7 +572,8 @@ def predict_lexicon(
 
     Rows are embedded and predicted in near-equal chunks of at most
     ``_PREDICT_CHUNK_ROWS``; the values equal those of one ``predict``
-    call over all rows, bit for bit.
+    call over all rows, bit for bit. ``resolution``, if given, counts
+    each row's resolution tag (``direct``, ``averaged`` or ``zero``).
     """
     if not models:
         raise ValueError("at least one model required")
@@ -570,11 +591,14 @@ def predict_lexicon(
     extra = [w for w in store.words if w not in mt.row_index]
     words = list(mt.words) + extra
     values = np.empty((len(words), len(names)), dtype=np.float64)
+    columns = np.cumsum([0] + [len(model.variables) for model in models])
     bounds = _near_equal_bounds(len(words), _PREDICT_CHUNK_ROWS)
     for lo, hi in zip(bounds, bounds[1:]):
-        matrix, _ = embed_matrix(store, words[lo:hi])
-        values[lo:hi] = np.hstack([predict(model, matrix) for model in models])
-        del matrix  # else it lives on while the next chunk's is built
+        rows, tags = embed_matrix(store, words[lo:hi])
+        if resolution is not None:
+            resolution.update(tags)
+        for model, first, last in zip(models, columns, columns[1:]):
+            values[lo:hi, first:last] = predict(model, rows)
 
     return Lexicon(
         variables=VariableSet(names),
@@ -587,7 +611,8 @@ def predict_lexicon(
 
 
 def expand_lexicon(
-    models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets
+    models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets,
+    *, resolution: Counter | None = None,
 ) -> Lexicon:
     """Predicted lexicon over all MT and embedding words, one entry per type.
 
@@ -595,8 +620,10 @@ def expand_lexicon(
     (same word, same vector, deterministic forward pass) and are merged;
     a value spread above :func:`collapse_duplicates`'s tolerance would
     mean the prediction step is broken and raises IntegrityError.
+    ``resolution`` is passed to :func:`predict_lexicon`.
     """
-    return collapse_duplicates(predict_lexicon(models, store, mt, splits))
+    return collapse_duplicates(predict_lexicon(models, store, mt, splits,
+                                               resolution=resolution))
 
 
 # ---------------------------------------------------------------------------

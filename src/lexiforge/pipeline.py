@@ -21,6 +21,7 @@ import logging
 import os
 import threading
 import time
+from collections import Counter
 from collections.abc import Collection
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -253,6 +254,12 @@ def _output_lock(out_dir: Path):
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
+        pid = _dead_owner(lock_path)
+        if pid is not None:
+            raise LexiforgeError(
+                f"output directory {out_dir} is locked by process {pid}, which is no "
+                f"longer running (remove {lock_path} to reuse the directory)"
+            ) from None
         raise LexiforgeError(
             f"output directory {out_dir} is locked by another run "
             f"(remove {lock_path} if that run is dead)"
@@ -266,18 +273,36 @@ def _output_lock(out_dir: Path):
             os.unlink(lock_path)
 
 
+def _dead_owner(lock_path: Path) -> int | None:
+    """The process id in a lock file if no process has that id, else None.
+
+    The lock file is only read: it is for the user to remove.
+    """
+    try:
+        pid = int(lock_path.read_text(encoding="ascii"))
+        if pid > 0:  # os.kill would signal a process group
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError):  # unreadable, not a number, or another user's process
+        pass
+    return None
+
+
 @contextlib.contextmanager
 def _stage(manifest: _Manifest | None, name: str):
     """Run one named stage; its failure is raised as a PipelineError.
 
-    With a manifest, the stage's status and seconds (or its error) and the
+    Yields a dict whose entries the stage may fill. With a manifest, the
+    stage's status and seconds (or its error), those entries and the
     process's peak RSS so far are appended to the manifest's stage list;
     the manifest is rewritten only when the stage fails.
     """
     started = time.perf_counter()
     log.info("stage %s ...", name)
+    details: dict = {}
     try:
-        yield
+        yield details
     except Exception as exc:
         if manifest is not None:
             manifest.add_stage({"name": name, "status": "failed", "error": str(exc)})
@@ -285,7 +310,12 @@ def _stage(manifest: _Manifest | None, name: str):
         raise PipelineError(name, exc) from exc
     if manifest is not None:
         manifest.add_stage({"name": name, "status": "ok",
-                            "seconds": round(time.perf_counter() - started, 3)})
+                            "seconds": round(time.perf_counter() - started, 3), **details})
+
+
+def _resolution_counts(tags: Counter) -> dict[str, int]:
+    """How many rows got a stored, an averaged and a zero vector."""
+    return {tag: tags[tag] for tag in ("direct", "averaged", "zero")}
 
 
 def prepare_source(
@@ -356,10 +386,11 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
         with _stage(manifest, "splits"):
             splits = derive_prediction_splits(mt, store.words)
 
-        with _stage(manifest, "train"):
+        with _stage(manifest, "train") as details:
             train_rows = [i for i, s in enumerate(mt.splits) if s == "train"]
             train_words = [mt.words[i] for i in train_rows]
-            X, _ = embed_matrix(store, train_words)
+            X, tags = embed_matrix(store, train_words)
+            details["resolution"] = _resolution_counts(Counter(tags))
             Y = mt.values[train_rows]
             stop = threading.Event()
             if settings.model == "mtlffn":
@@ -371,7 +402,7 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
                                   hyper, group)
                 for group in variable_groups(mt.variables, joint=settings.joint_mtl)
             ], stop)
-            del X, Y  # expansion peaks at the store plus one chunk, not plus these
+            del X, Y, tags  # expansion peaks at the store plus one chunk, not plus these
             checkpoints_dir.mkdir(exist_ok=True)
             for model in models:
                 label = "_".join(n.lower() for n in model.variables.names)
@@ -379,8 +410,10 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
                 save_checkpoint(model, ckpt)
                 manifest.add_output(f"checkpoint:{settings.model}_{label}", ckpt)
 
-        with _stage(manifest, "expand"):
-            pred = expand_lexicon(models, store, mt, splits)
+        with _stage(manifest, "expand") as details:
+            resolution = Counter()
+            pred = expand_lexicon(models, store, mt, splits, resolution=resolution)
+            details["resolution"] = _resolution_counts(resolution)
             pred_path = out / "target_pred.tsv"
             save_lexicon(pred, pred_path)
             manifest.add_output("target_pred", pred_path)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import unicodedata
 import weakref
 from dataclasses import asdict
@@ -26,6 +27,7 @@ from lexiforge import (
     TrainConfig,
     embed_matrix,
     expand_lexicon,
+    load_embedding_store,
     load_lexicon,
     load_reports,
     run_pipeline,
@@ -34,7 +36,7 @@ from lexiforge import (
 )
 from lexiforge.cli import main, parse_config_file
 from lexiforge.pipeline import evaluate_protocols
-from helpers import build_lexicon, write_pipeline_bundle
+from helpers import build_lexicon, save_translation_table, write_pipeline_bundle
 
 
 RAW_SOURCE = (
@@ -206,7 +208,12 @@ def test_run_failure_manifest_lists_stages_up_to_the_failed_one(
     assert manifest == written[1] and manifest["status"] == "incomplete"
     *ok, failed = manifest["stages"]
     assert [s["name"] for s in ok] == RUN_STAGES
-    assert all(s.keys() == {"name", "status", "seconds"} and s["status"] == "ok" for s in ok)
+
+    def keys(stage):  # train and expand also record how their rows got vectors
+        return {"name", "status", "seconds"} | (
+            {"resolution"} if stage["name"] in ("train", "expand") else set())
+
+    assert all(s.keys() == keys(s) and s["status"] == "ok" for s in ok)
     assert failed.keys() == {"name", "status", "error"}
     assert failed["name"] == "gold-eval-bad" and failed["status"] == "failed"
     assert "need at least 2" in failed["error"]
@@ -409,24 +416,71 @@ def test_run_with_a_missing_input_creates_no_output_directory(tmp_path, small_bu
     assert not out.exists()
 
 
-def test_run_frees_the_training_matrix_before_expansion(tmp_path, small_bundle, monkeypatch):
+def test_run_frees_the_training_matrix_before_expansion(tmp_path, monkeypatch):
+    # 2,800 train rows of 300 dimensions: far more than a small network's workspace
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=3000, n_vocab=3100, dim=300,
+                                   k=2, split_sizes=(2800, 100, 100), seed=8)
     train_matrices = []
+    training_peaks = []
     alive_at_expansion = []
+    save_checkpoint = lexiforge.pipeline.save_checkpoint
 
     def recording_embed_matrix(store, words):
         matrix, tags = embed_matrix(store, words)
-        train_matrices.append(weakref.ref(matrix))
+        train_matrices.append((weakref.ref(matrix), len(words) * store.dimension))
+        tracemalloc.start()  # what training allocates from here on
         return matrix, tags
 
+    def checking_save_checkpoint(*args, **kwargs):
+        if tracemalloc.is_tracing():  # the fits have returned
+            training_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        return save_checkpoint(*args, **kwargs)
+
     def checking_expand_lexicon(*args, **kwargs):
-        alive_at_expansion.append(train_matrices[0]() is not None)
+        alive_at_expansion.append(train_matrices[0][0]() is not None)
         return expand_lexicon(*args, **kwargs)
 
     monkeypatch.setattr(lexiforge.pipeline, "embed_matrix", recording_embed_matrix)
+    monkeypatch.setattr(lexiforge.pipeline, "save_checkpoint", checking_save_checkpoint)
     monkeypatch.setattr(lexiforge.pipeline, "expand_lexicon", checking_expand_lexicon)
-    config = _write_fast_config(tmp_path)
-    assert main(_run_args(small_bundle, tmp_path / "out", config)) == 0
-    assert len(train_matrices) == 1 and alive_at_expansion == [False]
+    config = tmp_path / "small.cfg"
+    config.write_text("hidden = 8,4\nepochs = 1\nbatch_size = 16\n", encoding="utf-8")
+    try:
+        assert main(_run_args(bundle, tmp_path / "out", config)) == 0
+    finally:
+        tracemalloc.stop()
+    [(_, train_entries)] = train_matrices
+    assert alive_at_expansion == [False]
+    # no array of the train rows' entries, not even a bool mask of them
+    [peak] = training_peaks
+    assert peak < train_entries
+
+
+def test_run_manifest_counts_how_rows_got_their_vectors(tmp_path, small_bundle):
+    words = small_bundle["words"]
+    table = {w: w for w in words[:60]}
+    for i in (1, 2, 3, 45):  # three train words and a test word get averaged vectors
+        table[words[i]] = f"{words[i]}x {words[100 + i]}"
+    for i in (4, 5):  # and two train words the zero vector
+        table[words[i]] = f"unknown{i}"
+    save_translation_table(table, tmp_path / "table.tsv")
+    bundle = {**small_bundle, "table": tmp_path / "table.tsv"}
+    out = tmp_path / "out"
+    assert main(_run_args(bundle, out, _write_fast_config(tmp_path))) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    stages = {stage["name"]: stage for stage in manifest["stages"]}
+    assert stages["train"]["resolution"] == {"direct": 35, "averaged": 3, "zero": 2}
+    assert stages["expand"]["resolution"] == {"direct": 200, "averaged": 4, "zero": 2}
+
+    store = load_embedding_store(bundle["embeddings"])
+    mt = load_lexicon(out / "target_mt.tsv")
+    train_words = [w for w, split in zip(mt.words, mt.splits) if split == "train"]
+    pred_words = list(mt.words) + [w for w in store.words if w not in mt.row_index]
+    for name, stage_words in (("train", train_words), ("expand", pred_words)):
+        tags = embed_matrix(store, stage_words)[1]
+        counts = {tag: tags.count(tag) for tag in ("direct", "averaged", "zero")}
+        assert stages[name]["resolution"] == counts, name
 
 
 def test_run_skip_translation_copies_source(tmp_path, small_bundle):
@@ -468,6 +522,27 @@ def test_run_respects_output_lock(tmp_path, small_bundle, capsys):
     code = main(_run_args(small_bundle, out, config))
     assert code == 1
     assert "locked" in capsys.readouterr().err
+
+
+def test_a_lock_left_by_a_dead_run_names_its_process(tmp_path, small_bundle, capsys):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert child.wait(timeout=60) == 0  # reaped: no process has this id now
+    out = tmp_path / "out"
+    out.mkdir()
+    lock = out / ".lexiforge.lock"
+    lock.write_text(f"{child.pid}\n", encoding="utf-8")
+    args = _run_args(small_bundle, out, _write_fast_config(tmp_path))
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"locked by process {child.pid}, which is no longer running" in err[0]
+    assert lock.read_text(encoding="utf-8") == f"{child.pid}\n"  # never removed for the user
+    assert [p.name for p in out.iterdir()] == [".lexiforge.lock"]
+
+    lock.write_text(f"{os.getpid()}\n", encoding="utf-8")  # a live process
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "locked by another run" in err and "no longer running" not in err
 
 
 def test_run_stage_failure_marks_manifest(tmp_path, small_bundle, capsys):

@@ -641,8 +641,24 @@ def test_embed_matrix_matches_per_term_oracle():
     rng = np.random.default_rng(5)
     parts = ["x", "y", "z", "nope", "x-y", "x z", "q'q", "x--y", "zz"]
     words = [str(rng.choice(parts)) for _ in range(50)]
-    matrix, tags = embed_matrix(store, words)
+    rows, tags = embed_matrix(store, words)
+    matrix = np.asarray(rows)
     for i, word in enumerate(words):
         vec, tag = embed_term(store, word)
         assert np.array_equal(matrix[i], vec)
         assert tags[i] == tag
+
+
+def test_word_rows_take_equals_indexing_their_matrix():
+    rng = np.random.default_rng(6)
+    parts = ["x", "y", "z", "nope", "x-y", "x z", "q'q"]
+    words = [str(rng.choice(parts)) for _ in range(40)]
+    for store in (make_store(VOCAB), EmbeddingStore([], np.empty((0, 3)))):
+        rows, tags = embed_matrix(store, words)
+        matrix = np.asarray(rows)
+        assert rows.shape == matrix.shape == (40, 3) and len(rows) == 40
+        order = rng.permutation(40)[:25]
+        assert rows.take(order, np.empty((25, 3))).tobytes() == matrix[order].tobytes()
+        assert rows.take(slice(5, 9), np.empty((4, 3))).tobytes() == matrix[5:9].tobytes()
+    assert set(tags) == {"zero"}  # nothing is found in the empty store
+    assert not matrix.any()

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -324,6 +325,14 @@ def test_divergence_raises_with_step_index():
     assert err.value.step >= 1
 
 
+def _rows_with_an_infinite_average():
+    store = EmbeddingStore(["a", "b"], np.full((2, 2), 1e308))
+    with np.errstate(over="ignore"):
+        rows, tags = embed_matrix(store, ["a", "a-b", "b"])
+    assert tags == ["direct", "averaged", "direct"]
+    return rows
+
+
 @pytest.mark.parametrize("fit", [
     lambda X, Y: fit_ridge(X, Y, 0.0),
     lambda X, Y: fit_mtlffn(X, Y, SMALL),
@@ -335,10 +344,26 @@ def test_divergence_raises_with_step_index():
     (np.zeros((3, 2)), np.zeros((4, 1)), "X and Y must have the same positive number of rows"),
     (np.zeros((0, 2)), np.zeros((0, 1)), "X and Y must have the same positive number of rows"),
     (np.zeros((3, 2)), np.zeros((3, 0)), "variable set must not be empty"),
-], ids=["1-d X", "infinite Y", "other row counts", "no rows", "no Y columns"])
+    (np.vstack([np.zeros((600, 2)), [[0.0, np.nan]]]), np.zeros((601, 1)), "X must be finite"),
+    (_rows_with_an_infinite_average(), np.zeros((3, 1)), "X must be finite"),
+], ids=["1-d X", "infinite Y", "other row counts", "no rows", "no Y columns",
+        "NaN in X's last row block", "infinite averaged row"])
 def test_every_fitter_checks_its_inputs_alike(fit, X, Y, message):
     with pytest.raises(ValueError, match=message):
         fit(X, Y)
+
+
+def test_checking_a_matrix_takes_no_matrix_sized_mask():
+    X = np.ones((20_000, 64))
+    lexiforge.models._as_matrix(X, "X")  # the warm-up: first calls may set up caches
+    tracemalloc.start()
+    try:
+        assert lexiforge.models._as_matrix(X, "X") is X
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's bool mask; a mask of all of X would take X.size bytes
+    assert peak < 2 * lexiforge.embeddings._BLOCK_ROWS * X.shape[1]
 
 
 def test_ridge_checks_its_variables_before_the_solve():
@@ -506,6 +531,93 @@ def test_predict_equals_out_of_place_forward_bit_for_bit(slope):
         expected = h2 @ model.w3 + model.b3
         assert predict(model, X).tobytes() == expected.tobytes(), n_rows
         assert X.tobytes() == before.tobytes()
+
+
+def _word_rows(n_rows, dim, seed):
+    """WordRows of ``n_rows`` words, one in seven of them averaged or zero."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"v{i}" for i in range(n_rows)]
+    store = EmbeddingStore(vocab, rng.standard_normal((n_rows, dim)))
+    words = [str(w) for w in rng.choice(vocab, n_rows)]
+    for i in range(0, n_rows, 7):
+        words[i] = f"{words[i]}-{vocab[i]}" if i % 2 else f"unknown{i}"
+    rows, tags = embed_matrix(store, words)
+    assert {"direct", "averaged", "zero"} <= set(tags)
+    return rows
+
+
+@pytest.mark.parametrize("n_rows", [53, 2 * BLOCK + 1])
+def test_fit_and_predict_on_word_rows_equal_those_on_their_matrix(n_rows):
+    rows = _word_rows(n_rows, 12, seed=16)
+    matrix = np.asarray(rows)
+    Y = np.random.default_rng(17).standard_normal((n_rows, 3))
+    cfg = TrainConfig(hidden=(8, 6), epochs=2, batch_size=32, seed=5)
+    from_rows, from_matrix = fit_mtlffn(rows, Y, cfg), fit_mtlffn(matrix, Y, cfg)
+    for name, p in from_matrix.params().items():
+        assert from_rows.params()[name].tobytes() == p.tobytes(), name
+    ridge = fit_ridge(rows, Y, 1.0)
+    assert ridge.coef.tobytes() == fit_ridge(matrix, Y, 1.0).coef.tobytes()
+    for model in (from_matrix, ridge):
+        assert predict(model, rows).tobytes() == predict(model, matrix).tobytes()
+
+
+def test_word_rows_serve_threads_that_share_them():
+    rows = _word_rows(2 * BLOCK, 8, seed=18)
+    matrix = np.asarray(rows)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    mismatches, finished = [], []
+
+    def gather(seed):
+        rng = np.random.default_rng(seed)
+        out = np.empty((64, 8))
+        for _ in range(300):
+            idx = rng.integers(0, len(rows), 64)
+            if rows.take(idx, out).tobytes() != matrix[idx].tobytes():
+                mismatches.append(seed)
+        finished.append(seed)
+
+    threads = [threading.Thread(target=gather, args=(seed,)) for seed in range(6)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == list(range(6)) and mismatches == []
+
+
+def _hidden_buffer_bytes(model, n_rows):
+    """What ``predict`` must hold over ``n_rows`` rows: the hidden rows, the
+    output (with the bias add's copy) and one block's buffers for the first
+    layer, the leaky ReLU factor and its signs."""
+    (h1, h2), k = model.config.hidden, len(model.variables)
+    block = min(n_rows, BLOCK)
+    floats = n_rows * h2 + 2 * n_rows * k + block * h1 + block * max(h1, h2)
+    return 8 * floats + block * max(h1, h2)
+
+
+def test_predict_holds_the_hidden_rows_and_one_block_of_buffers():
+    rng = np.random.default_rng(19)
+    dim, n_rows = 64, 4 * BLOCK
+    model = fit_mtlffn(rng.standard_normal((40, dim)), rng.standard_normal((40, 2)),
+                       TrainConfig(hidden=(256, 128), epochs=1, seed=2))
+    X = rng.standard_normal((n_rows, dim))
+    rows = _word_rows(n_rows, dim, seed=20)
+    # a mask for the finiteness check, and the gathered rows of WordRows
+    mask = lexiforge.embeddings._BLOCK_ROWS * dim
+    for inputs, extra in ((X, mask), (rows, 8 * BLOCK * dim + mask)):
+        predict(model, inputs)  # the warm-up: first calls may set up caches
+        tracemalloc.start()
+        try:
+            predict(model, inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a fresh array for each block's layer output takes 1 MiB more
+        assert peak < _hidden_buffer_bytes(model, n_rows) + extra + 128 * 1024, type(inputs)
 
 
 def test_predict_dimension_mismatch():
