@@ -4,6 +4,8 @@ Vector files use the common text format: a ``<count> <dim>`` header
 followed by one ``word v1 ... v_dim`` line per word, single-space
 separated; words are stored by ``lexicon.normalize_word``. A large file
 is parsed on several cores, with the same result as in one process.
+Vectors are stored as float32, each component rounded to nearest from
+its float64 value; every computation widens them to float64.
 Lookup never fails: terms missing from the vocabulary are split on
 spaces, apostrophes, and hyphens, the found parts averaged, and the
 zero vector used when nothing is recognized.
@@ -48,10 +50,18 @@ _COUNT_BYTES = 1 << 20
 # prctl option: the signal the kernel sends this process when its parent dies
 _PR_SET_PDEATHSIG = 1
 
+# The store's component type: that of fastText's vectors. A component
+# printed with four decimals round-trips through it, and it takes half
+# the memory of float64.
+STORE_DTYPE = np.dtype(np.float32)
+
 
 class EmbeddingStore:
     """Immutable vocabulary-to-vector mapping of fixed dimension.
 
+    ``vectors`` is held as C-contiguous ``STORE_DTYPE``, rounded to
+    nearest; a component beyond its range becomes infinite and is
+    rejected.
     ``index``, if given, is the ``word -> row`` dict of ``words``; the
     store adopts it instead of building a second one.
     """
@@ -64,7 +74,8 @@ class EmbeddingStore:
         *,
         index: dict[str, int] | None = None,
     ):
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        with np.errstate(over="ignore"):  # the finiteness check below reports it
+            vectors = np.ascontiguousarray(vectors, dtype=STORE_DTYPE)
         if vectors.ndim != 2 or vectors.shape[0] != len(words):
             raise ValueError(f"vectors shape {vectors.shape} does not match {len(words)} words")
         if not all_finite(vectors):
@@ -136,7 +147,7 @@ def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
             hasattr(os, "fork") and threading.active_count() == 1
             and n_keep == count and count * (dim + 2) <= size
         ):
-            cuts = _cut_points(path, size, _n_parts(count * dim * 8), count)
+            cuts = _cut_points(path, size, _n_parts(count * dim * STORE_DTYPE.itemsize), count)
         store = _parse_parts(stream, path, count, dim, n_keep, cuts)
         if store is None:
             stream.seek(0)
@@ -161,14 +172,14 @@ def _n_parts(store_bytes: int) -> int:
     """How many processes parse a file whose store takes ``store_bytes``.
 
     A forked worker counts this process's resident memory as its own, so
-    the workers may add at most a quarter of the store to what the
-    process tree holds; each takes one usable core.
+    the workers may add at most half the store to what the process tree
+    holds; each takes one usable core.
     """
     try:
         resident = _resident_bytes()
     except OSError:
         return 1
-    return min(usable_cores(), 1 + store_bytes // (4 * resident))
+    return min(usable_cores(), 1 + store_bytes // (2 * resident))
 
 
 def _open_text(path, offset: int = 0) -> io.TextIOWrapper:
@@ -262,10 +273,10 @@ def _parse_parts(
     """
     bounds = [0, *(lines for _, lines in cuts), count]  # vector lines before each range
     if cuts:
-        shared = mmap.mmap(-1, n_keep * dim * 8)
-        vectors = np.frombuffer(shared, dtype=np.float64).reshape(n_keep, dim)
+        shared = mmap.mmap(-1, n_keep * dim * STORE_DTYPE.itemsize)
+        vectors = np.frombuffer(shared, dtype=STORE_DTYPE).reshape(n_keep, dim)
     else:
-        vectors = np.empty((n_keep, dim), dtype=np.float64)
+        vectors = np.empty((n_keep, dim), dtype=STORE_DTYPE)
     index: dict[str, int] = {}
     workers: dict[int, IO[bytes]] = {}  # pid -> read end of its pipe
     try:
@@ -430,10 +441,11 @@ def _parse_lines(
 
 
 def _parse_numbers(rests: list[str], dim: int) -> np.ndarray | None:
-    """The ``(len(rests), dim)`` finite rows of a block, or None to recheck.
+    """The ``(len(rests), dim)`` rows of a block as finite ``STORE_DTYPE``, or None.
 
-    None means numpy rejected the block or accepted a token that
-    ``float()`` rejects; the caller then finds the defect line by line.
+    None means numpy rejected the block, accepted a token that
+    ``float()`` rejects, or a component is not finite in the store's
+    type; the caller then finds the defect line by line.
     """
     if any(
         "\x1c" in rest or "\x1d" in rest or "\x1e" in rest or "\x1f" in rest
@@ -446,9 +458,11 @@ def _parse_numbers(rests: list[str], dim: int) -> np.ndarray | None:
             rows = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
     except ValueError:
         return None
-    if rows.shape != (len(rests), dim) or not np.isfinite(rows).all():
+    if rows.shape != (len(rests), dim):
         return None
-    return rows
+    with np.errstate(over="ignore"):  # beyond the store's range is inf, rejected below
+        rows = rows.astype(STORE_DTYPE)
+    return rows if np.isfinite(rows).all() else None
 
 
 def _split_checked(raw: str, line_no: int, dim: int, path) -> list[str]:
@@ -475,6 +489,11 @@ def _row_checked(parts: list[str], line_no: int, path) -> list[float]:
         raise ParseError("non-numeric vector component", line_no=line_no, path=path) from None
     if not all(np.isfinite(row)):
         raise ParseError("non-finite vector component", line_no=line_no, path=path)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.array(row, dtype=STORE_DTYPE)).all():
+            raise ParseError(
+                f"vector component outside the {STORE_DTYPE} range", line_no=line_no, path=path
+            )
     return row
 
 
@@ -491,17 +510,17 @@ def _check_decoded(text: str, line_no: int, path) -> None:
 def embed_term(store: EmbeddingStore, term: str) -> tuple[np.ndarray, str]:
     """Resolve a term to a vector; never fails.
 
-    In-vocabulary terms return their stored vector (tag ``direct``).
-    Otherwise the term is split on spaces, apostrophes, and hyphens,
-    empty parts are dropped, and the found parts' vectors are averaged
-    (tag ``averaged``). When no part is recognized the zero vector is
-    returned (tag ``zero``).
+    The vector is float64. In-vocabulary terms return their stored
+    vector, widened (tag ``direct``). Otherwise the term is split on
+    spaces, apostrophes, and hyphens, empty parts are dropped, and the
+    found parts' widened vectors are averaged (tag ``averaged``). When
+    no part is recognized the zero vector is returned (tag ``zero``).
     """
     if not term:
         raise ValueError("term must be non-empty")
     idx = store._index.get(term)
     if idx is not None:
-        return store.vectors[idx].copy(), "direct"
+        return store.vectors[idx].astype(np.float64), "direct"
     hits = [
         store._index[part]
         for part in _SEPARATOR_RE.split(term)
@@ -509,7 +528,7 @@ def embed_term(store: EmbeddingStore, term: str) -> tuple[np.ndarray, str]:
     ]
     if not hits:
         return np.zeros(store.dimension), "zero"
-    return store.vectors[hits].mean(axis=0), "averaged"
+    return store.vectors[hits].astype(np.float64).mean(axis=0), "averaged"
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,8 +537,9 @@ class WordRows:
 
     Row i is ``embed_term(store, words[i])``: ``rows[i]`` is its row in
     the store's vectors, or ``len(store) + j`` for row j of ``extra``,
-    which holds the averaged and zero vectors. Copying rows out writes
-    only to the caller's buffer, so threads may share one instance.
+    which holds the averaged and zero vectors in float64. Copying rows
+    out writes only to the caller's buffers, so threads may share one
+    instance.
     """
 
     store: EmbeddingStore
@@ -533,18 +553,27 @@ class WordRows:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def take(self, indices, out: np.ndarray) -> np.ndarray:
-        """Copy the rows at ``indices`` (an index array or a slice) into ``out``."""
+    def take(self, indices, out: np.ndarray, staging: np.ndarray | None = None) -> np.ndarray:
+        """Copy the rows at ``indices`` (an index array or a slice) into ``out``.
+
+        ``out`` is float64. The store rows are gathered into ``staging``,
+        a ``STORE_DTYPE`` array of ``out``'s shape (allocated if None),
+        and widened from there: ``np.take`` does not cast.
+        """
         rows = self.rows[indices]
         n_store = len(self.store)
         if n_store:
+            if staging is None:
+                staging = np.empty(out.shape, dtype=STORE_DTYPE)
             # a row of ``extra`` reads the last store row and is overwritten
-            # below; "clip" writes straight into ``out``, where "raise"
+            # below; "clip" writes straight into ``staging``, where "raise"
             # would buffer a copy
-            np.take(self.store.vectors, rows, axis=0, out=out, mode="clip")
+            np.take(self.store.vectors, rows, axis=0, out=staging, mode="clip")
+            np.copyto(out, staging)
         if len(self.extra):
-            outside = np.flatnonzero(rows >= n_store)
-            out[outside] = self.extra[rows[outside] - n_store]
+            # row by row: assigning them all at once would copy them first
+            for i in np.flatnonzero(rows >= n_store).tolist():
+                out[i] = self.extra[rows[i] - n_store]
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:

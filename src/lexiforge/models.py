@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, WordRows, all_finite, embed_matrix
+from .embeddings import STORE_DTYPE, EmbeddingStore, WordRows, all_finite, embed_matrix
 from .errors import DivergenceError, LexiforgeError, NumericError
 from .lexicon import Lexicon, SplitSets, VariableSet, collapse_duplicates, infer_family
 
@@ -260,15 +260,19 @@ def _forward(params: dict[str, np.ndarray], X: np.ndarray | WordRows,
     h1, h2 = params["w1"].shape[1], params["w2"].shape[1]
     rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
     # Buffers that serve every block: the gathered input rows (of
-    # WordRows), the first layer's output and, for both layers, one
-    # factor and one sign buffer. The second layer writes its block of
-    # ``hidden``.
+    # WordRows, with the store rows they are widened from), the first
+    # layer's output and, for both layers, one factor and one sign
+    # buffer. The second layer writes its block of ``hidden``.
     hidden = np.empty((len(X), h2))
     first = np.empty((rows, h1))
     factor, sign = np.empty(rows * max(h1, h2)), np.empty(rows * max(h1, h2), dtype=bool)
-    block = np.empty((rows, X.shape[1])) if isinstance(X, WordRows) else None
+    block = staging = None
+    if isinstance(X, WordRows):
+        block = np.empty((rows, X.shape[1]))
+        staging = np.empty((rows, X.shape[1]), dtype=STORE_DTYPE)
     for lo, hi in zip(bounds, bounds[1:]):
-        a = X[lo:hi] if block is None else X.take(slice(lo, hi), block[: hi - lo])
+        a = (X[lo:hi] if block is None
+             else X.take(slice(lo, hi), block[: hi - lo], staging[: hi - lo]))
         for i, z in ((1, first[: hi - lo]), (2, hidden[lo:hi])):
             np.matmul(a, params[f"w{i}"], out=z)  # then bias and leaky ReLU in place
             z += params[f"b{i}"]
@@ -301,9 +305,11 @@ class _TrainStep:
     workspace. The batch buffers include each hidden layer's leaky ReLU
     factor, which the forward pass writes and the backward pass reads.
     The dropout keep flags and the sign tests behind the factors take
-    turns in one bool workspace. A step allocates no array, so a fit
-    holds two arrays however long it trains and frees them whole when it
-    ends, which keeps concurrent fits small. Every step computes the
+    turns in one bool workspace, and the store rows of a WordRows batch
+    are staged in one ``STORE_DTYPE`` buffer before they are widened into
+    ``x``. A step allocates no array, so a fit holds three arrays however
+    long it trains and frees them whole when it ends, which keeps
+    concurrent fits small. Every step computes the
     same values as the out-of-place formulas, bit for bit: the same
     operations on the same operands, into ``out=`` buffers.
 
@@ -335,12 +341,13 @@ class _TrainStep:
         for name in _PARAM_ORDER:
             self.params[name][...] = init[name]
         self.flags = np.empty(rows * max(d, h1, h2), dtype=bool)
+        self.staging = np.empty((rows, d), dtype=STORE_DTYPE)
 
     def load(self, X: np.ndarray | WordRows, Y: np.ndarray, idx: np.ndarray) -> int:
         """Copy rows ``idx`` of X and Y into the batch; returns the row count."""
         n = len(idx)
         if isinstance(X, WordRows):
-            X.take(idx, self.flat["x"][:n])
+            X.take(idx, self.flat["x"][:n], self.staging[:n])
         else:
             # mode="clip": with the default "raise", take buffers its output
             np.take(X, idx, axis=0, out=self.flat["x"][:n], mode="clip")

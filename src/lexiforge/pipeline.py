@@ -64,6 +64,9 @@ log = logging.getLogger(__name__)
 
 MODEL_KINDS = ("mtlffn", "ridge")
 
+# Most bytes file_sha256 reads at once.
+_HASH_BYTES = 1 << 20
+
 
 @dataclass
 class RunSettings:
@@ -104,10 +107,13 @@ class RunSettings:
 
 
 def file_sha256(path) -> str:
+    """The file's SHA-256, read into one buffer of its size, at most ``_HASH_BYTES``."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buffer = memoryview(bytearray(min(max(size, 1), _HASH_BYTES)))
+        while n := fh.readinto(buffer):
+            digest.update(buffer[:n])
     return digest.hexdigest()
 
 
@@ -368,7 +374,7 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
                     "source lexicon has no train-tagged entries; run prepare-source first"
                 )
 
-        with _stage(manifest, "translate"):
+        with _stage(manifest, "translate") as details:
             if settings.skip_translation:
                 table = {w: w for w in source.words}
             else:
@@ -376,6 +382,7 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
             mt = project_lexicon(
                 source, table, language=settings.target_lang, missing=settings.missing_policy
             )
+            details["skipped"] = len(source.words) - len(mt.words)  # entries without translation
             mt_path = out / "target_mt.tsv"
             save_lexicon(mt, mt_path)
             manifest.add_output("target_mt", mt_path)

@@ -209,9 +209,10 @@ def test_run_failure_manifest_lists_stages_up_to_the_failed_one(
     *ok, failed = manifest["stages"]
     assert [s["name"] for s in ok] == RUN_STAGES
 
-    def keys(stage):  # train and expand also record how their rows got vectors
-        return {"name", "status", "seconds"} | (
-            {"resolution"} if stage["name"] in ("train", "expand") else set())
+    def keys(stage):  # train and expand also record how their rows got vectors,
+        # translate the entries it dropped
+        extra = {"translate": {"skipped"}, "train": {"resolution"}, "expand": {"resolution"}}
+        return {"name", "status", "seconds"} | extra.get(stage["name"], set())
 
     assert all(s.keys() == keys(s) and s["status"] == "ok" for s in ok)
     assert failed.keys() == {"name", "status", "error"}
@@ -229,6 +230,39 @@ def test_manifest_attributes_outputs_by_hash(tmp_path, small_bundle):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     for name, entry in {**manifest["inputs"], **manifest["outputs"]}.items():
         assert file_sha256(entry["path"]) == entry["sha256"], name
+
+
+@pytest.mark.parametrize("size", [0, 1, 2048, (1 << 20) + 3])
+def test_file_sha256_reads_through_one_buffer(tmp_path, size):
+    import hashlib
+
+    from lexiforge.pipeline import file_sha256
+
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    file_sha256(path)  # the warm-up: first calls may set up caches
+    tracemalloc.start()
+    try:
+        assert file_sha256(path) == hashlib.sha256(data).hexdigest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a buffer of the file's size, up to 1 MiB: never a new bytes object per read
+    assert peak < min(size, 1 << 20) + 8 * 1024
+
+
+def test_run_manifest_counts_the_entries_left_untranslated(tmp_path, small_bundle):
+    words = small_bundle["words"]
+    table = {w: w for i, w in enumerate(words[:60]) if i not in (3, 41, 55)}
+    save_translation_table(table, tmp_path / "table.tsv")
+    bundle = {**small_bundle, "table": tmp_path / "table.tsv"}
+    out = tmp_path / "out"
+    assert main(_run_args(bundle, out, _write_fast_config(tmp_path))) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    stages = {stage["name"]: stage for stage in manifest["stages"]}
+    assert stages["translate"]["skipped"] == 3
+    assert len(load_lexicon(out / "target_mt.tsv").words) == 60 - 3
 
 
 def test_run_is_deterministic_across_directories(tmp_path, small_bundle):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import unicodedata
+import warnings
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from unittest import mock
@@ -169,7 +170,9 @@ def test_load_reports_undecodable_byte_line(tmp_path):
 
 def reference_parse(stream, max_vocab=None, path=None):
     """The per-line parser that block parsing replaced, plus the word rule:
-    NFC with surrounding whitespace stripped, never empty, no tab."""
+    NFC with surrounding whitespace stripped, never empty, no tab; and the
+    float32 rule: each component rounded to nearest from its float64
+    value, which must stay finite."""
     header = stream.readline()
     if not header:
         raise ParseError("empty input, missing '<count> <dim>' header", line_no=1, path=path)
@@ -184,7 +187,7 @@ def reference_parse(stream, max_vocab=None, path=None):
             line_no=1, path=path,
         ) from None
     n_keep = count if max_vocab is None else min(count, max_vocab)
-    vectors = np.empty((n_keep, dim), dtype=np.float64)
+    vectors = np.empty((n_keep, dim), dtype=np.float32)
     words, index, duplicates, lines_read = [], {}, 0, 0
     for line_no, raw in enumerate(stream, start=2):
         if lines_read >= count or len(words) >= n_keep:
@@ -210,6 +213,10 @@ def reference_parse(stream, max_vocab=None, path=None):
             raise ParseError("non-numeric vector component", line_no=line_no, path=path) from None
         if not all(np.isfinite(row)):
             raise ParseError("non-finite vector component", line_no=line_no, path=path)
+        with np.errstate(over="ignore"):
+            if not all(np.isfinite(np.float32(v)) for v in row):
+                raise ParseError("vector component outside the float32 range",
+                                 line_no=line_no, path=path)
         index[word] = len(words)
         vectors[len(words)] = row
         words.append(word)
@@ -270,10 +277,13 @@ def test_block_parser_matches_reference_examples(tmp_path, text, max_vocab, expe
 # "c\td" holds a tab under the word rule
 _WORDS = ["a", "b", "c", "d", "e", unicodedata.normalize("NFD", "schön"), "schön",
           "a\xa0", "\x1fe", "\u3000", "c\td"]
-# all accepted by float(); "1_0" and "\u0661" are not by numpy, and a
-# mid-line "\r" ends its line
-_TOKENS = ["0", "1.5", "-2", "0.25", "+1", "1e5", "-0", "3.", "1_0", "\u0661", "2\r"]
-_BAD_TOKENS = ["nan", "inf", "#", "x", "", "1\x1c"]
+# all accepted by float(); "1_0" and "\u0661" are not by numpy, a
+# mid-line "\r" ends its line, "0.1" is rounded in float32 and "3.4e38"
+# is near the top of its range
+_TOKENS = ["0", "1.5", "-2", "0.25", "+1", "1e5", "-0", "3.", "1_0", "\u0661", "2\r",
+           "0.1", "3.4e38"]
+# "-1e39" is finite in float64, not in float32
+_BAD_TOKENS = ["nan", "inf", "#", "x", "", "1\x1c", "-1e39"]
 
 
 @st.composite
@@ -527,15 +537,75 @@ def test_with_another_thread_the_parse_uses_one_part(tmp_path):
 
 
 @pytest.mark.parametrize("store_mib, resident_mib, cores, parts", [
-    (229, 45, 2, 2),  # a 100k x 300 store, as the run stage meets it
-    (46, 45, 2, 1),  # 20k x 300
-    (4578, 45, 8, 8),  # 2M x 300
+    (114, 45, 2, 2),  # a 100k x 300 float32 store, as the run stage meets it
+    (23, 45, 2, 1),  # 20k x 300
+    (229, 45, 2, 2),
+    (46, 45, 2, 1),
+    (4578, 45, 8, 8),
     (229, 45, 1, 1),
 ])
 def test_parts_follow_the_store_size_and_the_usable_cores(store_mib, resident_mib, cores, parts):
     with mock.patch.object(embeddings, "_resident_bytes", return_value=resident_mib << 20), \
             mock.patch.object(embeddings, "usable_cores", return_value=cores):
         assert embeddings._n_parts(store_mib << 20) == parts
+
+
+# ---------------------------------------------------------------------------
+# the float32 store
+# ---------------------------------------------------------------------------
+
+
+def test_store_holds_float32_rounded_to_nearest():
+    vectors = np.array([[0.1, -2.5e-8], [1 / 3, 3.4e38]])
+    store = EmbeddingStore(["a", "b"], vectors)
+    assert store.vectors.dtype == np.float32 and store.vectors.flags.c_contiguous
+    assert store.vectors.tobytes() == vectors.astype(np.float32).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cast's overflow warning does not leak
+        with pytest.raises(ValueError, match="vectors must be finite"):
+            EmbeddingStore(["a"], np.array([[1.0, 1e39]]))
+
+
+_OUTSIDE = "vector component outside the float32 range"
+
+
+@pytest.mark.parametrize("data, max_vocab, expected", [
+    # in a kept line of the first or the second range
+    (b"4 2\na 1 2\nb 1e39 4\nc 5 6\nd 7 8\n", None, f"line 3: {_OUTSIDE}"),
+    (b"4 2\na 1 2\nb 3 4\nc 5 6\nd 7 -4e38\n", None, f"line 5: {_OUTSIDE}"),
+    # in a block that numpy rejects for another token
+    (b"4 2\na 1_0 2\nb 3 4\nc 5 1e39\nd 7 8\n", None, f"line 4: {_OUTSIDE}"),
+    # the first defect in file order, in a line or across lines
+    (b"4 2\na 1 2\nb 3 1e39\nc x 6\nd 7 8\n", None, f"line 3: {_OUTSIDE}"),
+    (b"4 2\na 1 2\nb x 4\nc 1e39 6\nd 7 8\n", None, "line 3: non-numeric"),
+    (b"4 2\na 1 2\nb 1e39 inf\nc 5 6\nd 7 8\n", None, "line 3: non-finite"),
+    # a duplicate line's numbers are not read, nor the lines after a max_vocab cut
+    (b"4 2\na 1 2\nb 3 4\nc 5 6\na 1e39 8\n", None, ("a", "b", "c")),
+    (b"4 2\na 1 2\nb 3 4\nc 5 6\nd 1e39 8\n", 3, ("a", "b", "c")),
+    # the ends of the range, and a component that rounds to zero
+    (b"3 2\na 3.4028234e38 -3.4028234e38\nb 0.1 1e-50\nc 5 6\n", None, ("a", "b", "c")),
+])
+def test_a_component_beyond_float32_fails_alike_in_every_parse(tmp_path, data, max_vocab,
+                                                                  expected):
+    path = tmp_path / "vecs.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cast's overflow warning does not leak
+        got = assert_matches_reference(path, data.decode(), max_vocab)
+        assert assert_split_matches_one_part(path, 2, max_vocab)[0] == got
+    if isinstance(expected, tuple):
+        assert got[:2] == ("store", expected)
+    else:
+        assert got[0] == "error" and expected in got[1]
+
+
+def test_embed_term_widens_the_float32_rows_before_averaging():
+    u32, v32 = np.float32([0.1, 1 / 3]), np.float32([0.7, 2 / 3])
+    store = make_store({"u": u32.tolist(), "v": [0.7, 2 / 3]})
+    vec, tag = embed_term(store, "u")
+    assert vec.dtype == np.float64 and vec.tobytes() == u32.astype(np.float64).tobytes()
+    vec, tag = embed_term(store, "u-v")
+    expected = (u32.astype(np.float64) + v32.astype(np.float64)) / 2
+    assert tag == "averaged" and vec.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -653,12 +723,18 @@ def test_word_rows_take_equals_indexing_their_matrix():
     rng = np.random.default_rng(6)
     parts = ["x", "y", "z", "nope", "x-y", "x z", "q'q"]
     words = [str(rng.choice(parts)) for _ in range(40)]
-    for store in (make_store(VOCAB), EmbeddingStore([], np.empty((0, 3)))):
+    vocab = {**VOCAB, "z": [0.1, 1 / 3, -2.7]}  # rounded in float32
+    for store in (make_store(vocab), EmbeddingStore([], np.empty((0, 3)))):
         rows, tags = embed_matrix(store, words)
+        widened = np.array([embed_term(store, word)[0] for word in words])
         matrix = np.asarray(rows)
+        assert matrix.dtype == np.float64 and matrix.tobytes() == widened.tobytes()
         assert rows.shape == matrix.shape == (40, 3) and len(rows) == 40
         order = rng.permutation(40)[:25]
-        assert rows.take(order, np.empty((25, 3))).tobytes() == matrix[order].tobytes()
-        assert rows.take(slice(5, 9), np.empty((4, 3))).tobytes() == matrix[5:9].tobytes()
+        staging = np.empty((25, 3), dtype=np.float32)
+        got = rows.take(order, np.empty((25, 3)), staging)
+        assert got.tobytes() == widened[order].tobytes()
+        got = rows.take(slice(5, 9), np.empty((4, 3)), staging[:4])
+        assert got.tobytes() == widened[5:9].tobytes()
     assert set(tags) == {"zero"}  # nothing is found in the empty store
     assert not matrix.any()

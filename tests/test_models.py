@@ -22,6 +22,7 @@ from lexiforge import (
     RidgeModel,
     TrainConfig,
     VariableSet,
+    WordRows,
     collapse_duplicates,
     derive_prediction_splits,
     embed_matrix,
@@ -326,11 +327,10 @@ def test_divergence_raises_with_step_index():
 
 
 def _rows_with_an_infinite_average():
-    store = EmbeddingStore(["a", "b"], np.full((2, 2), 1e308))
-    with np.errstate(over="ignore"):
-        rows, tags = embed_matrix(store, ["a", "a-b", "b"])
-    assert tags == ["direct", "averaged", "direct"]
-    return rows
+    # the float64 mean of float32 rows cannot overflow, so the averaged
+    # row is made infinite by hand
+    store = EmbeddingStore(["a", "b"], np.ones((2, 2)))
+    return WordRows(store, np.array([0, 2, 1]), np.array([[np.inf, 1.0]]))
 
 
 @pytest.mark.parametrize("fit", [
@@ -429,27 +429,29 @@ def test_training_steps_allocate_no_batch_buffer():
     # smallest activation shape (128 x 128, 16 KiB) would pass.
     rng = np.random.default_rng(12)
     X, Y = rng.standard_normal((512, 300)), rng.standard_normal((512, 5))
-    train = lexiforge.models._TrainStep(300, 5, TrainConfig(hidden=(256, 128)), 128, rng)
-    batch = rng.permutation(512)[:128]
+    # WordRows batches go through the fit's staging buffer
+    for X in (X, _word_rows(512, 300, seed=12)):
+        train = lexiforge.models._TrainStep(300, 5, TrainConfig(hidden=(256, 128)), 128, rng)
+        batch = rng.permutation(512)[:128]
 
-    def step(number):
-        rows = train.load(X, Y, batch)
-        train.draw_masks(rng, rows)
-        assert np.isfinite(train.forward(rows))
-        train.backward(rows)
-        train.adam(number)
+        def step(number):
+            rows = train.load(X, Y, batch)
+            train.draw_masks(rng, rows)
+            assert np.isfinite(train.forward(rows))
+            train.backward(rows)
+            train.adam(number)
 
-    bufsize = np.setbufsize(256)
-    try:
-        step(1)  # the warm-up: first calls may set up caches
-        tracemalloc.start()
-        for number in range(2, 12):
-            step(number)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        np.setbufsize(bufsize)
-    assert peak < 8 * 1024
+        bufsize = np.setbufsize(256)
+        try:
+            step(1)  # the warm-up: first calls may set up caches
+            tracemalloc.start()
+            for number in range(2, 12):
+                step(number)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < 8 * 1024, type(X)
 
 
 def test_drawing_dropout_masks_takes_no_iterator_buffer():
@@ -607,8 +609,9 @@ def test_predict_holds_the_hidden_rows_and_one_block_of_buffers():
     X = rng.standard_normal((n_rows, dim))
     rows = _word_rows(n_rows, dim, seed=20)
     # a mask for the finiteness check, and the gathered rows of WordRows
+    # with the float32 block they are widened from
     mask = lexiforge.embeddings._BLOCK_ROWS * dim
-    for inputs, extra in ((X, mask), (rows, 8 * BLOCK * dim + mask)):
+    for inputs, extra in ((X, mask), (rows, (8 + 4) * BLOCK * dim + mask)):
         predict(model, inputs)  # the warm-up: first calls may set up caches
         tracemalloc.start()
         try:
