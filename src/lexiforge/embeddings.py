@@ -5,7 +5,8 @@ followed by one ``word v1 ... v_dim`` line per word, single-space
 separated; words are stored by ``lexicon.normalize_word``. A large file
 is parsed on several cores, with the same result as in one process.
 Vectors are stored as float32, each component rounded to nearest from
-its float64 value; every computation widens them to float64.
+its float64 value; the network computes in that type, and ridge
+regression widens them to float64.
 Lookup never fails: terms missing from the vocabulary are split on
 spaces, apostrophes, and hyphens, the found parts averaged, and the
 zero vector used when nothing is recognized.
@@ -54,6 +55,10 @@ _PR_SET_PDEATHSIG = 1
 # printed with four decimals round-trips through it, and it takes half
 # the memory of float64.
 STORE_DTYPE = np.dtype(np.float32)
+
+# A float64 value of smaller magnitude rounds to a finite STORE_DTYPE
+# value: half-way between the largest finite one and the next power of 2.
+_STORE_LIMIT = (float(np.finfo(STORE_DTYPE).max) + 2.0 ** np.finfo(STORE_DTYPE).maxexp) / 2
 
 
 class EmbeddingStore:
@@ -107,9 +112,17 @@ class EmbeddingStore:
 
 
 def all_finite(rows: np.ndarray) -> bool:
-    """Whether every entry of ``rows`` is finite, checked ``_BLOCK_ROWS`` rows at a time."""
-    return all(np.isfinite(rows[lo:lo + _BLOCK_ROWS]).all()
-               for lo in range(0, len(rows), _BLOCK_ROWS))
+    """Whether every entry of ``rows`` is finite in ``STORE_DTYPE``, checked
+    ``_BLOCK_ROWS`` rows at a time.
+
+    Rows of another type are compared with ``_STORE_LIMIT``, not cast: a
+    cast block would take more memory than the comparison's mask.
+    """
+    blocks = (rows[lo:lo + _BLOCK_ROWS] for lo in range(0, len(rows), _BLOCK_ROWS))
+    if rows.dtype == STORE_DTYPE:
+        return all(np.isfinite(block).all() for block in blocks)
+    return all(np.less(block, _STORE_LIMIT).all() and np.greater(block, -_STORE_LIMIT).all()
+               for block in blocks)
 
 
 def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
@@ -535,11 +548,11 @@ def embed_term(store: EmbeddingStore, term: str) -> tuple[np.ndarray, str]:
 class WordRows:
     """The vectors of an ordered word list, gathered from the store on demand.
 
-    Row i is ``embed_term(store, words[i])``: ``rows[i]`` is its row in
-    the store's vectors, or ``len(store) + j`` for row j of ``extra``,
-    which holds the averaged and zero vectors in float64. Copying rows
-    out writes only to the caller's buffers, so threads may share one
-    instance.
+    Row i is ``embed_term(store, words[i])`` rounded to ``STORE_DTYPE``:
+    ``rows[i]`` is its row in the store's vectors, or ``len(store) + j``
+    for row j of ``extra``, which holds the averaged and zero vectors.
+    Copying rows out writes only to the caller's buffers, so threads may
+    share one instance.
     """
 
     store: EmbeddingStore
@@ -553,23 +566,16 @@ class WordRows:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def take(self, indices, out: np.ndarray, staging: np.ndarray | None = None) -> np.ndarray:
-        """Copy the rows at ``indices`` (an index array or a slice) into ``out``.
-
-        ``out`` is float64. The store rows are gathered into ``staging``,
-        a ``STORE_DTYPE`` array of ``out``'s shape (allocated if None),
-        and widened from there: ``np.take`` does not cast.
-        """
+    def take(self, indices, out: np.ndarray) -> np.ndarray:
+        """Copy the rows at ``indices`` (an index array or a slice) into
+        ``out``, a ``STORE_DTYPE`` array."""
         rows = self.rows[indices]
         n_store = len(self.store)
         if n_store:
-            if staging is None:
-                staging = np.empty(out.shape, dtype=STORE_DTYPE)
             # a row of ``extra`` reads the last store row and is overwritten
-            # below; "clip" writes straight into ``staging``, where "raise"
+            # below; "clip" writes straight into ``out``, where "raise"
             # would buffer a copy
-            np.take(self.store.vectors, rows, axis=0, out=staging, mode="clip")
-            np.copyto(out, staging)
+            np.take(self.store.vectors, rows, axis=0, out=out, mode="clip")
         if len(self.extra):
             # row by row: assigning them all at once would copy them first
             for i in np.flatnonzero(rows >= n_store).tolist():
@@ -577,15 +583,17 @@ class WordRows:
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """A new matrix of all rows; numpy casts it to ``dtype``."""
-        return self.take(slice(None), np.empty(self.shape))
+        """A new ``STORE_DTYPE`` matrix of all rows; numpy casts it to ``dtype``."""
+        return self.take(slice(None), np.empty(self.shape, STORE_DTYPE))
 
 
 def embed_matrix(store: EmbeddingStore, words: Sequence[str]) -> tuple[WordRows, list[str]]:
     """Resolve an ordered word list by embed_term, without copying store rows.
 
-    Row i of the returned rows is exactly ``embed_term(store, words[i])``;
-    the second return value carries the per-row resolution tags.
+    Row i of the returned rows is ``embed_term(store, words[i])``, rounded
+    once to ``STORE_DTYPE``: exact for a stored vector, to nearest for
+    the float64 mean of an averaged one. The second return value carries
+    the per-row resolution tags.
     """
     rows = [store._index.get(word, -1) for word in words]
     tags = ["direct"] * len(words)
@@ -595,5 +603,5 @@ def embed_matrix(store: EmbeddingStore, words: Sequence[str]) -> tuple[WordRows,
             vector, tags[i] = embed_term(store, words[i])
             rows[i] = len(store) + len(extra)
             extra.append(vector)
-    extra = np.array(extra, dtype=np.float64).reshape(len(extra), store.dimension)
+    extra = np.array(extra, dtype=STORE_DTYPE).reshape(len(extra), store.dimension)
     return WordRows(store, np.array(rows, dtype=np.intp), extra), tags

@@ -5,7 +5,9 @@ feed-forward network (two shared hidden layers, one linear output unit
 per variable) trained with hand-rolled backpropagation and Adam, and
 closed-form ridge regression as a linear baseline.
 
-Training is bit-reproducible: a single seeded generator drives weight
+The network trains and predicts in ``NETWORK_DTYPE``, the store's
+float32; ridge regression computes in float64. Training is
+bit-reproducible: a single seeded generator drives weight
 initialization, epoch shuffling, and dropout masks, in that order.
 """
 
@@ -22,6 +24,10 @@ import numpy as np
 from .embeddings import STORE_DTYPE, EmbeddingStore, WordRows, all_finite, embed_matrix
 from .errors import DivergenceError, LexiforgeError, NumericError
 from .lexicon import Lexicon, SplitSets, VariableSet, collapse_duplicates, infer_family
+
+# The type the network trains and predicts in: that of the store's rows,
+# and of the network of the paper's implementation.
+NETWORK_DTYPE = STORE_DTYPE
 
 
 @dataclass(frozen=True)
@@ -52,8 +58,9 @@ class TrainConfig:
         for name in ("learning_rate", "adam_epsilon"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not np.isfinite(self.leaky_slope):
-            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope}")
+        with np.errstate(over="ignore"):  # the network's type: beyond its range is inf
+            if not np.isfinite(NETWORK_DTYPE.type(self.leaky_slope)):
+                raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +68,8 @@ class MtlffnModel:
     """Trained multi-task feed-forward network.
 
     Hidden-layer parameters are shared between the output variables;
-    each variable owns one unit of the final linear layer.
+    each variable owns one unit of the final linear layer. They are held
+    as ``NETWORK_DTYPE``, into which the given ones must convert exactly.
     """
 
     variables: VariableSet
@@ -81,9 +89,14 @@ class MtlffnModel:
             raise ValueError("inconsistent parameter shapes")
         if self.b3.shape != (k,) or k != len(self.variables):
             raise ValueError("output layer does not match variable set")
-        for a in (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3):
+        for name, a in self.params().items():
             if not np.all(np.isfinite(a)):
                 raise ValueError("parameters must be finite")
+            with np.errstate(over="ignore"):  # beyond the range is inf, rejected below
+                held = np.asarray(a).astype(NETWORK_DTYPE, copy=False)
+            if not np.array_equal(held, a):
+                raise ValueError(f"parameter {name} does not convert to {NETWORK_DTYPE} exactly")
+            object.__setattr__(self, name, held)
 
     @property
     def input_dim(self) -> int:
@@ -122,7 +135,8 @@ Model = MtlffnModel | RidgeModel
 
 
 def _as_matrix(X, name: str) -> np.ndarray | WordRows:
-    """X as a C-contiguous float64 matrix, or WordRows as they are; finite."""
+    """X as a C-contiguous float64 matrix, or WordRows as they are; finite
+    in ``STORE_DTYPE``, the network's type, whichever model they are for."""
     if isinstance(X, WordRows):
         checked = X.extra  # the store checked its own rows when it was built
     else:
@@ -171,13 +185,13 @@ def fit_ridge(X, Y, alpha: float = 1.0, variables: VariableSet | None = None) ->
 
     Minimizes ||Y - XW - b||^2 + alpha * ||W||^2 with an unpenalized
     intercept, which is obtained by centering X and Y before the solve.
-    X may be a matrix or WordRows.
+    X may be a matrix or WordRows, which are widened to float64.
     """
     X, Y, variables = _fit_inputs(X, Y, variables)
     if not alpha >= 0:  # also rejects NaN
         raise ValueError("alpha must be >= 0")
     d = X.shape[1]
-    Xc = np.array(X)  # a copy, centred in place
+    Xc = np.array(X, dtype=np.float64)  # a copy, centred in place
     x_mean = Xc.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc -= x_mean
@@ -234,8 +248,9 @@ def _near_equal_bounds(n: int, max_rows: int) -> list[int]:
 def _leaky_factor(z: np.ndarray, slope: float, out: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Write the leaky ReLU's factor for ``z`` into ``out`` and return it.
 
-    The factor is ``slope`` where ``z <= 0`` and 1.0 elsewhere, NaN
-    entries included, set bit by bit. So ``z * factor`` has the bytes of
+    The factor is ``slope`` (rounded to ``out``'s type) where ``z <= 0``
+    and 1.0 elsewhere, NaN entries included, set bit by bit through the
+    integers of ``out``'s width. So ``z * factor`` has the bytes of
     multiplying only the entries ``z <= 0`` by ``slope``, as ``x * 1.0``
     is ``x``. A masked ufunc over a random sign pattern runs about eight
     times slower than these dense integer ufuncs and the multiply.
@@ -245,34 +260,38 @@ def _leaky_factor(z: np.ndarray, slope: float, out: np.ndarray, sign: np.ndarray
     np.less_equal(z, 0.0, out=sign)
     flags = sign.view(np.int8)
     np.negative(flags, out=flags)  # -1 where z <= 0, else 0
-    bits = out.view(np.int64)
+    ints = np.dtype(f"i{out.itemsize}")
+    bits = out.view(ints)
     np.copyto(bits, flags)  # sign-extended: every bit set where z <= 0
-    one = np.float64(1.0).view(np.int64)
+    one = out.dtype.type(1.0).view(ints)
     # 1.0's bits, with the bits in which slope's differ flipped where z <= 0
-    np.bitwise_and(bits, one ^ np.float64(slope).view(np.int64), out=bits)
+    np.bitwise_and(bits, one ^ out.dtype.type(slope).view(ints), out=bits)
     np.bitwise_xor(bits, one, out=bits)
     return out
 
 
 def _forward(params: dict[str, np.ndarray], X: np.ndarray | WordRows,
              slope: float) -> np.ndarray:
+    """The network's output for the rows of X, in the parameters' type."""
+    dtype = params["w1"].dtype
     bounds = _near_equal_bounds(len(X), _HIDDEN_BLOCK_ROWS)
     h1, h2 = params["w1"].shape[1], params["w2"].shape[1]
     rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    # Buffers that serve every block: the gathered input rows (of
-    # WordRows, with the store rows they are widened from), the first
-    # layer's output and, for both layers, one factor and one sign
-    # buffer. The second layer writes its block of ``hidden``.
-    hidden = np.empty((len(X), h2))
-    first = np.empty((rows, h1))
-    factor, sign = np.empty(rows * max(h1, h2)), np.empty(rows * max(h1, h2), dtype=bool)
-    block = staging = None
-    if isinstance(X, WordRows):
-        block = np.empty((rows, X.shape[1]))
-        staging = np.empty((rows, X.shape[1]), dtype=STORE_DTYPE)
+    # Buffers that serve every block: the input rows, gathered or
+    # converted, the first layer's output and, for both layers, one
+    # factor and one sign buffer. The second layer writes its block of
+    # ``hidden``.
+    hidden = np.empty((len(X), h2), dtype)
+    first = np.empty((rows, h1), dtype)
+    factor = np.empty(rows * max(h1, h2), dtype)
+    sign = np.empty(rows * max(h1, h2), dtype=bool)
+    block = np.empty((rows, X.shape[1]), dtype)
     for lo, hi in zip(bounds, bounds[1:]):
-        a = (X[lo:hi] if block is None
-             else X.take(slice(lo, hi), block[: hi - lo], staging[: hi - lo]))
+        a = block[: hi - lo]
+        if isinstance(X, WordRows):
+            X.take(slice(lo, hi), a)
+        else:
+            a[...] = X[lo:hi]
         for i, z in ((1, first[: hi - lo]), (2, hidden[lo:hi])):
             np.matmul(a, params[f"w{i}"], out=z)  # then bias and leaky ReLU in place
             z += params[f"b{i}"]
@@ -298,26 +317,26 @@ def _views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, 
 
 
 class _TrainStep:
-    """One fit's state and its training step, allocated once.
+    """One fit's state and its training step, allocated once, in ``dtype``.
 
     The flat parameters, their gradient, Adam's m and v and the batch
-    buffers (with Adam's temporary vector over them) share one float64
-    workspace. The batch buffers include each hidden layer's leaky ReLU
-    factor, which the forward pass writes and the backward pass reads.
-    The dropout keep flags and the sign tests behind the factors take
-    turns in one bool workspace, and the store rows of a WordRows batch
-    are staged in one ``STORE_DTYPE`` buffer before they are widened into
-    ``x``. A step allocates no array, so a fit holds three arrays however
-    long it trains and frees them whole when it ends, which keeps
-    concurrent fits small. Every step computes the
-    same values as the out-of-place formulas, bit for bit: the same
-    operations on the same operands, into ``out=`` buffers.
+    buffers (with Adam's temporary vector over them) share one workspace
+    of ``dtype``; the parameters are drawn in float64 and rounded to it.
+    The batch buffers include each hidden layer's leaky ReLU factor,
+    which the forward pass writes and the backward pass reads. The
+    dropout keep flags and the sign tests behind the factors take turns
+    in one bool workspace. A step allocates no array, so the step holds
+    two arrays however long it trains and frees them whole when it ends,
+    which keeps concurrent fits small. Every step computes the same
+    values as the out-of-place formulas in ``dtype``, bit for bit: the
+    same operations on the same operands, into ``out=`` buffers.
 
     A batch of ``n`` rows uses the first ``n`` rows of each batch buffer,
     which are C-contiguous like a fresh array of that shape.
     """
 
-    def __init__(self, d: int, k: int, cfg: TrainConfig, rows: int, rng: np.random.Generator):
+    def __init__(self, d: int, k: int, cfg: TrainConfig, rows: int, rng: np.random.Generator,
+                 dtype: np.dtype = NETWORK_DTYPE):
         h1, h2 = cfg.hidden
         self.cfg = cfg
         init = _init_params(d, h1, h2, k, rng)
@@ -330,7 +349,7 @@ class _TrainStep:
         if cfg.hidden_dropout > 0.0:
             batch["mask1"], batch["mask2"] = (rows, h1), (rows, h2)
         n_batch = sum(r * c for r, c in batch.values())
-        floats = np.zeros(4 * n_params + max(n_params, n_batch))
+        floats = np.zeros(4 * n_params + max(n_params, n_batch), dtype)
         flat = _views(floats, {"params": (n_params,), "grad": (n_params,), "m": (n_params,),
                                "v": (n_params,), **batch})
         # Adam's temporary vector overlays the batch buffers: the step is done with them
@@ -341,17 +360,19 @@ class _TrainStep:
         for name in _PARAM_ORDER:
             self.params[name][...] = init[name]
         self.flags = np.empty(rows * max(d, h1, h2), dtype=bool)
-        self.staging = np.empty((rows, d), dtype=STORE_DTYPE)
 
     def load(self, X: np.ndarray | WordRows, Y: np.ndarray, idx: np.ndarray) -> int:
         """Copy rows ``idx`` of X and Y into the batch; returns the row count."""
         n = len(idx)
-        if isinstance(X, WordRows):
-            X.take(idx, self.flat["x"][:n], self.staging[:n])
-        else:
-            # mode="clip": with the default "raise", take buffers its output
-            np.take(X, idx, axis=0, out=self.flat["x"][:n], mode="clip")
-        np.take(Y, idx, axis=0, out=self.flat["y"][:n], mode="clip")
+        for M, out in ((X, self.flat["x"][:n]), (Y, self.flat["y"][:n])):
+            if isinstance(M, WordRows):
+                M.take(idx, out)
+            elif M.dtype == out.dtype:
+                # mode="clip": with the default "raise", take buffers its output
+                np.take(M, idx, axis=0, out=out, mode="clip")
+            else:  # row by row: a converting take would buffer its output
+                for i, row in enumerate(idx.tolist()):
+                    out[i] = M[row]
         return n
 
     def draw_masks(self, rng: np.random.Generator, n: int) -> None:
@@ -362,7 +383,7 @@ class _TrainStep:
             if rate > 0.0:
                 mask = self.flat[name][:n]
                 keep = self.flags[: mask.size].reshape(mask.shape)
-                rng.random(out=mask)
+                rng.random(dtype=mask.dtype, out=mask)
                 np.greater_equal(mask, rate, out=keep)
                 np.copyto(mask, keep)  # a mixed-type divide would take a 64 KiB buffer
                 mask /= 1.0 - rate
@@ -448,13 +469,14 @@ def fit_mtlffn(
     visits a fresh seeded permutation of the rows and the last partial
     batch is used, not dropped. Dropout uses inverted scaling at train
     time. Two runs with equal inputs and config produce bitwise
-    identical parameters. X may be a matrix or WordRows, whose rows
-    each batch gathers. Once the ``stop`` event (if any) is set, the
-    next step raises instead.
+    identical parameters. Every step computes in ``NETWORK_DTYPE``. X
+    may be a matrix or WordRows, whose rows each batch gathers. Once the
+    ``stop`` event (if any) is set, the next step raises instead.
     """
     X, Y, variables = _fit_inputs(X, Y, variables)
     n, d = X.shape
     k = Y.shape[1]
+    Y = Y.astype(NETWORK_DTYPE)  # once: each batch then takes its rows
 
     rng = np.random.default_rng(cfg.seed)
     train = _TrainStep(d, k, cfg, min(n, cfg.batch_size), rng)
@@ -484,7 +506,8 @@ def predict(model: Model, X) -> np.ndarray:
     Identical rows of X yield identical output rows, which is what makes
     duplicate collapsing of the predicted lexicon sound. X may be a
     matrix or WordRows; the network gathers the rows of WordRows one
-    hidden block at a time, a ridge model all at once.
+    hidden block at a time, a ridge model all at once. The values are
+    float64: the network's are widened exactly.
     """
     X = _as_matrix(X, "X")
     if X.shape[1] != model.input_dim:
@@ -492,21 +515,23 @@ def predict(model: Model, X) -> np.ndarray:
             f"input has {X.shape[1]} columns, model expects {model.input_dim}"
         )
     if isinstance(model, RidgeModel):
-        return _linear(np.asarray(X), model.coef, model.intercept)
-    return _forward(model.params(), X, model.config.leaky_slope)
+        return _linear(np.asarray(X, dtype=np.float64), model.coef, model.intercept)
+    return _forward(model.params(), X, model.config.leaky_slope).astype(np.float64)
 
 
 def grad_check(cfg: TrainConfig, X, Y, *, step: float = 1e-5) -> float:
     """Compare analytic gradients against central finite differences.
 
     Uses the freshly initialized network defined by ``cfg`` (dropout
-    must be zero) and returns the maximum relative error over all
-    parameter entries.
+    must be zero), in float64, and returns the maximum relative error
+    over all parameter entries.
     """
     if cfg.input_dropout != 0.0 or cfg.hidden_dropout != 0.0:
         raise ValueError("grad_check requires zero dropout rates")
     X, Y, _ = _fit_inputs(X, Y)
-    train = _TrainStep(X.shape[1], Y.shape[1], cfg, len(X), np.random.default_rng(cfg.seed))
+    X = np.asarray(X, dtype=np.float64)  # WordRows too: their rows, widened
+    train = _TrainStep(X.shape[1], Y.shape[1], cfg, len(X), np.random.default_rng(cfg.seed),
+                       np.float64)
     rows = train.load(X, Y, np.arange(len(X)))
     train.forward(rows)
     train.backward(rows)
@@ -637,8 +662,9 @@ def expand_lexicon(
 # Checkpoints
 #
 # Versioned binary container: magic line, big-endian header length, JSON
-# header, then the raw little-endian float64 tensors in header order.
-# Writing the same model twice produces identical bytes.
+# header, then the raw little-endian float64 tensors in header order (a
+# network's float32 parameters widened exactly). Writing the same model
+# twice produces identical bytes.
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_MAGIC = b"LEXIFORGE-MODEL\n"
@@ -695,12 +721,15 @@ def load_checkpoint(path) -> Model:
     if header["kind"] == "mtlffn":
         cfg_dict = dict(header["config"])
         cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-        return MtlffnModel(
-            variables=variables,
-            config=TrainConfig(**cfg_dict),
-            steps_trained=int(header["steps_trained"]),
-            **tensors,
-        )
+        try:  # parameters the network's type cannot hold, as from a float64 fit
+            return MtlffnModel(
+                variables=variables,
+                config=TrainConfig(**cfg_dict),
+                steps_trained=int(header["steps_trained"]),
+                **tensors,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if header["kind"] == "ridge":
         return RidgeModel(
             variables=variables,

@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import os
+import platform
 import threading
 import time
 from collections import Counter
@@ -27,6 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .embeddings import embed_matrix, load_embedding_store, usable_cores
@@ -51,6 +54,7 @@ from .lexicon import (
     split_by_reference,
 )
 from .models import (
+    NETWORK_DTYPE,
     TrainConfig,
     expand_lexicon,
     fit_mtlffn,
@@ -145,6 +149,7 @@ class _Manifest:
                 "skip_translation": settings.skip_translation,
                 "missing_policy": settings.missing_policy,
             },
+            "environment": _environment(),
             "inputs": {},
             "outputs": {},
             "stages": [],
@@ -186,13 +191,13 @@ def _peak_rss_mb() -> float | None:
     return None
 
 
-def _openblas_thread_control():
-    """Get and set functions of the loaded OpenBLAS's thread count, or None.
+def _openblas_functions(*names: str) -> list | None:
+    """The loaded OpenBLAS's functions ``names``, as ctypes functions, or None.
 
     The library is found by name in ``/proc/self/maps``; its symbols carry
-    the suffix of the build numpy links (scipy-openblas 64-bit, plain
-    64-bit, or none). None where ``/proc`` is missing or no OpenBLAS is
-    loaded.
+    the prefix and suffix of the build numpy links (scipy-openblas 64-bit,
+    plain 64-bit, or none). None where ``/proc`` is missing, no OpenBLAS
+    is loaded or it lacks one of the functions.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
@@ -209,14 +214,45 @@ def _openblas_thread_control():
             continue
         for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
             try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                return [getattr(lib, f"{prefix}_{name}{suffix}") for name in names]
             except AttributeError:
                 continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
     return None
+
+
+def _openblas_thread_control():
+    """Get and set functions of the loaded OpenBLAS's thread count, or None."""
+    functions = _openblas_functions("get_num_threads", "set_num_threads")
+    if functions is None:
+        return None
+    get, set_ = functions
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _environment() -> dict:
+    """What the bytes of a run depend on beyond its inputs and settings.
+
+    The OpenBLAS build and the kernel it picked for this CPU (None where
+    no OpenBLAS is found), the cores, the BLAS threads a fit runs on
+    (None: the ambient count) and the network's type.
+    """
+    config = core = None
+    blas = _openblas_functions("get_config", "get_corename")
+    if blas is not None:
+        for function in blas:
+            function.argtypes, function.restype = [], ctypes.c_char_p
+        config, core = (function().decode("ascii", "replace") for function in blas)
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas_config": config,
+        "openblas_core": core,
+        "usable_cores": usable_cores(),
+        "train_blas_threads": 1 if _openblas_thread_control() is not None else None,
+        "network_dtype": NETWORK_DTYPE.name,
+    }
 
 
 def _fit_concurrently(fits: list, stop: threading.Event) -> list:

@@ -265,6 +265,30 @@ def test_run_manifest_counts_the_entries_left_untranslated(tmp_path, small_bundl
     assert len(load_lexicon(out / "target_mt.tsv").words) == 60 - 3
 
 
+def test_run_manifest_records_its_environment(tmp_path, small_bundle, monkeypatch):
+    import platform
+
+    out = tmp_path / "out"
+    assert main(_run_args(small_bundle, out, _write_fast_config(tmp_path))) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    environment = manifest["environment"]
+    assert environment.keys() == {"python", "numpy", "openblas_config", "openblas_core",
+                                  "usable_cores", "train_blas_threads", "network_dtype"}
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == np.__version__
+    assert environment["usable_cores"] == _usable_cores()
+    assert environment["network_dtype"] == "float32"
+    if lexiforge.pipeline._openblas_thread_control() is not None:
+        assert environment["train_blas_threads"] == 1
+        assert environment["openblas_config"].startswith("OpenBLAS ")
+        assert environment["openblas_core"]
+    # without OpenBLAS the fits run at the ambient thread count, which is not known
+    monkeypatch.setattr(lexiforge.pipeline, "_openblas_functions", lambda *names: None)
+    environment = lexiforge.pipeline._environment()
+    assert (environment["openblas_config"], environment["openblas_core"],
+            environment["train_blas_threads"]) == (None, None, None)
+
+
 def test_run_is_deterministic_across_directories(tmp_path, small_bundle):
     config = _write_fast_config(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -726,15 +726,15 @@ def test_word_rows_take_equals_indexing_their_matrix():
     vocab = {**VOCAB, "z": [0.1, 1 / 3, -2.7]}  # rounded in float32
     for store in (make_store(vocab), EmbeddingStore([], np.empty((0, 3)))):
         rows, tags = embed_matrix(store, words)
-        widened = np.array([embed_term(store, word)[0] for word in words])
+        # each row of embed_term rounded once, an average from its float64 mean
+        rounded = np.array([embed_term(store, word)[0] for word in words], dtype=np.float32)
         matrix = np.asarray(rows)
-        assert matrix.dtype == np.float64 and matrix.tobytes() == widened.tobytes()
+        assert matrix.dtype == np.float32 and matrix.tobytes() == rounded.tobytes()
         assert rows.shape == matrix.shape == (40, 3) and len(rows) == 40
         order = rng.permutation(40)[:25]
-        staging = np.empty((25, 3), dtype=np.float32)
-        got = rows.take(order, np.empty((25, 3)), staging)
-        assert got.tobytes() == widened[order].tobytes()
-        got = rows.take(slice(5, 9), np.empty((4, 3)), staging[:4])
-        assert got.tobytes() == widened[5:9].tobytes()
+        got = rows.take(order, np.empty((25, 3), dtype=np.float32))
+        assert got.tobytes() == rounded[order].tobytes()
+        got = rows.take(slice(5, 9), np.empty((4, 3), dtype=np.float32))
+        assert got.tobytes() == rounded[5:9].tobytes()
     assert set(tags) == {"zero"}  # nothing is found in the empty store
     assert not matrix.any()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from lexiforge import (
     DivergenceError,
     EmbeddingStore,
     IntegrityError,
+    MtlffnModel,
     NumericError,
     RidgeModel,
     TrainConfig,
@@ -167,20 +169,31 @@ def leaky(z, slope):
 
 
 def leaky_grad(z, slope):
-    return np.where(z > 0, 1.0, slope)
+    return np.where(z > 0, 1.0, slope).astype(z.dtype)
+
+
+F32 = np.float32  # the network's type
 
 
 def reference_fit(X, Y, cfg):
-    """The out-of-place fit: a fresh array for every intermediate and update."""
+    """The out-of-place fit in float32: a fresh array for every intermediate
+    and update. A Python float operand is rounded to float32, as numpy
+    does with a float32 array."""
+    X, Y = X.astype(F32), Y.astype(F32)
     n, d = X.shape
     k = Y.shape[1]
     h1, h2 = cfg.hidden
     slope = cfg.leaky_slope
     rng = np.random.default_rng(cfg.seed)
-    params = lexiforge.models._init_params(d, h1, h2, k, rng)
+    params = {name: p.astype(F32)
+              for name, p in lexiforge.models._init_params(d, h1, h2, k, rng).items()}
     m = {name: np.zeros_like(p) for name, p in params.items()}
     v = {name: np.zeros_like(p) for name, p in params.items()}
     beta1, beta2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+
+    def mask(shape, rate):
+        return (rng.random(shape, dtype=F32) >= rate).astype(F32) / F32(1.0 - rate)
+
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -189,12 +202,10 @@ def reference_fit(X, Y, cfg):
             xb, yb = X[idx], Y[idx]
             masks = {}
             if cfg.input_dropout > 0.0:
-                masks["input"] = (rng.random(xb.shape) >= cfg.input_dropout) / (
-                    1.0 - cfg.input_dropout)
+                masks["input"] = mask(xb.shape, cfg.input_dropout)
             if cfg.hidden_dropout > 0.0:
-                keep = 1.0 - cfg.hidden_dropout
-                masks["h1"] = (rng.random((len(idx), h1)) >= cfg.hidden_dropout) / keep
-                masks["h2"] = (rng.random((len(idx), h2)) >= cfg.hidden_dropout) / keep
+                masks["h1"] = mask((len(idx), h1), cfg.hidden_dropout)
+                masks["h2"] = mask((len(idx), h2), cfg.hidden_dropout)
             x0 = xb * masks["input"] if "input" in masks else xb
             z1 = x0 @ params["w1"] + params["b1"]
             a1 = leaky(z1, slope)
@@ -222,6 +233,7 @@ def reference_fit(X, Y, cfg):
                 v[name] = beta2 * v[name] + (1.0 - beta2) * (grad * grad)
                 params[name] = params[name] - cfg.learning_rate * (m[name] / bias1) / (
                     np.sqrt(v[name] / bias2) + eps)
+    assert all(p.dtype == F32 for p in params.values())
     return params, step
 
 
@@ -346,11 +358,29 @@ def _rows_with_an_infinite_average():
     (np.zeros((3, 2)), np.zeros((3, 0)), "variable set must not be empty"),
     (np.vstack([np.zeros((600, 2)), [[0.0, np.nan]]]), np.zeros((601, 1)), "X must be finite"),
     (_rows_with_an_infinite_average(), np.zeros((3, 1)), "X must be finite"),
+    (np.array([[0.0, 1e39]] * 3), np.zeros((3, 1)), "X must be finite"),
+    (np.zeros((3, 2)), np.full((3, 1), -3.5e38), "Y must be finite"),
 ], ids=["1-d X", "infinite Y", "other row counts", "no rows", "no Y columns",
-        "NaN in X's last row block", "infinite averaged row"])
+        "NaN in X's last row block", "infinite averaged row", "X infinite in float32",
+        "Y infinite in float32"])
 def test_every_fitter_checks_its_inputs_alike(fit, X, Y, message):
     with pytest.raises(ValueError, match=message):
         fit(X, Y)
+
+
+def test_a_matrix_is_finite_where_float32_rounds_it_to_a_finite_value():
+    largest = np.finfo(F32).max
+    half_way = (float(largest) + 2.0**128) / 2  # rounds to even: the infinity
+    for value, finite in ((float(largest), True), (np.nextafter(half_way, 0), True),
+                          (half_way, False), (np.inf, False)):
+        with np.errstate(over="ignore"):
+            assert np.isfinite(F32(value)) == finite
+        for sign in (1, -1):
+            X = np.zeros((700, 2))
+            X[-1, 1] = sign * value  # in the second row block
+            assert lexiforge.embeddings.all_finite(X) == finite, (sign, value)
+            with np.errstate(over="ignore"):
+                assert lexiforge.embeddings.all_finite(X.astype(F32)) == finite
 
 
 def test_checking_a_matrix_takes_no_matrix_sized_mask():
@@ -382,9 +412,9 @@ def test_fit_rejects_bad_shapes():
                    variables=VariableSet(("a", "b", "c")))
 
 
-@pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf, -1e39])  # the last: in float32
 def test_config_rejects_a_non_finite_leaky_slope(slope):
-    with pytest.raises(ValueError, match=f"leaky_slope must be finite, got {slope}"):
+    with pytest.raises(ValueError, match=re.escape(f"leaky_slope must be finite, got {slope}")):
         TrainConfig(leaky_slope=slope)
 
 
@@ -410,16 +440,27 @@ _FACTOR_INPUTS = np.array([
 ])
 
 
-@pytest.mark.parametrize("slope", [0.01, 0.0, -0.0, -0.5, 1.0, 1.5])
-def test_leaky_factor_gives_the_masked_multiply_bytes(slope):
-    z = np.tile(_FACTOR_INPUTS, (3, 1))
+def _check_leaky_factor(z, slope):
     factor = lexiforge.models._leaky_factor(
-        z, slope, np.full(z.shape, 7.0), np.empty(z.shape, dtype=bool))
-    expected = np.where(z <= 0, slope, 1.0)
+        z, slope, np.full(z.shape, 7.0, z.dtype), np.empty(z.shape, dtype=bool))
+    expected = np.where(z <= 0, slope, 1.0).astype(z.dtype)
     assert factor.tobytes() == expected.tobytes()
     with np.errstate(invalid="ignore"):  # -inf * 0 is NaN, in both forms
         masked = np.multiply(z, slope, out=z.copy(), where=z <= 0)
         assert (z * factor).tobytes() == masked.tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.0, -0.0, -0.5, 1.0, 1.5])
+def test_leaky_factor_gives_the_masked_multiply_bytes(slope):
+    _check_leaky_factor(np.tile(_FACTOR_INPUTS, (3, 1)), slope)
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.0, -0.0, -0.5, 1.0, 1.5])
+def test_leaky_factor_gives_the_masked_multiply_bytes_in_float32(slope):
+    # the float64 inputs rounded, and float32's own smallest subnormals
+    with np.errstate(over="ignore"):
+        z = np.append(_FACTOR_INPUTS, [1e-45, -1e-45]).astype(F32)
+    _check_leaky_factor(np.tile(z, (3, 1)), slope)
 
 
 def test_training_steps_allocate_no_batch_buffer():
@@ -495,22 +536,30 @@ def test_predict_zero_input_ridge_returns_intercept():
 
 
 def test_predict_matches_straight_line_forward_oracle():
+    # parameters, inputs and slope of few bits: every float32 sum is then
+    # exact in any order, in the oracle's row products as in predict's blocks
     rng = np.random.default_rng(13)
-    model = fit_mtlffn(
-        rng.standard_normal((20, 4)), rng.standard_normal((20, 3)),
-        TrainConfig(hidden=(8, 6), epochs=2, seed=5),
+
+    def dyadic(*shape):
+        return (rng.integers(-4, 5, size=shape) / 8).astype(F32)
+
+    model = MtlffnModel(
+        VariableSet(("a", "b", "c")), TrainConfig(hidden=(8, 6), leaky_slope=0.25),
+        w1=dyadic(4, 8), b1=dyadic(8), w2=dyadic(8, 6), b2=dyadic(6),
+        w3=dyadic(6, 3), b3=dyadic(3),
     )
-    X = rng.standard_normal((3, 4))
+    X = dyadic(3, 4)
     out = predict(model, X)
 
     def leaky(v):
         slope = model.config.leaky_slope
-        return np.array([x if x > 0 else slope * x for x in v])
+        return np.array([x if x > 0 else slope * x for x in v], dtype=F32)
 
     for i in range(3):
         h1 = leaky(X[i] @ model.w1 + model.b1)
         h2 = leaky(h1 @ model.w2 + model.b2)
         expected = h2 @ model.w3 + model.b3
+        assert (h1 < 0).any() and (h2 < 0).any()
         assert np.abs(out[i] - expected).max() < 1e-12
 
 
@@ -528,9 +577,9 @@ def test_predict_equals_out_of_place_forward_bit_for_bit(slope):
     for n_rows in (53, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1):
         X = np.vstack([rng.standard_normal((n_rows - 3, 4)), np.zeros((2, 4)), -np.zeros((1, 4))])
         before = X.copy()
-        h1 = leaky(X @ model.w1 + model.b1, slope)
+        h1 = leaky(X.astype(F32) @ model.w1 + model.b1, slope)
         h2 = leaky(h1 @ model.w2 + model.b2, slope)
-        expected = h2 @ model.w3 + model.b3
+        expected = (h2 @ model.w3 + model.b3).astype(np.float64)
         assert predict(model, X).tobytes() == expected.tobytes(), n_rows
         assert X.tobytes() == before.tobytes()
 
@@ -572,7 +621,7 @@ def test_word_rows_serve_threads_that_share_them():
 
     def gather(seed):
         rng = np.random.default_rng(seed)
-        out = np.empty((64, 8))
+        out = np.empty((64, 8), dtype=F32)
         for _ in range(300):
             idx = rng.integers(0, len(rows), 64)
             if rows.take(idx, out).tobytes() != matrix[idx].tobytes():
@@ -592,13 +641,14 @@ def test_word_rows_serve_threads_that_share_them():
 
 
 def _hidden_buffer_bytes(model, n_rows):
-    """What ``predict`` must hold over ``n_rows`` rows: the hidden rows, the
-    output (with the bias add's copy) and one block's buffers for the first
-    layer, the leaky ReLU factor and its signs."""
+    """What ``predict`` must hold over ``n_rows`` rows, in the network's
+    type: the hidden rows, the output (with the bias add's copy) and one
+    block's buffers for the input rows, the first layer, the leaky ReLU
+    factor and its signs."""
     (h1, h2), k = model.config.hidden, len(model.variables)
     block = min(n_rows, BLOCK)
-    floats = n_rows * h2 + 2 * n_rows * k + block * h1 + block * max(h1, h2)
-    return 8 * floats + block * max(h1, h2)
+    floats = n_rows * h2 + 2 * n_rows * k + block * (model.input_dim + h1 + max(h1, h2))
+    return model.w1.itemsize * floats + block * max(h1, h2)
 
 
 def test_predict_holds_the_hidden_rows_and_one_block_of_buffers():
@@ -608,10 +658,8 @@ def test_predict_holds_the_hidden_rows_and_one_block_of_buffers():
                        TrainConfig(hidden=(256, 128), epochs=1, seed=2))
     X = rng.standard_normal((n_rows, dim))
     rows = _word_rows(n_rows, dim, seed=20)
-    # a mask for the finiteness check, and the gathered rows of WordRows
-    # with the float32 block they are widened from
-    mask = lexiforge.embeddings._BLOCK_ROWS * dim
-    for inputs, extra in ((X, mask), (rows, (8 + 4) * BLOCK * dim + mask)):
+    mask = lexiforge.embeddings._BLOCK_ROWS * dim  # the finiteness check's
+    for inputs in (X, rows):
         predict(model, inputs)  # the warm-up: first calls may set up caches
         tracemalloc.start()
         try:
@@ -620,7 +668,7 @@ def test_predict_holds_the_hidden_rows_and_one_block_of_buffers():
         finally:
             tracemalloc.stop()
         # a fresh array for each block's layer output takes 1 MiB more
-        assert peak < _hidden_buffer_bytes(model, n_rows) + extra + 128 * 1024, type(inputs)
+        assert peak < _hidden_buffer_bytes(model, n_rows) + mask + 128 * 1024, type(inputs)
 
 
 def test_predict_dimension_mismatch():
@@ -676,7 +724,7 @@ def test_output_bias_gradient_equals_scaled_mean_residual():
     X = np.zeros((n, d))
     Y = rng.standard_normal((n, k))
     cfg = TrainConfig(hidden=(8, 4), input_dropout=0.0, hidden_dropout=0.0)
-    train = _TrainStep(d, k, cfg, n, np.random.default_rng(0))
+    train = _TrainStep(d, k, cfg, n, np.random.default_rng(0), np.float64)
     rows = train.load(X, Y, np.arange(n))
     assert train.forward(rows) == np.mean(Y**2)
     assert np.array_equal(train.flat["g"], -Y)  # the residual y_hat - Y, so y_hat == 0
@@ -709,6 +757,40 @@ def test_checkpoint_round_trip_mtlffn(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_holds_the_float32_parameters_widened_to_float64(tmp_path):
+    rng = np.random.default_rng(18)
+    model = fit_mtlffn(rng.standard_normal((20, 4)), rng.standard_normal((20, 2)),
+                       TrainConfig(hidden=(8, 4), epochs=2, seed=9))
+    assert all(p.dtype == F32 for p in model.params().values())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    tensors = b"".join(p.astype("<f8").tobytes() for p in model.params().values())
+    assert path.read_bytes().endswith(tensors)
+    loaded = load_checkpoint(path)
+    assert all(loaded.params()[n].tobytes() == p.tobytes() for n, p in model.params().items())
+
+
+def test_a_network_refuses_parameters_float32_cannot_hold(tmp_path):
+    rng = np.random.default_rng(18)
+    model = fit_mtlffn(rng.standard_normal((20, 4)), rng.standard_normal((20, 2)),
+                       TrainConfig(hidden=(8, 4), epochs=2, seed=9))
+    params = {name: p.astype(np.float64) for name, p in model.params().items()}
+    for value in (0.1, 1e39):  # between two float32 values, and beyond their range
+        bad = {**params, "b2": np.full(4, value)}
+        with pytest.raises(ValueError, match="parameter b2 does not convert to float32 exactly"):
+            MtlffnModel(model.variables, model.config, **bad)
+    # a checkpoint of a float64 fit: the same layout, with a w1 float32 cannot hold
+    path = tmp_path / "float64.ckpt"
+    save_checkpoint(model, path)
+    data = bytearray(path.read_bytes())
+    at = len(data) - sum(p.size for p in params.values()) * 8  # w1[0, 0]
+    data[at : at + 8] = struct.pack("<d", float(params["w1"][0, 0]) + 2.0**-40)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError) as raised:
+        load_checkpoint(path)
+    assert str(raised.value) == f"{path}: parameter w1 does not convert to float32 exactly"
 
 
 def test_checkpoint_round_trip_ridge(tmp_path):
