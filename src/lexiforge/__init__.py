@@ -62,7 +62,6 @@ from .models import (
     MtlffnModel,
     RidgeModel,
     TrainConfig,
-    expand_lexicon,
     fit_mtlffn,
     fit_ridge,
     grad_check,
@@ -71,6 +70,7 @@ from .models import (
     predict_lexicon,
     save_checkpoint,
     variable_groups,
+    write_expansion,
 )
 from .pipeline import RunSettings, prepare_source, run_pipeline
 from .translation import load_translation_table, project_lexicon

@@ -218,11 +218,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    gold = _parse_gold_args(args.gold)
+    gold_paths = _parse_gold_args(args.gold)
     mt = load_lexicon(args.mt, provenance="translated", language=args.target_lang)
     pred = load_lexicon(args.pred, provenance="predicted", language=args.target_lang)
+    golds = {gold_id: load_lexicon(path, language=args.target_lang)
+             for gold_id, path in gold_paths.items()}
     reports = evaluate_protocols(
-        mt, pred, SplitSets.from_lexicons(mt, pred), gold,
+        mt, pred, SplitSets.from_lexicons(mt, pred), golds,
         Path(args.out) if args.out else None, lang=args.target_lang,
     )
     _print_reports(reports.values())

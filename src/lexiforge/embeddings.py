@@ -26,7 +26,7 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,6 +106,9 @@ class EmbeddingStore:
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.words)
 
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self._index[word]]

@@ -31,15 +31,17 @@ from .lexicon import (
     canonical_variable_order,
     restrict_to_split,
     restrict_to_words,
+    write_whole,
 )
 
 PROTOCOLS = ("silver", "gold", "isr", "mt_vs_pred", "meta")
 
 
-def restrict_to_test_predictions(pred: Lexicon, splits: SplitSets) -> Lexicon:
-    """Predicted entries in the prediction test split, the slice every
-    gold-data protocol evaluates on."""
-    return restrict_to_words(pred, splits.pred_test)
+def restrict_to_test_predictions(lex: Lexicon, splits: SplitSets) -> Lexicon:
+    """Entries whose word is in the prediction test split, the slice every
+    gold-data protocol evaluates on; tested word by word, without
+    building the split."""
+    return _take(lex, [i for i, w in enumerate(lex.words) if splits.in_test(w)])
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class EvalReport:
 
 
 def save_reports(reports: Sequence[EvalReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_whole(path) as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2, ensure_ascii=False)
         fh.write("\n")
 
@@ -219,7 +221,8 @@ def silver_eval(
     """
     pred.require_unique("silver_eval")
     x, y = _align(
-        restrict_to_words(mt, splits.mt_test & splits.pred_test), pred,
+        # the MT test words in pred_test
+        restrict_to_words(mt, splits.mt_test - splits.mt_dev - splits.mt_train), pred,
         "shared test word(s)",
     )
     names = [v for v in mt.variables.names if v in pred.variables]
@@ -251,7 +254,7 @@ def gold_eval(
     if not names:
         raise SchemaError("gold lexicon shares no variables with the predictions")
     x, y = _align(
-        restrict_to_words(gold, splits.pred_test), pred,
+        restrict_to_test_predictions(gold, splits), pred,
         "gold word(s) inside the prediction test split",
     )
     return _correlate(
@@ -290,7 +293,7 @@ def isr_compare(
     )
     shared = "words shared by all three lexicons"
     pred_rows = pred.row_index
-    tested = [i for i, w in enumerate(gold1.words) if w in splits.pred_test and w in pred_rows]
+    tested = [i for i, w in enumerate(gold1.words) if w in pred_rows and splits.in_test(w)]
     g1, g2 = _align(_take(gold1, tested), gold2, shared)
     _, p = _align(g1, pred, shared)
     names = [

@@ -8,10 +8,15 @@ are immutable after construction; every operation returns a new object.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
 import unicodedata
+from collections.abc import Collection, Container, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
@@ -178,15 +183,20 @@ class SplitSets:
     - pred_train = mt_train
     - pred_dev   = mt_dev minus mt_train
     - pred_test  = (mt_test union embedding_vocab) minus (mt_dev union mt_train)
+
+    ``embedding_vocab`` is held as given, never copied: any collection
+    of words with a fast ``in``, such as a set or the vector store.
+    ``tag`` and ``in_test`` test a word against it; only ``pred_test``
+    builds the whole set.
     """
 
     mt_train: frozenset[str]
     mt_dev: frozenset[str]
     mt_test: frozenset[str]
-    embedding_vocab: frozenset[str]
+    embedding_vocab: Collection[str]
 
     def __post_init__(self):
-        for name in ("mt_train", "mt_dev", "mt_test", "embedding_vocab"):
+        for name in ("mt_train", "mt_dev", "mt_test"):
             object.__setattr__(self, name, frozenset(getattr(self, name)))
 
     @property
@@ -199,15 +209,21 @@ class SplitSets:
 
     @cached_property
     def pred_test(self) -> frozenset[str]:
-        return (self.mt_test | self.embedding_vocab) - (self.mt_dev | self.mt_train)
+        """The test split as a set, built by a pass over the vocabulary."""
+        return frozenset(w for w in itertools.chain(self.mt_test, self.embedding_vocab)
+                         if self.in_test(w))
+
+    def in_test(self, word: str) -> bool:
+        """Whether a word is in pred_test, without building it."""
+        return self.tag(word) == "test"
 
     def tag(self, word: str) -> str:
         """The prediction split of a word, or "none" outside all three."""
-        if word in self.pred_train:
+        if word in self.mt_train:
             return "train"
-        if word in self.pred_dev:
+        if word in self.mt_dev:
             return "dev"
-        if word in self.pred_test:
+        if word in self.mt_test or word in self.embedding_vocab:
             return "test"
         return "none"
 
@@ -230,11 +246,12 @@ class SplitSets:
         return splits
 
 
-def derive_prediction_splits(mt: Lexicon, embedding_vocab: Iterable[str]) -> SplitSets:
+def derive_prediction_splits(mt: Lexicon, embedding_vocab: Collection[str]) -> SplitSets:
     """Derive the prediction splits from a split-tagged MT lexicon.
 
-    ``embedding_vocab`` is the word set of the embedding model used for
-    expansion; its words land in pred_test unless already seen in the MT
+    ``embedding_vocab`` is the vocabulary of the embedding model used
+    for expansion, such as its store, which the splits hold without
+    copying; its words land in pred_test unless already seen in the MT
     train or dev split.
     """
     return SplitSets(*(mt.split_words(tag) for tag in ("train", "dev", "test")), embedding_vocab)
@@ -328,16 +345,13 @@ def parse_lexicon(
     )
 
 
-def serialize_lexicon(lex: Lexicon, stream: IO[str]) -> None:
-    """Write a lexicon TSV; inverse of :func:`parse_lexicon`.
+def write_lexicon_header(stream: IO[str], variables: VariableSet, has_split: bool) -> None:
+    """Write the header of a lexicon TSV, with a split column if ``has_split``."""
+    stream.write("\t".join(["word", *variables.names] + (["split"] if has_split else [])) + "\n")
 
-    Floats are written in shortest round-trip form, so
-    parse(serialize(lex)) reproduces the values bit for bit. The split
-    column is emitted only when at least one entry carries a tag.
-    """
-    has_split = any(s != "none" for s in lex.splits)
-    header = ["word", *lex.variables.names] + (["split"] if has_split else [])
-    stream.write("\t".join(header) + "\n")
+
+def write_lexicon_rows(stream: IO[str], lex: Lexicon, has_split: bool) -> None:
+    """Write the rows of a lexicon TSV, with their tags if ``has_split``."""
     # a block of rows at a time: every value of a large lexicon as a Python
     # float at once would raise the process's peak memory
     for lo in range(0, len(lex.words), _SERIALIZE_ROWS):
@@ -350,13 +364,46 @@ def serialize_lexicon(lex: Lexicon, stream: IO[str]) -> None:
             stream.write("\t".join(fields) + "\n")
 
 
+def serialize_lexicon(lex: Lexicon, stream: IO[str]) -> None:
+    """Write a lexicon TSV; inverse of :func:`parse_lexicon`.
+
+    Floats are written in shortest round-trip form, so
+    parse(serialize(lex)) reproduces the values bit for bit. The split
+    column is emitted only when at least one entry carries a tag.
+    """
+    has_split = any(s != "none" for s in lex.splits)
+    write_lexicon_header(stream, lex.variables, has_split)
+    write_lexicon_rows(stream, lex, has_split)
+
+
+@contextlib.contextmanager
+def write_whole(path):
+    """A UTF-8 text stream whose file replaces ``path`` only when whole.
+
+    The stream writes ``<path>.tmp``, which replaces ``path`` when the
+    block ends and is removed when it raises. So ``path`` holds its old
+    bytes or all the new ones, never a part; a killed process may leave
+    the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def load_lexicon(path, *, provenance="human", language="und") -> Lexicon:
     with open(path, encoding="utf-8") as fh:
         return parse_lexicon(fh, provenance=provenance, language=language, path=path)
 
 
 def save_lexicon(lex: Lexicon, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_whole(path) as fh:
         serialize_lexicon(lex, fh)
 
 
@@ -371,7 +418,7 @@ def load_word_list(path) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
-def _take(lex: Lexicon, indices: list[int]) -> Lexicon:
+def _take(lex: Lexicon, indices: Sequence[int]) -> Lexicon:
     return replace(
         lex,
         words=tuple(lex.words[i] for i in indices),
@@ -429,7 +476,18 @@ def collapse_duplicates(lex: Lexicon) -> Lexicon:
     return _take(lex, list(first.values()))
 
 
-def restrict_to_words(lex: Lexicon, words: set[str] | frozenset[str]) -> Lexicon:
+def concat_lexicons(parts: Sequence[Lexicon]) -> Lexicon:
+    """The rows of ``parts`` in order, with the first part's variables,
+    provenance and language."""
+    return replace(
+        parts[0],
+        words=tuple(itertools.chain.from_iterable(p.words for p in parts)),
+        values=np.concatenate([p.values for p in parts]),
+        splits=tuple(itertools.chain.from_iterable(p.splits for p in parts)),
+    )
+
+
+def restrict_to_words(lex: Lexicon, words: Container[str]) -> Lexicon:
     """Keep only entries whose word type is in ``words``."""
     keep = [i for i, w in enumerate(lex.words) if w in words]
     return _take(lex, keep)

@@ -13,17 +13,30 @@ initialization, epoch shuffling, and dropout masks, in that order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from collections import Counter
+from collections.abc import Callable, Container
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .embeddings import STORE_DTYPE, EmbeddingStore, WordRows, all_finite, embed_matrix
 from .errors import DivergenceError, LexiforgeError, NumericError
-from .lexicon import Lexicon, SplitSets, VariableSet, collapse_duplicates, infer_family
+from .lexicon import (
+    Lexicon,
+    SplitSets,
+    VariableSet,
+    _take,
+    collapse_duplicates,
+    concat_lexicons,
+    infer_family,
+    restrict_to_words,
+    write_lexicon_header,
+    write_lexicon_rows,
+)
 
 # The type the network trains and predicts in: that of the store's rows,
 # and of the network of the paper's implementation.
@@ -55,10 +68,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-        for name in ("learning_rate", "adam_epsilon"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        with np.errstate(over="ignore"):  # the network's type: beyond its range is inf
+        # the network's type: beyond its range is inf, below half its least
+        # subnormal 0
+        with np.errstate(over="ignore", under="ignore"):
+            for name in ("learning_rate", "adam_epsilon"):
+                value = getattr(self, name)
+                if not (0.0 < value < np.inf and NETWORK_DTYPE.type(value) > 0.0):
+                    raise ValueError(f"{name} must be positive and finite, got {value}")
             if not np.isfinite(NETWORK_DTYPE.type(self.leaky_slope)):
                 raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope}")
 
@@ -593,19 +609,21 @@ _PREDICT_CHUNK_ROWS = 8192
 
 def predict_lexicon(
     models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets,
-    *, resolution: Counter | None = None,
-) -> Lexicon:
+    write: Callable[[Lexicon], object], *, resolution: Counter | None = None,
+) -> None:
     """Predict ratings for every MT entry plus every embedding-only word.
 
-    Output order: MT entries first (duplicates included, one row per
-    entry), then embedding-vocabulary words absent from MT in file
+    Passes the predicted rows to ``write``, one lexicon per chunk, in
+    this order: MT entries first (duplicates included, one row per
+    entry), then embedding-vocabulary words absent from MT in store
     order. Each word is tagged with its prediction split. Use
-    :func:`expand_lexicon` for the deduplicated lexicon.
+    :func:`write_expansion` for the deduplicated lexicon.
 
-    Rows are embedded and predicted in near-equal chunks of at most
-    ``_PREDICT_CHUNK_ROWS``; the values equal those of one ``predict``
-    call over all rows, bit for bit. ``resolution``, if given, counts
-    each row's resolution tag (``direct``, ``averaged`` or ``zero``).
+    The chunks are near-equal, of at most ``_PREDICT_CHUNK_ROWS`` rows,
+    and only one is held at a time; the values equal those of one
+    ``predict`` call over all rows, bit for bit. ``resolution``, if
+    given, counts each row's resolution tag (``direct``, ``averaged``
+    or ``zero``).
     """
     if not models:
         raise ValueError("at least one model required")
@@ -620,42 +638,72 @@ def predict_lexicon(
                 f"model expects {model.input_dim}-dim input, store has {store.dimension}"
             )
 
-    extra = [w for w in store.words if w not in mt.row_index]
-    words = list(mt.words) + extra
-    values = np.empty((len(words), len(names)), dtype=np.float64)
+    variables = VariableSet(names)
+    mt_rows = mt.row_index
+    n_tail = len(store) - sum(w in store for w in mt_rows)
+    tail = (w for w in store.words if w not in mt_rows)
     columns = np.cumsum([0] + [len(model.variables) for model in models])
-    bounds = _near_equal_bounds(len(words), _PREDICT_CHUNK_ROWS)
+    bounds = _near_equal_bounds(len(mt) + n_tail, _PREDICT_CHUNK_ROWS)
     for lo, hi in zip(bounds, bounds[1:]):
-        rows, tags = embed_matrix(store, words[lo:hi])
+        # the chunk's MT rows, then vocabulary words up to its end
+        words = [*mt.words[lo:hi], *itertools.islice(tail, max(0, hi - max(lo, len(mt))))]
+        rows, tags = embed_matrix(store, words)
         if resolution is not None:
             resolution.update(tags)
+        values = np.empty((len(words), len(names)), dtype=np.float64)
         for model, first, last in zip(models, columns, columns[1:]):
-            values[lo:hi, first:last] = predict(model, rows)
-
-    return Lexicon(
-        variables=VariableSet(names),
-        words=tuple(words),
-        values=values,
-        splits=tuple(splits.tag(w) for w in words),
-        provenance="predicted",
-        language=mt.language,
-    )
+            values[:, first:last] = predict(model, rows)
+        write(Lexicon(variables=variables, words=words, values=values,
+                      splits=map(splits.tag, words), provenance="predicted",
+                      language=mt.language))
 
 
-def expand_lexicon(
+def write_expansion(
     models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets,
-    *, resolution: Counter | None = None,
+    stream: IO[str], *, keep: Container[str] = frozenset(),
+    resolution: Counter | None = None,
 ) -> Lexicon:
-    """Predicted lexicon over all MT and embedding words, one entry per type.
+    """Write the predicted lexicon over all MT and embedding words, one
+    entry per type, to ``stream`` as a TSV, chunk by chunk.
 
-    Partial duplicates inherited from MT receive identical predictions
-    (same word, same vector, deterministic forward pass) and are merged;
-    a value spread above :func:`collapse_duplicates`'s tolerance would
-    mean the prediction step is broken and raises IntegrityError.
+    The bytes are those of :func:`serialize_lexicon` of
+    :func:`collapse_duplicates` of every row of :func:`predict_lexicon`.
+    The MT rows are merged once the last of them is predicted: partial
+    duplicates inherited from MT receive identical predictions (same
+    word, same vector, deterministic forward pass), and a value spread
+    above the tolerance would mean the prediction step is broken and
+    raises IntegrityError. Then each chunk of vocabulary words is
+    written as soon as it is predicted. Returns the rows the evaluation
+    needs: the merged MT rows, then the vocabulary words in ``keep``.
     ``resolution`` is passed to :func:`predict_lexicon`.
     """
-    return collapse_duplicates(predict_lexicon(models, store, mt, splits,
-                                               resolution=resolution))
+    mt_rows = mt.row_index
+    # serialize_lexicon's split column: there if any row carries a tag, as
+    # the first MT row nearly always does
+    has_split = any(splits.tag(w) != "none" for w in itertools.chain(
+        mt.words, (w for w in store.words if w not in mt_rows)))
+    head: list[Lexicon] = []  # the MT rows, until the last of them is predicted
+    kept: list[Lexicon] = []  # empty until the merged MT rows are written
+
+    def write(chunk: Lexicon) -> None:
+        if not kept:
+            n_head = len(mt) - sum(map(len, head))  # MT rows still to come
+            head.append(_take(chunk, range(min(n_head, len(chunk)))))
+            if n_head > len(chunk):
+                return
+            merged = collapse_duplicates(concat_lexicons(head))
+            head.clear()
+            write_lexicon_header(stream, merged.variables, has_split)
+            write_lexicon_rows(stream, merged, has_split)
+            kept.append(merged)
+            chunk = _take(chunk, range(n_head, len(chunk)))
+        write_lexicon_rows(stream, chunk, has_split)
+        chunk = restrict_to_words(chunk, keep)
+        if len(chunk):
+            kept.append(chunk)
+
+    predict_lexicon(models, store, mt, splits, write, resolution=resolution)
+    return concat_lexicons(kept)
 
 
 # ---------------------------------------------------------------------------

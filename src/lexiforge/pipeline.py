@@ -1,8 +1,10 @@
 """Pipeline orchestration: stage sequencing, run manifest, output locking.
 
-A run executes translate -> derive splits -> train -> expand -> collapse
--> silver evaluation (plus the gold protocols when gold lexicons are
-supplied), writing every artifact plus a manifest that records content
+A run's stages: load-source (the source and any gold lexicons) ->
+translate -> embeddings -> splits -> train -> expand (predict, collapse
+the MT duplicates and write the predicted lexicon chunk by chunk) ->
+silver evaluation, plus the gold protocols when gold lexicons are
+supplied. It writes every artifact plus a manifest that records content
 hashes of all inputs and outputs. Re-running an unchanged manifest
 reproduces all outputs bit for bit. A stage failure aborts the run with
 the stage name; artifacts written so far are kept and the manifest is
@@ -52,15 +54,16 @@ from .lexicon import (
     load_word_list,
     save_lexicon,
     split_by_reference,
+    write_whole,
 )
 from .models import (
     NETWORK_DTYPE,
     TrainConfig,
-    expand_lexicon,
     fit_mtlffn,
     fit_ridge,
     save_checkpoint,
     variable_groups,
+    write_expansion,
 )
 from .translation import load_translation_table, project_lexicon
 
@@ -168,11 +171,9 @@ class _Manifest:
         self.data["stages"].append(entry)
 
     def write(self) -> None:
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with write_whole(self.path) as fh:
             json.dump(self.data, fh, indent=2, ensure_ascii=False)
             fh.write("\n")
-        os.replace(tmp, self.path)
 
 
 def _peak_rss_mb() -> float | None:
@@ -409,6 +410,8 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
                 raise LexiforgeError(
                     "source lexicon has no train-tagged entries; run prepare-source first"
                 )
+            golds = {gold_id: load_lexicon(path, language=settings.target_lang)
+                     for gold_id, path in settings.gold.items()}
 
         with _stage(manifest, "translate") as details:
             if settings.skip_translation:
@@ -423,11 +426,12 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
             save_lexicon(mt, mt_path)
             manifest.add_output("target_mt", mt_path)
 
-        with _stage(manifest, "embeddings"):
+        with _stage(manifest, "embeddings") as details:
             store = load_embedding_store(settings.embeddings, settings.max_vocab)
+            details["duplicates"] = store.n_duplicates
 
         with _stage(manifest, "splits"):
-            splits = derive_prediction_splits(mt, store.words)
+            splits = derive_prediction_splits(mt, store)
 
         with _stage(manifest, "train") as details:
             train_rows = [i for i, s in enumerate(mt.splits) if s == "train"]
@@ -455,14 +459,19 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
 
         with _stage(manifest, "expand") as details:
             resolution = Counter()
-            pred = expand_lexicon(models, store, mt, splits, resolution=resolution)
-            details["resolution"] = _resolution_counts(resolution)
             pred_path = out / "target_pred.tsv"
-            save_lexicon(pred, pred_path)
+            with write_whole(pred_path) as stream:
+                # the rows of the gold words are all the evaluation reads
+                pred = write_expansion(
+                    models, store, mt, splits, stream, resolution=resolution,
+                    keep={w for gold in golds.values() for w in gold.words},
+                )
+            details["resolution"] = _resolution_counts(resolution)
+            details["merged"] = len(mt) - len(mt.row_index)  # MT duplicates
             manifest.add_output("target_pred", pred_path)
 
         reports = evaluate_protocols(
-            mt, pred, splits, settings.gold, out / "reports",
+            mt, pred, splits, golds, out / "reports",
             lang=settings.target_lang, manifest=manifest,
         )
         manifest.data["status"] = "complete"
@@ -494,7 +503,7 @@ def evaluate_protocols(
     mt: Lexicon,
     pred: Lexicon,
     splits: SplitSets,
-    gold_paths: dict[str, Path],
+    golds: dict[str, Lexicon],
     out_dir: Path | None,
     *,
     lang: str,
@@ -502,15 +511,17 @@ def evaluate_protocols(
 ) -> dict[str, list[EvalReport]]:
     """Run every evaluation protocol on an MT and a predicted lexicon.
 
-    In order: silver; gold for each gold lexicon (read as language
-    ``lang``); inter-study reliability for each pair of golds sharing a
-    variable; MT vs. prediction for each gold. Each comparison is one
-    stage and one report file, named ``silver``, ``gold_<id>``,
-    ``isr_<id1>_<id2>`` and ``mt_vs_pred_<id>``. Returns each name's
-    reports in run order and, unless ``out_dir`` is None, writes them
-    to ``<name>.json`` there. A manifest records the stages and files.
+    In order: silver; gold for each gold lexicon; inter-study
+    reliability for each pair of golds sharing a variable; MT vs.
+    prediction for each gold. Each comparison is one stage and one
+    report file, named ``silver``, ``gold_<id>``, ``isr_<id1>_<id2>``
+    and ``mt_vs_pred_<id>``. The protocols read only the predicted rows
+    of MT and gold words, so ``pred`` may hold just those. Returns each
+    name's reports in run order and, unless ``out_dir`` is None, writes
+    them to ``<name>.json`` there. A manifest records the stages and
+    files.
     """
-    isr_names = isr_report_names(gold_paths)
+    isr_names = isr_report_names(golds)
     reports: dict[str, list[EvalReport]] = {}
 
     def save(name: str, *file_reports: EvalReport) -> None:
@@ -526,10 +537,8 @@ def evaluate_protocols(
     with _stage(manifest, "silver-eval"):
         save("silver", silver_eval(mt, pred, splits, ids=(f"{lang}-mt", f"{lang}-pred")))
 
-    golds: dict[str, Lexicon] = {}
-    for gold_id, gold_path in gold_paths.items():
+    for gold_id, gold in golds.items():
         with _stage(manifest, f"gold-eval-{gold_id}"):
-            gold = golds[gold_id] = load_lexicon(gold_path, language=lang)
             save(f"gold_{gold_id}", gold_eval(gold, pred, splits, gold_id=gold_id))
 
     for (id_a, id_b), name in isr_names.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,19 @@ from lexiforge import (
     Lexicon,
     TrainConfig,
     VariableSet,
+    collapse_duplicates,
     derive_prediction_splits,
     embed_matrix,
     fit_mtlffn,
+    parse_lexicon,
+    predict,
+    predict_lexicon,
     save_lexicon,
+    serialize_lexicon,
     variable_groups,
+    write_expansion,
 )
+from lexiforge.lexicon import concat_lexicons
 
 
 def serialize_embedding_store(store: EmbeddingStore, stream) -> None:
@@ -187,4 +195,38 @@ def expansion_fixture(n_rows: int, *, dim: int = 300, seed: int = 5):
                    TrainConfig(epochs=1, seed=seed), group)
         for group in variable_groups(mt.variables)
     ]
-    return models, store, mt, derive_prediction_splits(mt, store.words)
+    return models, store, mt, derive_prediction_splits(mt, store)
+
+
+def predicted(models, store, mt, splits) -> Lexicon:
+    """Every row that ``predict_lexicon`` writes, as one lexicon."""
+    chunks = []
+    predict_lexicon(models, store, mt, splits, chunks.append)
+    return concat_lexicons(chunks)
+
+
+def expanded(models, store, mt, splits) -> Lexicon:
+    """The lexicon that ``write_expansion`` writes, read back."""
+    stream = io.StringIO()
+    write_expansion(models, store, mt, splits, stream)
+    stream.seek(0)
+    return parse_lexicon(stream, provenance="predicted", language=mt.language)
+
+
+def one_call_expansion(models, store, mt, splits) -> Lexicon:
+    """The expansion as one ``predict`` call per model over all its rows
+    computes it, its MT duplicates collapsed."""
+    words = list(mt.words) + [w for w in store.words if w not in mt.row_index]
+    matrix, _ = embed_matrix(store, words)
+    return collapse_duplicates(Lexicon(
+        variables=VariableSet([n for model in models for n in model.variables.names]),
+        words=words, values=np.hstack([predict(model, matrix) for model in models]),
+        splits=[splits.tag(w) for w in words], provenance="predicted", language=mt.language,
+    ))
+
+
+def tsv_text(lex: Lexicon) -> str:
+    """The lexicon as ``serialize_lexicon`` writes it."""
+    stream = io.StringIO()
+    serialize_lexicon(lex, stream)
+    return stream.getvalue()

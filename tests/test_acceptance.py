@@ -23,18 +23,16 @@ from lexiforge import (
     collapse_duplicates,
     derive_prediction_splits,
     embed_term,
-    expand_lexicon,
     fit_mtlffn,
     fit_ridge,
     grad_check,
     load_lexicon,
     pearson,
-    predict_lexicon,
     project_lexicon,
     run_pipeline,
 )
 from lexiforge.pipeline import prepare_source
-from helpers import build_lexicon, write_pipeline_bundle
+from helpers import build_lexicon, expanded, predicted, write_pipeline_bundle
 from test_models import ridge_oracle_exact
 
 
@@ -380,7 +378,7 @@ def test_c9_duplicate_merge_soundness(tmp_path):
     mt = project_lexicon(source, mapping)
     assert len(set(mt.words)) < len(mt.words)  # the injection worked
 
-    splits = derive_prediction_splits(mt, store.words)
+    splits = derive_prediction_splits(mt, store)
     train_rows = [i for i, s in enumerate(mt.splits) if s == "train"]
     from lexiforge import embed_matrix
 
@@ -391,7 +389,7 @@ def test_c9_duplicate_merge_soundness(tmp_path):
         variables=mt.variables,
     )
 
-    pre = predict_lexicon([model], store, mt, splits)
+    pre = predicted([model], store, mt, splits)
     spreads = {}
     first_row = {}
     for i, w in enumerate(pre.words):
@@ -403,7 +401,7 @@ def test_c9_duplicate_merge_soundness(tmp_path):
     worst_spread = max(spreads.values()) if spreads else 0.0
 
     merged = collapse_duplicates(pre)
-    result = expand_lexicon([model], store, mt, splits)
+    result = expanded([model], store, mt, splits)
     ok = (
         len(spreads) > 0
         and worst_spread <= 1e-6

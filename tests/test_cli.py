@@ -21,22 +21,34 @@ from lexiforge import (
     VAD_NAMES,
     DivergenceError,
     EvalReport,
+    IntegrityError,
     LexiforgeError,
     RunSettings,
     SplitSets,
     TrainConfig,
+    collapse_duplicates,
+    derive_prediction_splits,
     embed_matrix,
-    expand_lexicon,
+    load_checkpoint,
     load_embedding_store,
     load_lexicon,
     load_reports,
     run_pipeline,
     save_lexicon,
     save_reports,
+    variable_groups,
+    write_expansion,
 )
 from lexiforge.cli import main, parse_config_file
 from lexiforge.pipeline import evaluate_protocols
-from helpers import build_lexicon, save_translation_table, write_pipeline_bundle
+from helpers import (
+    build_lexicon,
+    one_call_expansion,
+    predicted,
+    save_translation_table,
+    tsv_text,
+    write_pipeline_bundle,
+)
 
 
 RAW_SOURCE = (
@@ -210,8 +222,9 @@ def test_run_failure_manifest_lists_stages_up_to_the_failed_one(
     assert [s["name"] for s in ok] == RUN_STAGES
 
     def keys(stage):  # train and expand also record how their rows got vectors,
-        # translate the entries it dropped
-        extra = {"translate": {"skipped"}, "train": {"resolution"}, "expand": {"resolution"}}
+        # translate the entries it dropped, embeddings and expand the duplicates
+        extra = {"translate": {"skipped"}, "embeddings": {"duplicates"},
+                 "train": {"resolution"}, "expand": {"resolution", "merged"}}
         return {"name", "status", "seconds"} | extra.get(stage["name"], set())
 
     assert all(s.keys() == keys(s) and s["status"] == "ok" for s in ok)
@@ -346,7 +359,7 @@ def test_concurrent_training_equals_sequential_training(tmp_path, monkeypatch):
                                    seed=5, split_sizes=(260, 20, 20),
                                    variables=VAD_NAMES + BE5_NAMES)
     fit_mtlffn = lexiforge.pipeline.fit_mtlffn
-    expand = lexiforge.pipeline.expand_lexicon
+    expand = lexiforge.pipeline.write_expansion
     fits, at_expansion = [], []
 
     def recording_fit(X, Y, cfg, group, **kwargs):
@@ -358,7 +371,7 @@ def test_concurrent_training_equals_sequential_training(tmp_path, monkeypatch):
         return expand(*args, **kwargs)
 
     monkeypatch.setattr(lexiforge.pipeline, "fit_mtlffn", recording_fit)
-    monkeypatch.setattr(lexiforge.pipeline, "expand_lexicon", recording_expand)
+    monkeypatch.setattr(lexiforge.pipeline, "write_expansion", recording_expand)
     before = get_threads()
     set_threads(2)  # an ambient count that training must not use, whatever the host's
     try:
@@ -495,13 +508,13 @@ def test_run_frees_the_training_matrix_before_expansion(tmp_path, monkeypatch):
             tracemalloc.stop()
         return save_checkpoint(*args, **kwargs)
 
-    def checking_expand_lexicon(*args, **kwargs):
+    def checking_write_expansion(*args, **kwargs):
         alive_at_expansion.append(train_matrices[0][0]() is not None)
-        return expand_lexicon(*args, **kwargs)
+        return write_expansion(*args, **kwargs)
 
     monkeypatch.setattr(lexiforge.pipeline, "embed_matrix", recording_embed_matrix)
     monkeypatch.setattr(lexiforge.pipeline, "save_checkpoint", checking_save_checkpoint)
-    monkeypatch.setattr(lexiforge.pipeline, "expand_lexicon", checking_expand_lexicon)
+    monkeypatch.setattr(lexiforge.pipeline, "write_expansion", checking_write_expansion)
     config = tmp_path / "small.cfg"
     config.write_text("hidden = 8,4\nepochs = 1\nbatch_size = 16\n", encoding="utf-8")
     try:
@@ -539,6 +552,160 @@ def test_run_manifest_counts_how_rows_got_their_vectors(tmp_path, small_bundle):
         tags = embed_matrix(store, stage_words)[1]
         counts = {tag: tags.count(tag) for tag in ("direct", "averaged", "zero")}
         assert stages[name]["resolution"] == counts, name
+
+
+def _bundle_with_duplicates(tmp_path, **kwargs) -> dict:
+    """Inputs whose vector file repeats two words and whose MT lexicon
+    repeats 10 words: its last 5 dev rows repeat its first 5 (train)
+    words, its last 5 test rows the 5 test words before them."""
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=60, n_vocab=200, dim=8,
+                                   split_sizes=(40, 10, 10), seed=7, **kwargs)
+    words = bundle["words"]
+    table = {w: w for w in words[:60]}
+    for i in (*range(45, 50), *range(55, 60)):
+        table[words[i]] = words[i - 45 if i < 50 else i - 5]
+    save_translation_table(table, tmp_path / "table.tsv")
+    vectors = bundle["embeddings"]
+    header, *lines = vectors.read_text(encoding="utf-8").splitlines(keepends=True)
+    count, dim = header.split()
+    lines += [f"{w} {' '.join(['0.5'] * int(dim))}\n" for w in (words[3], words[150])]
+    vectors.write_text(f"{int(count) + 2} {dim}\n" + "".join(lines), encoding="utf-8")
+    return {**bundle, "table": tmp_path / "table.tsv"}
+
+
+def _gold_args(tmp_path, bundle, n_golds: int) -> list[str]:
+    """``--gold`` arguments for the bundle's gold and up to two noisy subsets of it."""
+    rng = np.random.default_rng(3)
+    paths = [bundle["gold"]]
+    for i, subset in enumerate((slice(None, None, 2), slice(1, None, 3))[: n_golds - 1]):
+        paths.append(tmp_path / f"gold{i + 2}.tsv")
+        save_lexicon(build_lexicon(
+            [(w, (v + rng.standard_normal(len(v))).tolist())
+             for w, v in zip(bundle["words"][subset], bundle["clean"][subset])],
+            variables=bundle["variables"],
+        ), paths[-1])
+    return [a for i, path in enumerate(paths) for a in ("--gold", f"g{i + 1}={path}")]
+
+
+def _run_models(out: Path, mt, kind: str, joint: bool) -> list:
+    """A run's models, loaded from its checkpoints, in variable-group order."""
+    return [
+        load_checkpoint(out / "checkpoints" /
+                        f"{kind}_{'_'.join(n.lower() for n in group.names)}.ckpt")
+        for group in variable_groups(mt.variables, joint=joint)
+    ]
+
+
+@pytest.mark.parametrize("extra, n_golds", [
+    ((), 1), (("--joint-mtl",), 2), (("--max-vocab", "150"), 3), (("--model", "ridge"), 2),
+], ids=["mtlffn", "joint-mtl", "max-vocab", "ridge"])
+def test_run_streams_the_expansion_of_one_predict_call(tmp_path, monkeypatch, extra, n_golds):
+    # two variable groups; chunks of 52 or 53 rows, so the MT duplicates
+    # at rows 55 and 56 follow their first entries' chunk
+    bundle = _bundle_with_duplicates(tmp_path, variables=VAD_NAMES + BE5_NAMES)
+    monkeypatch.setattr(lexiforge.models, "_PREDICT_CHUNK_ROWS", 64)
+    out = tmp_path / "out"
+    golds = _gold_args(tmp_path, bundle, n_golds)
+    assert main(_run_args(bundle, out, _write_fast_config(tmp_path), [*extra, *golds])) == 0
+
+    mt = load_lexicon(out / "target_mt.tsv", provenance="translated")
+    max_vocab = int(extra[1]) if extra[:1] == ("--max-vocab",) else None
+    store = load_embedding_store(bundle["embeddings"], max_vocab)
+    models = _run_models(out, mt, "ridge" if "ridge" in extra else "mtlffn",
+                         "--joint-mtl" in extra)
+    expected = one_call_expansion(models, store, mt, derive_prediction_splits(mt, store))
+    assert len(expected) == len(mt) - 10 + len(store) - 50
+    assert (out / "target_pred.tsv").read_text(encoding="utf-8") == tsv_text(expected)
+
+    # the reports of the rows the run kept are those of the whole file
+    eval_out = tmp_path / "eval_reports"
+    assert main(["evaluate", "--mt", str(out / "target_mt.tsv"),
+                 "--pred", str(out / "target_pred.tsv"), *golds, "--out", str(eval_out)]) == 0
+    run_files = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+    assert len(run_files) == 1 + 2 * n_golds + n_golds * (n_golds - 1) // 2
+    assert {p.name: p.read_bytes() for p in eval_out.iterdir()} == run_files
+
+
+@pytest.mark.parametrize("failing", ["duplicate", "vocabulary-chunk"])
+def test_a_failed_expansion_leaves_no_predicted_lexicon(tmp_path, monkeypatch, capsys, failing):
+    bundle = _bundle_with_duplicates(tmp_path)
+    monkeypatch.setattr(lexiforge.models, "_PREDICT_CHUNK_ROWS", 64)
+    predict, calls = lexiforge.models.predict, []
+
+    def failing_predict(model, X):
+        calls.append(len(X))
+        if failing == "vocabulary-chunk" and len(calls) == 4:  # the last chunk
+            raise ValueError("no memory left for this chunk")
+        values = predict(model, X)
+        # the second chunk holds MT duplicates of rows of the first: their values drift
+        return values + 1.0 if failing == "duplicate" and len(calls) == 2 else values
+
+    monkeypatch.setattr(lexiforge.models, "predict", failing_predict)
+    out = tmp_path / "out"
+    assert main(_run_args(bundle, out, _write_fast_config(tmp_path))) == 1
+    if failing == "duplicate":  # the message of merging all rows in memory
+        mt = load_lexicon(out / "target_mt.tsv", provenance="translated")
+        store = load_embedding_store(bundle["embeddings"])
+        calls.clear()
+        with pytest.raises(IntegrityError) as raised:
+            collapse_duplicates(predicted(_run_models(out, mt, "mtlffn", False), store, mt,
+                                          derive_prediction_splits(mt, store)))
+        error = str(raised.value)
+        assert error.startswith("duplicate entries for 'w00050' differ by ")
+    else:
+        error = "no memory left for this chunk"
+    assert capsys.readouterr().err == f"error: stage 'expand' failed: {error}\n"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stages"][-1] == {"name": "expand", "status": "failed", "error": error,
+                                      **{k: v for k, v in manifest["stages"][-1].items()
+                                         if k == "peak_rss_mb"}}
+    assert not (out / "target_pred.tsv").exists()
+    assert not (out / "target_pred.tsv.tmp").exists()
+    assert "target_pred" not in manifest["outputs"]
+
+
+def test_run_manifest_counts_the_duplicates_it_merges(tmp_path):
+    bundle = _bundle_with_duplicates(tmp_path)
+    out = tmp_path / "out"
+    assert main(_run_args(bundle, out, _write_fast_config(tmp_path))) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    stages = {stage["name"]: stage for stage in manifest["stages"]}
+    assert stages["embeddings"]["duplicates"] == 2  # vector-file lines of a word seen before
+    assert stages["expand"]["merged"] == 10  # MT rows of a word seen before
+    pred = load_lexicon(out / "target_pred.tsv", provenance="predicted")
+    assert len(pred) == len(set(pred.words)) == 200
+
+
+def test_run_reads_the_gold_lexicons_before_training(tmp_path, small_bundle, capsys):
+    bad_gold = tmp_path / "bad_gold.tsv"
+    bad_gold.write_text("word\ty1\ty2\nfine\t0.5\t0.5\nbroken\t0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = _run_args(small_bundle, out, _write_fast_config(tmp_path),
+                     ["--gold", f"g={small_bundle['gold']}", "--gold", f"bad={bad_gold}"])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'load-source' failed: ") and "line 3" in err
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert [(s["name"], s["status"]) for s in manifest["stages"]] == [("load-source", "failed")]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_run_splits_hold_the_store_and_never_build_the_test_split(tmp_path, small_bundle,
+                                                                monkeypatch):
+    derive = lexiforge.pipeline.derive_prediction_splits
+    derived = []
+
+    def recording_derive(mt, vocab):
+        derived.append((derive(mt, vocab), vocab))
+        return derived[-1][0]
+
+    monkeypatch.setattr(lexiforge.pipeline, "derive_prediction_splits", recording_derive)
+    args = _run_args(small_bundle, tmp_path / "out", _write_fast_config(tmp_path),
+                     ["--gold", f"g={small_bundle['gold']}"])
+    assert main(args) == 0
+    [(splits, store)] = derived
+    assert splits.embedding_vocab is store and type(store).__name__ == "EmbeddingStore"
+    assert "pred_test" not in vars(splits)  # the cached set was never built
 
 
 def test_run_skip_translation_copies_source(tmp_path, small_bundle):
@@ -829,7 +996,8 @@ def test_library_calls_reject_bad_gold_ids_before_any_output(
         else:  # the source lexicon's tags pass as an MT and a predicted lexicon's
             source = load_lexicon(small_bundle["source"])
             evaluate_protocols(source, source, SplitSets.from_lexicons(source, source),
-                               gold, out, lang="und")
+                               {gold_id: load_lexicon(path) for gold_id, path in gold.items()},
+                               out, lang="und")
     assert str(raised.value) == message
     assert not out.exists()
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexiforge import (
+    EmbeddingStore,
     IntegrityError,
     Lexicon,
     ParseError,
@@ -25,7 +26,13 @@ from lexiforge import (
     serialize_lexicon,
     split_by_reference,
 )
-from lexiforge.lexicon import load_word_list
+from lexiforge.lexicon import (
+    concat_lexicons,
+    load_word_list,
+    write_lexicon_header,
+    write_lexicon_rows,
+    write_whole,
+)
 from helpers import build_lexicon
 
 EIGHT_VARS = ("Val", "Aro", "Dom", "Joy", "Ang", "Sad", "Fea", "Dis")
@@ -233,6 +240,47 @@ def test_serialize_writes_each_value_as_its_float_repr_across_row_blocks():
     assert buf.getvalue() == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lexicon_rows_written_part_by_part_serialize_their_concatenation(data):
+    n = data.draw(st.integers(0, 12))
+    tags = data.draw(st.lists(st.sampled_from(["train", "test", "none"]), min_size=n,
+                              max_size=n))
+    lex = build_lexicon([(f"w{i}", (i + 0.5, -i / 3), tag) for i, tag in enumerate(tags)],
+                        variables=("y1", "y2"))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    bounds = [0, *cuts, n]
+    parts = [restrict_to_words(lex, set(lex.words[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    has_split = any(tag != "none" for tag in tags)
+    buf = io.StringIO()
+    write_lexicon_header(buf, lex.variables, has_split)
+    for part in parts:
+        write_lexicon_rows(buf, part, has_split)
+    expected = io.StringIO()
+    serialize_lexicon(concat_lexicons(parts), expected)
+    assert buf.getvalue() == expected.getvalue()
+    assert concat_lexicons(parts).words == lex.words
+
+
+def test_write_whole_replaces_the_file_only_when_the_block_ends(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("old\n", encoding="utf-8")
+    with write_whole(path) as fh:
+        fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "old\n"
+    assert path.read_text(encoding="utf-8") == "new\n"
+    with pytest.raises(KeyError):
+        with write_whole(path) as fh:
+            fh.write("partial")
+            raise KeyError("failed mid-write")
+    assert path.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lex.tsv"]
+    with pytest.raises(KeyError):
+        with write_whole(tmp_path / "never.tsv"):
+            raise KeyError("before any write")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lex.tsv"]
+
+
 # ---------------------------------------------------------------------------
 # filter_source_entries
 # ---------------------------------------------------------------------------
@@ -415,6 +463,21 @@ def test_split_sets_store_only_their_inputs():
     assert [splits.tag(w) for w in ("a", "b", "c", "e", "f")] == [
         "train", "dev", "test", "test", "none"
     ]
+
+
+def test_split_sets_test_words_through_the_store_without_copying_it():
+    store = EmbeddingStore(["a", "b", "e", "f"], np.ones((4, 2)))
+    mt = _mt_from_sets({"a"}, {"a", "b"}, {"c"})
+    splits = derive_prediction_splits(mt, store)
+    assert splits.embedding_vocab is store
+    assert [splits.tag(w) for w in ("a", "b", "c", "e", "f", "g")] == [
+        "train", "dev", "test", "test", "test", "none"
+    ]
+    assert [splits.in_test(w) for w in ("a", "b", "c", "e", "g")] == [
+        False, False, True, True, False
+    ]
+    assert "pred_test" not in vars(splits)  # tag and in_test never build it
+    assert splits.pred_test == {"c", "e", "f"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -28,17 +29,23 @@ from lexiforge import (
     collapse_duplicates,
     derive_prediction_splits,
     embed_matrix,
-    expand_lexicon,
     fit_mtlffn,
     fit_ridge,
     grad_check,
     load_checkpoint,
     predict,
-    predict_lexicon,
     save_checkpoint,
     variable_groups,
+    write_expansion,
 )
-from helpers import build_lexicon, expansion_fixture
+from helpers import (
+    build_lexicon,
+    expanded,
+    expansion_fixture,
+    one_call_expansion,
+    predicted,
+    tsv_text,
+)
 
 
 SMALL = TrainConfig(hidden=(16, 8), input_dropout=0.0, hidden_dropout=0.0, seed=3)
@@ -430,6 +437,16 @@ def test_config_rejects_a_bad_optimizer_setting(name, value):
         f"{name} must be in [0, 1)" if name.startswith("adam_beta")
         else f"{name} must be positive and finite, got {value}"
     )
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "adam_epsilon"])
+@pytest.mark.parametrize("value", [1e-50, 1e-46])  # below half float32's least subnormal
+def test_config_rejects_a_rate_that_the_network_type_rounds_to_zero(name, value):
+    with pytest.raises(ValueError) as raised:
+        TrainConfig(**{name: value})
+    assert str(raised.value) == f"{name} must be positive and finite, got {value}"
+    TrainConfig(**{name: 1e-45})  # float32's least subnormal
+    TrainConfig()
 
 
 # +-0, the smallest subnormal, a larger subnormal, huge and ordinary
@@ -859,7 +876,7 @@ def _expansion_fixture(extra_vocab=("new1", "new2")):
         variables=("y1", "y2"),
         provenance="translated",
     )
-    splits = derive_prediction_splits(mt, store.words)
+    splits = derive_prediction_splits(mt, store)
     X = np.vstack([store.vector(w) for w in ["a", "b"]])
     Y = mt.values[:2]
     model = fit_mtlffn(X, Y, TrainConfig(hidden=(8, 4), epochs=5, batch_size=2, seed=0),
@@ -870,14 +887,14 @@ def _expansion_fixture(extra_vocab=("new1", "new2")):
 def test_expand_no_embedding_vocab_keeps_mt_words():
     model, store, mt, _ = _expansion_fixture()
     empty_store = EmbeddingStore(list(mt.words), np.vstack([store.vector(w) for w in mt.words]))
-    splits = derive_prediction_splits(mt, empty_store.words)
-    result = expand_lexicon([model], empty_store, mt, splits)
+    splits = derive_prediction_splits(mt, empty_store)
+    result = expanded([model], empty_store, mt, splits)
     assert set(result.words) == set(mt.words)
 
 
 def test_expand_includes_embedding_only_words():
     model, store, mt, splits = _expansion_fixture()
-    result = expand_lexicon([model], store, mt, splits)
+    result = expanded([model], store, mt, splits)
     assert set(result.words) == set(mt.words) | {"new1", "new2"}
     assert len(set(result.words)) == len(result.words)
     assert result.provenance == "predicted"
@@ -897,10 +914,10 @@ def test_expand_cardinality_against_set_union_oracle():
     store = EmbeddingStore(vocab, rng.standard_normal((len(vocab), 4)))
     rows = [(w, (float(i % 7), float(i % 3)), "train") for i, w in enumerate(mt_words)]
     mt = build_lexicon(rows, variables=("y1", "y2"), provenance="translated")
-    splits = derive_prediction_splits(mt, store.words)
+    splits = derive_prediction_splits(mt, store)
     model = fit_ridge(rng.standard_normal((10, 4)), rng.standard_normal((10, 2)), 1.0,
                       variables=mt.variables)
-    result = expand_lexicon([model], store, mt, splits)
+    result = expanded([model], store, mt, splits)
     assert len(result) == len(set(mt.words) | set(vocab))
 
 
@@ -911,8 +928,8 @@ def test_expand_duplicate_words_get_identical_predictions():
         variables=("y1", "y2"),
         provenance="translated",
     )
-    splits = derive_prediction_splits(dup, store.words)
-    pre = predict_lexicon([model], store, dup, splits)
+    splits = derive_prediction_splits(dup, store)
+    pre = predicted([model], store, dup, splits)
     rows = [i for i, w in enumerate(pre.words) if w == "a"]
     assert len(rows) == 2
     assert np.array_equal(pre.values[rows[0]], pre.values[rows[1]])
@@ -930,14 +947,14 @@ def test_expand_concatenates_model_groups():
         variables=("Val", "Aro", "Dom", "Joy", "Ang", "Sad", "Fea", "Dis"),
         provenance="translated",
     )
-    splits = derive_prediction_splits(mt, store.words)
+    splits = derive_prediction_splits(mt, store)
     X = np.vstack([store.vector("a"), store.vector("b")])
     groups = variable_groups(mt.variables)
     models = [
         fit_ridge(X, mt.values[:, [mt.variables.index(n) for n in g.names]], 1.0, g)
         for g in groups
     ]
-    result = expand_lexicon(models, store, mt, splits)
+    result = expanded(models, store, mt, splits)
     assert result.variables.names == mt.variables.names
     assert len(result) == 3
 
@@ -945,7 +962,7 @@ def test_expand_concatenates_model_groups():
 def test_expand_rejects_overlapping_models():
     model, store, mt, splits = _expansion_fixture()
     with pytest.raises(ValueError):
-        predict_lexicon([model, model], store, mt, splits)
+        predicted([model, model], store, mt, splits)
 
 
 CHUNK = lexiforge.models._PREDICT_CHUNK_ROWS
@@ -961,7 +978,7 @@ def test_chunked_prediction_equals_one_call(n_rows, monkeypatch):
         return embed_matrix(store, words)
 
     monkeypatch.setattr(lexiforge.models, "embed_matrix", recording_embed_matrix)
-    pred = predict_lexicon(models, store, mt, splits)
+    pred = predicted(models, store, mt, splits)
     monkeypatch.undo()
 
     # three or more near-equal chunks, none short (1 row past a multiple
@@ -986,8 +1003,85 @@ def test_chunked_prediction_equals_one_call(n_rows, monkeypatch):
         j = mt.words.index(mt.words[i])
         assert j < chunks[0] <= i
         assert pred.values[i].tobytes() == pred.values[j].tobytes()
-    expanded = expand_lexicon(models, store, mt, splits)
-    assert len(expanded) == n_rows - 40
+    assert len(expanded(models, store, mt, splits)) == n_rows - 40
+
+
+@pytest.mark.parametrize("kind", ["mtlffn", "ridge"])
+def test_streamed_expansion_equals_the_serialized_collapse_of_one_call(kind):
+    models, store, mt, splits = expansion_fixture(2 * CHUNK + 1000)
+    if kind == "ridge":
+        X, _ = embed_matrix(store, mt.words[:256])
+        models = [fit_ridge(X, mt.values[:256, [mt.variables.index(n) for n in m.variables.names]],
+                            1.0, m.variables) for m in models]
+    keep = {"m7", "m9 m10", "e5", "e9000", "absent"}
+    stream = io.StringIO()
+    kept = write_expansion(models, store, mt, splits, stream, keep=keep)
+    expected = one_call_expansion(models, store, mt, splits)
+    # 40 MT duplicates, in the second chunk, of entries in the first
+    assert len(expected) == 2 * CHUNK + 1000 - 40
+    assert stream.getvalue() == tsv_text(expected)
+    # the merged MT rows, then the vocabulary words asked for
+    n_mt = len(mt.row_index)
+    assert kept.words == expected.words[:n_mt] + ("e5", "e9000")
+    rows = [expected.row_index[w] for w in kept.words]
+    assert kept.values.tobytes() == expected.values[rows].tobytes()
+    assert kept.splits == tuple(expected.splits[i] for i in rows)
+
+
+def test_streamed_expansion_merges_duplicates_across_small_chunks(monkeypatch):
+    model, store, mt, splits = _expansion_fixture(tuple(f"new{i}" for i in range(30)))
+    dup = build_lexicon(
+        [(w, (1.0, 2.0), t) for w, t in zip("abcdabcdab", ["train"] * 4 + ["test"] * 6)],
+        variables=("y1", "y2"), provenance="translated",
+    )
+    splits = derive_prediction_splits(dup, store)
+    for rows in (1, 2, 3, 7, 10, 11, 64):  # boundaries inside the MT rows, at and after them
+        monkeypatch.setattr(lexiforge.models, "_PREDICT_CHUNK_ROWS", rows)
+        # chunks this small take other BLAS kernels than one call: compare
+        # with the rows of the same chunks, merged in memory
+        expected = collapse_duplicates(predicted([model], store, dup, splits))
+        stream = io.StringIO()
+        kept = write_expansion([model], store, dup, splits, stream, keep={"new3"})
+        assert stream.getvalue() == tsv_text(expected), rows
+        assert kept.words == ("a", "b", "c", "d", "new3")
+
+
+def test_streamed_expansion_without_split_tags_has_no_split_column():
+    model, store, mt, _ = _expansion_fixture()
+    untagged = build_lexicon([("a", (1.0, 2.0)), ("zz", (2.0, 3.0))], variables=("y1", "y2"),
+                             provenance="translated")
+    # no row tagged; only the last row tagged (test); every row but zz's tagged
+    for vocab in (set(), {"new2"}, store):
+        splits = derive_prediction_splits(untagged, vocab)
+        stream = io.StringIO()
+        write_expansion([model], store, untagged, splits, stream)
+        text = stream.getvalue()
+        assert text == tsv_text(one_call_expansion([model], store, untagged, splits))
+        assert text.startswith("word\ty1\ty2\tsplit\n" if vocab else "word\ty1\ty2\n")
+
+
+def test_expansion_memory_does_not_grow_with_the_vocabulary(monkeypatch, tmp_path):
+    monkeypatch.setattr(lexiforge.models, "_PREDICT_CHUNK_ROWS", 1000)
+    rng = np.random.default_rng(23)
+    model = fit_ridge(rng.standard_normal((10, 4)), rng.standard_normal((10, 2)), 1.0,
+                      VariableSet(("y1", "y2")))
+    peaks = []
+    for n_vocab in (20_000, 20_000, 40_000):  # the first run warms caches up
+        words = [f"v{i}" for i in range(n_vocab)]
+        store = EmbeddingStore(words, rng.standard_normal((n_vocab, 4)))
+        mt = build_lexicon([(w, (1.0, 2.0), "train") for w in words[:1000]],
+                           variables=("y1", "y2"), provenance="translated")
+        splits = derive_prediction_splits(mt, store)
+        with open(tmp_path / "pred.tsv", "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                write_expansion([model], store, mt, splits, sink, keep={"v5", "v19999"})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    # 20,000 more rows: no more than a few KiB, where a lexicon of them
+    # would take megabytes
+    assert peaks[2] < peaks[1] + 16 * 1024, peaks
 
 
 def test_chunked_prediction_same_bytes_across_blas_threads():
@@ -999,16 +1093,16 @@ def test_chunked_prediction_same_bytes_across_blas_threads():
     script = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from helpers import expansion_fixture\n"
+        "from helpers import expansion_fixture, predicted\n"
         "from lexiforge import (RidgeModel, TrainConfig, VariableSet, embed_matrix,\n"
-        "                       fit_mtlffn, predict_lexicon)\n"
+        "                       fit_mtlffn)\n"
         f"models, store, mt, splits = expansion_fixture({3 * CHUNK + 1})\n"
         "X, _ = embed_matrix(store, mt.words[:256])\n"
         "val, y = VariableSet(('Val',)), mt.values[:256, :1]\n"
         "coef = np.random.default_rng(5).standard_normal((X.shape[1], 1))\n"
         "for group in (models, [fit_mtlffn(X, y, TrainConfig(epochs=1, seed=5), val)],\n"
         "              [RidgeModel(val, coef, np.ones(1), 1.0)]):\n"
-        "    values = predict_lexicon(group, store, mt, splits).values\n"
+        "    values = predicted(group, store, mt, splits).values\n"
         "    print(hashlib.sha256(values.tobytes()).hexdigest())\n"
     )
     digests = []
