@@ -562,6 +562,13 @@ class WordRows:
     rows: np.ndarray
     extra: np.ndarray
 
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> WordRows:
+        """A 2-d matrix's rows, held in ``extra`` in their own type, over an empty store."""
+        matrix = np.ascontiguousarray(matrix)
+        store = EmbeddingStore((), np.empty((0, matrix.shape[1]), STORE_DTYPE))
+        return cls(store, np.arange(len(matrix)), matrix)
+
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), self.store.dimension
@@ -571,7 +578,7 @@ class WordRows:
 
     def take(self, indices, out: np.ndarray) -> np.ndarray:
         """Copy the rows at ``indices`` (an index array or a slice) into
-        ``out``, a ``STORE_DTYPE`` array."""
+        ``out``: a ``STORE_DTYPE`` array, of any float type for an empty store."""
         rows = self.rows[indices]
         n_store = len(self.store)
         if n_store:
@@ -586,8 +593,9 @@ class WordRows:
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """A new ``STORE_DTYPE`` matrix of all rows; numpy casts it to ``dtype``."""
-        return self.take(slice(None), np.empty(self.shape, STORE_DTYPE))
+        """A new matrix of all rows in their own type; numpy casts it to ``dtype``."""
+        matrix = np.empty(self.shape, np.result_type(self.store.vectors, self.extra))
+        return self.take(slice(None), matrix)
 
 
 def embed_matrix(store: EmbeddingStore, words: Sequence[str]) -> tuple[WordRows, list[str]]:

@@ -377,8 +377,8 @@ def serialize_lexicon(lex: Lexicon, stream: IO[str]) -> None:
 
 
 @contextlib.contextmanager
-def write_whole(path):
-    """A UTF-8 text stream whose file replaces ``path`` only when whole.
+def write_whole(path, binary: bool = False):
+    """A UTF-8 text (or binary) stream whose file replaces ``path`` only when whole.
 
     The stream writes ``<path>.tmp``, which replaces ``path`` when the
     block ends and is removed when it raises. So ``path`` holds its old
@@ -388,7 +388,8 @@ def write_whole(path):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        text = {} if binary else {"encoding": "utf-8", "newline": ""}
+        with open(tmp, "wb" if binary else "w", **text) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -36,6 +36,7 @@ from .lexicon import (
     restrict_to_words,
     write_lexicon_header,
     write_lexicon_rows,
+    write_whole,
 )
 
 # The type the network trains and predicts in: that of the store's rows,
@@ -73,7 +74,7 @@ class TrainConfig:
         with np.errstate(over="ignore", under="ignore"):
             for name in ("learning_rate", "adam_epsilon"):
                 value = getattr(self, name)
-                if not (0.0 < value < np.inf and NETWORK_DTYPE.type(value) > 0.0):
+                if not 0.0 < NETWORK_DTYPE.type(value) < np.inf:  # also rejects NaN
                     raise ValueError(f"{name} must be positive and finite, got {value}")
             if not np.isfinite(NETWORK_DTYPE.type(self.leaky_slope)):
                 raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope}")
@@ -150,17 +151,23 @@ class RidgeModel:
 Model = MtlffnModel | RidgeModel
 
 
-def _as_matrix(X, name: str) -> np.ndarray | WordRows:
-    """X as a C-contiguous float64 matrix, or WordRows as they are; finite
-    in ``STORE_DTYPE``, the network's type, whichever model they are for."""
-    if isinstance(X, WordRows):
-        checked = X.extra  # the store checked its own rows when it was built
-    else:
-        X = checked = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"{name} must be a 2-d matrix, got shape {X.shape}")
-    if not all_finite(checked):
+def _as_matrix(M, name: str) -> np.ndarray:
+    """M as a C-contiguous float64 matrix, finite in ``STORE_DTYPE``, the
+    network's type, whichever model it is for."""
+    M = np.ascontiguousarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValueError(f"{name} must be a 2-d matrix, got shape {M.shape}")
+    if not all_finite(M):
         raise ValueError(f"{name} must be finite")
+    return M
+
+
+def _as_rows(X) -> WordRows:
+    """X as WordRows, the one input type: a matrix by ``_as_matrix`` and ``WordRows.of``."""
+    if not isinstance(X, WordRows):
+        return WordRows.of(_as_matrix(X, "X"))
+    if not all_finite(X.extra):  # the store checked its own rows when it was built
+        raise ValueError("X must be finite")
     return X
 
 
@@ -178,9 +185,9 @@ def _linear(X: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _fit_inputs(X, Y, variables: VariableSet | None = None):
-    """X and Y as by ``_as_matrix``, with the same positive number of rows,
+    """X by ``_as_rows``, Y by ``_as_matrix``, of the same positive row count,
     and the variables of Y's columns (``var0``, ``var1``, ... if None)."""
-    X = _as_matrix(X, "X")
+    X = _as_rows(X)
     Y = _as_matrix(Y, "Y")
     if len(X) < 1 or len(Y) != len(X):
         raise ValueError("X and Y must have the same positive number of rows")
@@ -201,7 +208,7 @@ def fit_ridge(X, Y, alpha: float = 1.0, variables: VariableSet | None = None) ->
 
     Minimizes ||Y - XW - b||^2 + alpha * ||W||^2 with an unpenalized
     intercept, which is obtained by centering X and Y before the solve.
-    X may be a matrix or WordRows, which are widened to float64.
+    X's rows are widened to float64.
     """
     X, Y, variables = _fit_inputs(X, Y, variables)
     if not alpha >= 0:  # also rejects NaN
@@ -247,8 +254,10 @@ def _init_params(d: int, h1: int, h2: int, k: int, rng: np.random.Generator,
 # Most rows that go through the hidden layers at once in _forward. It
 # bounds the activations held to one block's; the blocks are near-equal,
 # and the hidden layers' rows were bit-identical at every block size from
-# 64 to 8,192 rows (OpenBLAS 0.3.31, 1 and 2 threads).
-_HIDDEN_BLOCK_ROWS = 1024
+# 64 to 8,192 rows (OpenBLAS 0.3.31, 1 and 2 threads). At 512 rows the
+# block's buffers leave room in expansion's peak for a second network's
+# hidden rows.
+_HIDDEN_BLOCK_ROWS = 512
 
 
 def _near_equal_bounds(n: int, max_rows: int) -> list[int]:
@@ -286,37 +295,45 @@ def _leaky_factor(z: np.ndarray, slope: float, out: np.ndarray, sign: np.ndarray
     return out
 
 
-def _forward(params: dict[str, np.ndarray], X: np.ndarray | WordRows,
-             slope: float) -> np.ndarray:
-    """The network's output for the rows of X, in the parameters' type."""
-    dtype = params["w1"].dtype
+def _hidden_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, slope: float,
+                  out: np.ndarray, factor: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Write the leaky ReLU of ``a @ w + b`` into ``out`` and return it; the
+    first ``out.size`` entries of the flat ``factor`` keep its factor."""
+    np.matmul(a, w, out=out)  # then bias and leaky ReLU in place
+    out += b
+    out *= _leaky_factor(out, slope, factor[: out.size].reshape(out.shape),
+                         sign[: out.size].reshape(out.shape))
+    return out
+
+
+def _forward(networks: Sequence[tuple[dict[str, np.ndarray], float]],
+             X: WordRows) -> list[np.ndarray]:
+    """The output of each network, a ``(params, leaky_slope)`` pair, for the
+    rows of X, in the parameters' type; one gather per block serves all."""
+    if not networks:
+        return []
+    dtype = networks[0][0]["w1"].dtype
     bounds = _near_equal_bounds(len(X), _HIDDEN_BLOCK_ROWS)
-    h1, h2 = params["w1"].shape[1], params["w2"].shape[1]
     rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    # Buffers that serve every block: the input rows, gathered or
-    # converted, the first layer's output and, for both layers, one
-    # factor and one sign buffer. The second layer writes its block of
-    # ``hidden``.
-    hidden = np.empty((len(X), h2), dtype)
-    first = np.empty((rows, h1), dtype)
-    factor = np.empty(rows * max(h1, h2), dtype)
-    sign = np.empty(rows * max(h1, h2), dtype=bool)
+    h1 = max(p["w1"].shape[1] for p, _ in networks)
+    width = max(max(p["w1"].shape[1], p["w2"].shape[1]) for p, _ in networks)
+    # Buffers that serve every block and network: the gathered rows, the first
+    # layer's output, one factor and one sign buffer. The second layer writes
+    # its block of the network's hidden rows.
+    hidden = [np.empty((len(X), p["w2"].shape[1]), dtype) for p, _ in networks]
     block = np.empty((rows, X.shape[1]), dtype)
+    first = np.empty(rows * h1, dtype)
+    factor = np.empty(rows * width, dtype)
+    sign = np.empty(rows * width, dtype=bool)
     for lo, hi in zip(bounds, bounds[1:]):
-        a = block[: hi - lo]
-        if isinstance(X, WordRows):
-            X.take(slice(lo, hi), a)
-        else:
-            a[...] = X[lo:hi]
-        for i, z in ((1, first[: hi - lo]), (2, hidden[lo:hi])):
-            np.matmul(a, params[f"w{i}"], out=z)  # then bias and leaky ReLU in place
-            z += params[f"b{i}"]
-            z *= _leaky_factor(z, slope, factor[: z.size].reshape(z.shape),
-                               sign[: z.size].reshape(z.shape))
-            a = z
+        a = X.take(slice(lo, hi), block[: hi - lo])
+        for (p, slope), h in zip(networks, hidden):
+            z = first[: (hi - lo) * p["w1"].shape[1]].reshape(hi - lo, p["w1"].shape[1])
+            _hidden_layer(a, p["w1"], p["b1"], slope, z, factor, sign)
+            _hidden_layer(z, p["w2"], p["b2"], slope, h[lo:hi], factor, sign)
     # the output layer runs once over all rows: with a narrow output its
     # rows depend on the row count
-    return _linear(hidden, params["w3"], params["b3"])
+    return [_linear(h, p["w3"], p["b3"]) for (p, _), h in zip(networks, hidden)]
 
 
 _PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -377,18 +394,13 @@ class _TrainStep:
             self.params[name][...] = init[name]
         self.flags = np.empty(rows * max(d, h1, h2), dtype=bool)
 
-    def load(self, X: np.ndarray | WordRows, Y: np.ndarray, idx: np.ndarray) -> int:
-        """Copy rows ``idx`` of X and Y into the batch; returns the row count."""
+    def load(self, X: WordRows, Y: np.ndarray, idx: np.ndarray) -> int:
+        """Copy rows ``idx`` of X and of Y, a matrix of the batch's type,
+        into the batch; returns the row count."""
         n = len(idx)
-        for M, out in ((X, self.flat["x"][:n]), (Y, self.flat["y"][:n])):
-            if isinstance(M, WordRows):
-                M.take(idx, out)
-            elif M.dtype == out.dtype:
-                # mode="clip": with the default "raise", take buffers its output
-                np.take(M, idx, axis=0, out=out, mode="clip")
-            else:  # row by row: a converting take would buffer its output
-                for i, row in enumerate(idx.tolist()):
-                    out[i] = M[row]
+        X.take(idx, self.flat["x"][:n])
+        # mode="clip": with the default "raise", take buffers its output
+        np.take(Y, idx, axis=0, out=self.flat["y"][:n], mode="clip")
         return n
 
     def draw_masks(self, rng: np.random.Generator, n: int) -> None:
@@ -417,11 +429,8 @@ class _TrainStep:
         if "mask_in" in flat:
             np.multiply(a, flat["mask_in"][:n], out=a)
         for i in (1, 2):
-            z = flat[f"a{i}"][:n]
-            np.matmul(a, p[f"w{i}"], out=z)
-            z += p[f"b{i}"]
-            z *= _leaky_factor(z, self.cfg.leaky_slope, flat[f"f{i}"][:n],
-                               self.flags[: z.size].reshape(z.shape))
+            z = _hidden_layer(a, p[f"w{i}"], p[f"b{i}"], self.cfg.leaky_slope,
+                              flat[f"a{i}"][:n], flat[f"f{i}"].reshape(-1), self.flags)
             if f"mask{i}" in flat:
                 np.multiply(z, flat[f"mask{i}"][:n], out=z)
             a = z
@@ -485,8 +494,8 @@ def fit_mtlffn(
     visits a fresh seeded permutation of the rows and the last partial
     batch is used, not dropped. Dropout uses inverted scaling at train
     time. Two runs with equal inputs and config produce bitwise
-    identical parameters. Every step computes in ``NETWORK_DTYPE``. X
-    may be a matrix or WordRows, whose rows each batch gathers. Once the
+    identical parameters. Every step computes in ``NETWORK_DTYPE``, on
+    the rows of X that its batch gathers. Once the
     ``stop`` event (if any) is set, the next step raises instead.
     """
     X, Y, variables = _fit_inputs(X, Y, variables)
@@ -516,23 +525,26 @@ def fit_mtlffn(
     )
 
 
-def predict(model: Model, X) -> np.ndarray:
+def predict(model: Model | Sequence[Model], X) -> np.ndarray:
     """Deterministic forward pass; dropout is never applied.
 
     Identical rows of X yield identical output rows, which is what makes
-    duplicate collapsing of the predicted lexicon sound. X may be a
-    matrix or WordRows; the network gathers the rows of WordRows one
-    hidden block at a time, a ridge model all at once. The values are
-    float64: the network's are widened exactly.
+    duplicate collapsing of the predicted lexicon sound. A network
+    gathers X's rows one hidden block at a time, a ridge model all at
+    once. The values are float64: the network's are widened exactly.
+    Given a sequence of models, the outputs of each, side by side; their
+    networks share each gathered block.
     """
-    X = _as_matrix(X, "X")
-    if X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input has {X.shape[1]} columns, model expects {model.input_dim}"
-        )
-    if isinstance(model, RidgeModel):
-        return _linear(np.asarray(X, dtype=np.float64), model.coef, model.intercept)
-    return _forward(model.params(), X, model.config.leaky_slope).astype(np.float64)
+    models = [model] if isinstance(model, Model) else model
+    X = _as_rows(X)
+    for m in models:
+        if X.shape[1] != m.input_dim:
+            raise ValueError(f"input has {X.shape[1]} columns, model expects {m.input_dim}")
+    outputs = iter(_forward([(m.params(), m.config.leaky_slope) for m in models
+                             if isinstance(m, MtlffnModel)], X))
+    return np.hstack([_linear(np.asarray(X, dtype=np.float64), m.coef, m.intercept)
+                      if isinstance(m, RidgeModel) else next(outputs).astype(np.float64)
+                      for m in models])
 
 
 def grad_check(cfg: TrainConfig, X, Y, *, step: float = 1e-5) -> float:
@@ -545,7 +557,8 @@ def grad_check(cfg: TrainConfig, X, Y, *, step: float = 1e-5) -> float:
     if cfg.input_dropout != 0.0 or cfg.hidden_dropout != 0.0:
         raise ValueError("grad_check requires zero dropout rates")
     X, Y, _ = _fit_inputs(X, Y)
-    X = np.asarray(X, dtype=np.float64)  # WordRows too: their rows, widened
+    # their rows widened, once: a store's rows cannot be gathered into float64
+    X = WordRows.of(np.asarray(X, dtype=np.float64))
     train = _TrainStep(X.shape[1], Y.shape[1], cfg, len(X), np.random.default_rng(cfg.seed),
                        np.float64)
     rows = train.load(X, Y, np.arange(len(X)))
@@ -554,25 +567,20 @@ def grad_check(cfg: TrainConfig, X, Y, *, step: float = 1e-5) -> float:
     params, analytic = train.params, train.grads
 
     def loss() -> float:
-        return float(np.mean((_forward(params, X, cfg.leaky_slope) - Y) ** 2))
+        return float(np.mean((_forward([(params, cfg.leaky_slope)], X)[0] - Y) ** 2))
 
     worst = 0.0
     for name in _PARAM_ORDER:
-        tensor = params[name]
-        grad = analytic[name]
-        it = np.nditer(tensor, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
+        tensor, grad = params[name], analytic[name]
+        for ix in np.ndindex(tensor.shape):
             original = tensor[ix]
             tensor[ix] = original + step
             up = loss()
             tensor[ix] = original - step
             down = loss()
             tensor[ix] = original
-            fd = (up - down) / (2.0 * step)
-            a = float(grad[ix])
-            err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-            worst = max(worst, err)
+            fd, a = (up - down) / (2.0 * step), float(grad[ix])
+            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
     return worst
 
 
@@ -625,24 +633,12 @@ def predict_lexicon(
     given, counts each row's resolution tag (``direct``, ``averaged``
     or ``zero``).
     """
-    if not models:
-        raise ValueError("at least one model required")
-    names: list[str] = []
-    for model in models:
-        for name in model.variables.names:
-            if name in names:
-                raise ValueError(f"variable {name} predicted by more than one model")
-            names.append(name)
-        if model.input_dim != store.dimension:
-            raise ValueError(
-                f"model expects {model.input_dim}-dim input, store has {store.dimension}"
-            )
-
-    variables = VariableSet(names)
+    # VariableSet rejects an empty model list and a variable that two models
+    # predict; predict rejects a model of another input width
+    variables = VariableSet([name for model in models for name in model.variables.names])
     mt_rows = mt.row_index
     n_tail = len(store) - sum(w in store for w in mt_rows)
     tail = (w for w in store.words if w not in mt_rows)
-    columns = np.cumsum([0] + [len(model.variables) for model in models])
     bounds = _near_equal_bounds(len(mt) + n_tail, _PREDICT_CHUNK_ROWS)
     for lo, hi in zip(bounds, bounds[1:]):
         # the chunk's MT rows, then vocabulary words up to its end
@@ -650,9 +646,7 @@ def predict_lexicon(
         rows, tags = embed_matrix(store, words)
         if resolution is not None:
             resolution.update(tags)
-        values = np.empty((len(words), len(names)), dtype=np.float64)
-        for model, first, last in zip(models, columns, columns[1:]):
-            values[:, first:last] = predict(model, rows)
+        values = predict(models, rows)
         write(Lexicon(variables=variables, words=words, values=values,
                       splits=map(splits.tag, words), provenance="predicted",
                       language=mt.language))
@@ -738,7 +732,7 @@ def save_checkpoint(model: Model, path) -> None:
         **extra,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with write_whole(path, binary=True) as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack(">Q", len(blob)))
         fh.write(blob)
@@ -767,15 +761,9 @@ def load_checkpoint(path) -> Model:
     if header["variables"]["family"] != variables.family:
         raise ValueError(f"{path}: stored family does not match variables {variables.names}")
     if header["kind"] == "mtlffn":
-        cfg_dict = dict(header["config"])
-        cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
         try:  # parameters the network's type cannot hold, as from a float64 fit
-            return MtlffnModel(
-                variables=variables,
-                config=TrainConfig(**cfg_dict),
-                steps_trained=int(header["steps_trained"]),
-                **tensors,
-            )
+            return MtlffnModel(variables=variables, config=TrainConfig(**header["config"]),
+                               steps_trained=int(header["steps_trained"]), **tensors)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if header["kind"] == "ridge":

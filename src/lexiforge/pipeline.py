@@ -422,6 +422,7 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
                 source, table, language=settings.target_lang, missing=settings.missing_policy
             )
             details["skipped"] = len(source.words) - len(mt.words)  # entries without translation
+            del source, table  # later stages, expansion's peak above all, reuse their memory
             mt_path = out / "target_mt.tsv"
             save_lexicon(mt, mt_path)
             manifest.add_output("target_mt", mt_path)

@@ -334,11 +334,12 @@ def test_monotone_sanity_on_noiseless_linear_data():
 def test_divergence_raises_with_step_index():
     # a learning rate this large overflows the squared error itself on
     # the second step (Adam updates have roughly unit magnitude, so the
-    # parameters jump to ~1e100 and the cubic forward pass overflows)
+    # parameters jump to ~1e30 and the cubic forward pass overflows
+    # float32)
     rng = np.random.default_rng(10)
     X = rng.standard_normal((32, 4)) * 1e3
     Y = rng.standard_normal((32, 1)) * 1e3
-    cfg = TrainConfig(hidden=(8, 4), learning_rate=1e100, batch_size=8, epochs=50, seed=0)
+    cfg = TrainConfig(hidden=(8, 4), learning_rate=1e30, batch_size=8, epochs=50, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
             fit_mtlffn(X, Y, cfg)
@@ -426,9 +427,9 @@ def test_config_rejects_a_non_finite_leaky_slope(slope):
 
 
 @pytest.mark.parametrize("name, value", [
-    *[("learning_rate", v) for v in (np.nan, np.inf, -np.inf, 0.0, -1e-3)],
+    *[("learning_rate", v) for v in (np.nan, np.inf, -np.inf, 0.0, -1e-3, 1e39)],
     *[(name, v) for name in ("adam_beta1", "adam_beta2") for v in (np.nan, 1.0, -0.1)],
-    *[("adam_epsilon", v) for v in (np.nan, np.inf, 0.0, -1e-8)],
+    *[("adam_epsilon", v) for v in (np.nan, np.inf, 0.0, -1e-8, 1e39)],
 ])
 def test_config_rejects_a_bad_optimizer_setting(name, value):
     with pytest.raises(ValueError) as raised:
@@ -486,9 +487,9 @@ def test_training_steps_allocate_no_batch_buffer():
     # bufsize keeps it below the bound, which a bool array of the
     # smallest activation shape (128 x 128, 16 KiB) would pass.
     rng = np.random.default_rng(12)
-    X, Y = rng.standard_normal((512, 300)), rng.standard_normal((512, 5))
+    X, Y = rng.standard_normal((512, 300)), rng.standard_normal((512, 5)).astype(F32)
     # WordRows batches go through the fit's staging buffer
-    for X in (X, _word_rows(512, 300, seed=12)):
+    for X in (WordRows.of(X), _word_rows(512, 300, seed=12)):
         train = lexiforge.models._TrainStep(300, 5, TrainConfig(hidden=(256, 128)), 128, rng)
         batch = rng.permutation(512)[:128]
 
@@ -627,6 +628,12 @@ def test_fit_and_predict_on_word_rows_equal_those_on_their_matrix(n_rows):
     assert ridge.coef.tobytes() == fit_ridge(matrix, Y, 1.0).coef.tobytes()
     for model in (from_matrix, ridge):
         assert predict(model, rows).tobytes() == predict(model, matrix).tobytes()
+    # a float64 matrix keeps its bits in WordRows.of
+    X = np.random.default_rng(18).standard_normal((n_rows, 12))
+    ridge, held = fit_ridge(X, Y, 1.0), fit_ridge(WordRows.of(X), Y, 1.0)
+    assert held.coef.tobytes() == ridge.coef.tobytes()
+    assert held.intercept.tobytes() == ridge.intercept.tobytes()
+    assert predict(ridge, WordRows.of(X)).tobytes() == predict(ridge, X).tobytes()
 
 
 def test_word_rows_serve_threads_that_share_them():
@@ -671,21 +678,26 @@ def _hidden_buffer_bytes(model, n_rows):
 def test_predict_holds_the_hidden_rows_and_one_block_of_buffers():
     rng = np.random.default_rng(19)
     dim, n_rows = 64, 4 * BLOCK
-    model = fit_mtlffn(rng.standard_normal((40, dim)), rng.standard_normal((40, 2)),
-                       TrainConfig(hidden=(256, 128), epochs=1, seed=2))
+    model, other = (fit_mtlffn(rng.standard_normal((40, dim)), rng.standard_normal((40, 2)),
+                               TrainConfig(hidden=(256, 128), epochs=1, seed=seed))
+                    for seed in (2, 3))
     X = rng.standard_normal((n_rows, dim))
     rows = _word_rows(n_rows, dim, seed=20)
     mask = lexiforge.embeddings._BLOCK_ROWS * dim  # the finiteness check's
+    # a second network shares the blocks and adds its hidden rows
+    second = model.w1.itemsize * n_rows * model.config.hidden[1]
     for inputs in (X, rows):
-        predict(model, inputs)  # the warm-up: first calls may set up caches
-        tracemalloc.start()
-        try:
-            predict(model, inputs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a fresh array for each block's layer output takes 1 MiB more
-        assert peak < _hidden_buffer_bytes(model, n_rows) + mask + 128 * 1024, type(inputs)
+        for models, extra in ((model, 0), ([model, other], second)):
+            predict(models, inputs)  # the warm-up: first calls may set up caches
+            tracemalloc.start()
+            try:
+                predict(models, inputs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a fresh array for each block's layer output takes 1 MiB more
+            bound = _hidden_buffer_bytes(model, n_rows) + extra + mask + 128 * 1024
+            assert peak < bound, (type(inputs), extra)
 
 
 def test_predict_dimension_mismatch():
@@ -738,7 +750,7 @@ def test_output_bias_gradient_equals_scaled_mean_residual():
 
     rng = np.random.default_rng(17)
     n, d, k = 6, 3, 2
-    X = np.zeros((n, d))
+    X = WordRows.of(np.zeros((n, d)))
     Y = rng.standard_normal((n, k))
     cfg = TrainConfig(hidden=(8, 4), input_dropout=0.0, hidden_dropout=0.0)
     train = _TrainStep(d, k, cfg, n, np.random.default_rng(0), np.float64)
@@ -819,6 +831,25 @@ def test_checkpoint_round_trip_ridge(tmp_path):
     assert np.array_equal(loaded.coef, model.coef)
     assert np.array_equal(loaded.intercept, model.intercept)
     assert loaded.alpha == model.alpha
+
+
+def test_a_checkpoint_save_that_fails_partway_leaves_the_old_file(tmp_path):
+    class Unwritable:  # an intercept that fails once the coefficients are written
+        shape = (2,)
+
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("no space left on device")
+
+    rng = np.random.default_rng(19)
+    model = fit_ridge(rng.standard_normal((10, 3)), rng.standard_normal((10, 2)), 0.7)
+    path = tmp_path / "ridge.ckpt"
+    save_checkpoint(model, path)
+    old = path.read_bytes()
+    object.__setattr__(model, "intercept", Unwritable())
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(model, path)
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ridge.ckpt"]
 
 
 @pytest.mark.parametrize("family", ["discrete", "other", "bogus"])
@@ -1004,6 +1035,21 @@ def test_chunked_prediction_equals_one_call(n_rows, monkeypatch):
         assert j < chunks[0] <= i
         assert pred.values[i].tobytes() == pred.values[j].tobytes()
     assert len(expanded(models, store, mt, splits)) == n_rows - 40
+
+
+def test_expansion_gathers_each_chunk_once(monkeypatch):
+    models, store, mt, splits = expansion_fixture(CHUNK + 1000)
+    assert len(models) == 2  # the VAD and BE5 networks
+    gathered = []
+    take = WordRows.take
+
+    def counting_take(self, indices, out):
+        gathered.append(len(self.rows[indices]))
+        return take(self, indices, out)
+
+    monkeypatch.setattr(WordRows, "take", counting_take)
+    pred = predicted(models, store, mt, splits)
+    assert sum(gathered) == len(pred) == CHUNK + 1000
 
 
 @pytest.mark.parametrize("kind", ["mtlffn", "ridge"])
