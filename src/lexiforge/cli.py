@@ -37,7 +37,7 @@ from .evaluation import (  # noqa: F401 -- perfbench/tracer.py wraps the protoco
     save_reports,
     silver_eval,
 )
-from .lexicon import SplitSets, load_lexicon
+from .lexicon import SplitSets, load_lexicon, write_whole
 from .models import TrainConfig, grad_check
 from .pipeline import (
     MODEL_KINDS,
@@ -299,7 +299,7 @@ def _print_reports(files: Iterable[list[EvalReport]]) -> list[EvalReport]:
 def _cmd_report(args) -> int:
     everything = _print_reports(load_reports(path) for path in _collect_report_paths(args.paths))
     if args.tsv:
-        with open(args.tsv, "w", encoding="utf-8", newline="") as fh:
+        with write_whole(args.tsv) as fh:
             write_reports_tsv(everything, fh)
         print(f"wrote {args.tsv}")
     return 0

@@ -593,9 +593,20 @@ class WordRows:
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """A new matrix of all rows in their own type; numpy casts it to ``dtype``."""
-        matrix = np.empty(self.shape, np.result_type(self.store.vectors, self.extra))
-        return self.take(slice(None), matrix)
+        """A new matrix of all rows, in ``dtype`` or else their own type.
+
+        Into another type the rows are converted ``_BLOCK_ROWS`` at a time,
+        so no second matrix of them is built.
+        """
+        own = np.result_type(self.store.vectors, self.extra)
+        matrix = np.empty(self.shape, own if dtype is None else dtype)
+        if matrix.dtype == own:
+            return self.take(slice(None), matrix)
+        block = np.empty((min(len(self), _BLOCK_ROWS), self.shape[1]), own)
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, len(self))
+            matrix[lo:hi] = self.take(slice(lo, hi), block[: hi - lo])
+        return matrix
 
 
 def embed_matrix(store: EmbeddingStore, words: Sequence[str]) -> tuple[WordRows, list[str]]:

@@ -18,6 +18,7 @@ import json
 import struct
 from collections import Counter
 from collections.abc import Callable, Container
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
@@ -208,7 +209,7 @@ def fit_ridge(X, Y, alpha: float = 1.0, variables: VariableSet | None = None) ->
 
     Minimizes ||Y - XW - b||^2 + alpha * ||W||^2 with an unpenalized
     intercept, which is obtained by centering X and Y before the solve.
-    X's rows are widened to float64.
+    X's rows are widened to float64, one block at a time.
     """
     X, Y, variables = _fit_inputs(X, Y, variables)
     if not alpha >= 0:  # also rejects NaN
@@ -252,12 +253,10 @@ def _init_params(d: int, h1: int, h2: int, k: int, rng: np.random.Generator,
 
 
 # Most rows that go through the hidden layers at once in _forward. It
-# bounds the activations held to one block's; the blocks are near-equal,
-# and the hidden layers' rows were bit-identical at every block size from
-# 64 to 8,192 rows (OpenBLAS 0.3.31, 1 and 2 threads). At 512 rows the
-# block's buffers leave room in expansion's peak for a second network's
-# hidden rows.
-_HIDDEN_BLOCK_ROWS = 512
+# bounds the activations held to one block's for each worker; the blocks
+# are near-equal, and the hidden layers' rows were bit-identical at every
+# block size from 64 to 8,192 rows (OpenBLAS 0.3.31, 1 and 2 threads).
+_HIDDEN_BLOCK_ROWS = 256
 
 
 def _near_equal_bounds(n: int, max_rows: int) -> list[int]:
@@ -306,34 +305,63 @@ def _hidden_layer(a: np.ndarray, w: np.ndarray, b: np.ndarray, slope: float,
     return out
 
 
+class WorkerPool(ThreadPoolExecutor):
+    """A pool of ``workers`` threads, which work beside the thread that submits."""
+
+    def __init__(self, workers: int):
+        super().__init__(max_workers=workers)
+        self.workers = workers
+
+
 def _forward(networks: Sequence[tuple[dict[str, np.ndarray], float]],
-             X: WordRows) -> list[np.ndarray]:
+             X: WordRows, pool: WorkerPool | None = None) -> list[np.ndarray]:
     """The output of each network, a ``(params, leaky_slope)`` pair, for the
-    rows of X, in the parameters' type; one gather per block serves all."""
+    rows of X, in the parameters' type.
+
+    One network at a time: its hidden rows are filled block by block, the
+    blocks split into one contiguous range for this thread and one for
+    each thread of ``pool``; then its output layer runs over them and they
+    are freed before the next network's.
+    """
     if not networks:
         return []
     dtype = networks[0][0]["w1"].dtype
     bounds = _near_equal_bounds(len(X), _HIDDEN_BLOCK_ROWS)
-    rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    h1 = max(p["w1"].shape[1] for p, _ in networks)
-    width = max(max(p["w1"].shape[1], p["w2"].shape[1]) for p, _ in networks)
-    # Buffers that serve every block and network: the gathered rows, the first
-    # layer's output, one factor and one sign buffer. The second layer writes
-    # its block of the network's hidden rows.
-    hidden = [np.empty((len(X), p["w2"].shape[1]), dtype) for p, _ in networks]
-    block = np.empty((rows, X.shape[1]), dtype)
-    first = np.empty(rows * h1, dtype)
-    factor = np.empty(rows * width, dtype)
-    sign = np.empty(rows * width, dtype=bool)
-    for lo, hi in zip(bounds, bounds[1:]):
-        a = X.take(slice(lo, hi), block[: hi - lo])
-        for (p, slope), h in zip(networks, hidden):
-            z = first[: (hi - lo) * p["w1"].shape[1]].reshape(hi - lo, p["w1"].shape[1])
+    blocks = list(zip(bounds, bounds[1:]))
+    n_parts = min(len(blocks), 1 + (pool.workers if pool else 0))
+    cuts = [len(blocks) * i // n_parts for i in range(n_parts + 1)]
+    parts = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    rows = max(hi - lo for lo, hi in blocks)
+
+    def fill(p: dict[str, np.ndarray], slope: float, hidden: np.ndarray, part: list) -> None:
+        # the range's own buffers, which serve its blocks: the gathered rows,
+        # the first layer's output, one factor and one sign buffer
+        h1, width = p["w1"].shape[1], max(p["w1"].shape[1], p["w2"].shape[1])
+        block = np.empty((rows, X.shape[1]), dtype)
+        first = np.empty(rows * h1, dtype)
+        factor = np.empty(rows * width, dtype)
+        sign = np.empty(rows * width, dtype=bool)
+        for lo, hi in part:
+            a = X.take(slice(lo, hi), block[: hi - lo])
+            z = first[: (hi - lo) * h1].reshape(hi - lo, h1)
             _hidden_layer(a, p["w1"], p["b1"], slope, z, factor, sign)
-            _hidden_layer(z, p["w2"], p["b2"], slope, h[lo:hi], factor, sign)
-    # the output layer runs once over all rows: with a narrow output its
-    # rows depend on the row count
-    return [_linear(h, p["w3"], p["b3"]) for (p, _), h in zip(networks, hidden)]
+            _hidden_layer(z, p["w2"], p["b2"], slope, hidden[lo:hi], factor, sign)
+
+    outputs = []
+    for p, slope in networks:
+        hidden = np.empty((len(X), p["w2"].shape[1]), dtype)
+        futures = [pool.submit(fill, p, slope, hidden, part) for part in parts[1:]]
+        try:
+            fill(p, slope, hidden, parts[0])
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+        # the output layer runs once over all rows: with a narrow output its
+        # rows depend on the row count
+        outputs.append(_linear(hidden, p["w3"], p["b3"]))
+        del hidden
+    return outputs
 
 
 _PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -525,15 +553,16 @@ def fit_mtlffn(
     )
 
 
-def predict(model: Model | Sequence[Model], X) -> np.ndarray:
+def predict(model: Model | Sequence[Model], X, *, pool: WorkerPool | None = None) -> np.ndarray:
     """Deterministic forward pass; dropout is never applied.
 
     Identical rows of X yield identical output rows, which is what makes
     duplicate collapsing of the predicted lexicon sound. A network
-    gathers X's rows one hidden block at a time, a ridge model all at
+    gathers X's rows one hidden block at a time, its blocks shared out
+    between this thread and ``pool``'s; a ridge model takes them all at
     once. The values are float64: the network's are widened exactly.
-    Given a sequence of models, the outputs of each, side by side; their
-    networks share each gathered block.
+    Given a sequence of models, the outputs of each, side by side; the
+    networks run one after another.
     """
     models = [model] if isinstance(model, Model) else model
     X = _as_rows(X)
@@ -541,7 +570,7 @@ def predict(model: Model | Sequence[Model], X) -> np.ndarray:
         if X.shape[1] != m.input_dim:
             raise ValueError(f"input has {X.shape[1]} columns, model expects {m.input_dim}")
     outputs = iter(_forward([(m.params(), m.config.leaky_slope) for m in models
-                             if isinstance(m, MtlffnModel)], X))
+                             if isinstance(m, MtlffnModel)], X, pool))
     return np.hstack([_linear(np.asarray(X, dtype=np.float64), m.coef, m.intercept)
                       if isinstance(m, RidgeModel) else next(outputs).astype(np.float64)
                       for m in models])
@@ -618,6 +647,7 @@ _PREDICT_CHUNK_ROWS = 8192
 def predict_lexicon(
     models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets,
     write: Callable[[Lexicon], object], *, resolution: Counter | None = None,
+    pool: WorkerPool | None = None,
 ) -> None:
     """Predict ratings for every MT entry plus every embedding-only word.
 
@@ -631,7 +661,7 @@ def predict_lexicon(
     and only one is held at a time; the values equal those of one
     ``predict`` call over all rows, bit for bit. ``resolution``, if
     given, counts each row's resolution tag (``direct``, ``averaged``
-    or ``zero``).
+    or ``zero``); ``pool`` is passed to ``predict``.
     """
     # VariableSet rejects an empty model list and a variable that two models
     # predict; predict rejects a model of another input width
@@ -646,7 +676,7 @@ def predict_lexicon(
         rows, tags = embed_matrix(store, words)
         if resolution is not None:
             resolution.update(tags)
-        values = predict(models, rows)
+        values = predict(models, rows, pool=pool)
         write(Lexicon(variables=variables, words=words, values=values,
                       splits=map(splits.tag, words), provenance="predicted",
                       language=mt.language))
@@ -655,7 +685,7 @@ def predict_lexicon(
 def write_expansion(
     models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets,
     stream: IO[str], *, keep: Container[str] = frozenset(),
-    resolution: Counter | None = None,
+    resolution: Counter | None = None, pool: WorkerPool | None = None,
 ) -> Lexicon:
     """Write the predicted lexicon over all MT and embedding words, one
     entry per type, to ``stream`` as a TSV, chunk by chunk.
@@ -669,7 +699,7 @@ def write_expansion(
     raises IntegrityError. Then each chunk of vocabulary words is
     written as soon as it is predicted. Returns the rows the evaluation
     needs: the merged MT rows, then the vocabulary words in ``keep``.
-    ``resolution`` is passed to :func:`predict_lexicon`.
+    ``resolution`` and ``pool`` are passed to :func:`predict_lexicon`.
     """
     mt_rows = mt.row_index
     # serialize_lexicon's split column: there if any row carries a tag, as
@@ -696,7 +726,7 @@ def write_expansion(
         if len(chunk):
             kept.append(chunk)
 
-    predict_lexicon(models, store, mt, splits, write, resolution=resolution)
+    predict_lexicon(models, store, mt, splits, write, resolution=resolution, pool=pool)
     return concat_lexicons(kept)
 
 

@@ -26,7 +26,6 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Collection
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,6 +58,7 @@ from .lexicon import (
 from .models import (
     NETWORK_DTYPE,
     TrainConfig,
+    WorkerPool,
     fit_mtlffn,
     fit_ridge,
     save_checkpoint,
@@ -236,8 +236,8 @@ def _environment() -> dict:
     """What the bytes of a run depend on beyond its inputs and settings.
 
     The OpenBLAS build and the kernel it picked for this CPU (None where
-    no OpenBLAS is found), the cores, the BLAS threads a fit runs on
-    (None: the ambient count) and the network's type.
+    no OpenBLAS is found), the cores, the BLAS threads that training and
+    expansion run on (None: the ambient count) and the network's type.
     """
     config = core = None
     blas = _openblas_functions("get_config", "get_corename")
@@ -251,43 +251,59 @@ def _environment() -> dict:
         "openblas_config": config,
         "openblas_core": core,
         "usable_cores": usable_cores(),
-        "train_blas_threads": 1 if _openblas_thread_control() is not None else None,
+        "blas_threads": 1 if _openblas_thread_control() is not None else None,
         "network_dtype": NETWORK_DTYPE.name,
     }
 
 
-def _fit_concurrently(fits: list, stop: threading.Event) -> list:
-    """Results of the ``fits`` callables, in order, run concurrently.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS at one thread, and a pool of one thread per other usable core.
 
-    OpenBLAS is set to one thread while they run, so training gives the
-    same bytes at any ambient BLAS thread count. The first fit runs on
-    this thread and the others on worker threads, on at most as many
-    threads in all as there are usable cores; the old thread count is
-    restored once every started fit has returned. Without an OpenBLAS
-    control they run one after another at the ambient count. The first
-    exception in list order is raised, after ``stop`` is set so that
-    fits still running on worker threads can end early.
+    At one BLAS thread, training gives the same bytes at any ambient
+    thread count, and no BLAS thread adds its buffers to expansion's
+    peak; the pool runs the fits and the hidden-layer blocks beside this
+    thread. Yields the pool, or None with one usable core. On exit, also
+    by an exception, every thread of the pool has ended and the old
+    thread count is restored. Without an OpenBLAS control it yields None
+    and leaves the ambient count.
     """
     control = _openblas_thread_control()
     if control is None:
-        return [fit() for fit in fits]
+        yield None
+        return
     get_threads, set_threads = control
     before = get_threads()
     set_threads(1)
-    workers = min(len(fits), usable_cores()) - 1  # threads beside this one
-    pool = ThreadPoolExecutor(max_workers=max(workers, 1))
+    workers = usable_cores() - 1
+    pool = WorkerPool(workers) if workers else None
     try:
-        if not workers:
-            return [fit() for fit in fits]
-        rest = [pool.submit(fit) for fit in fits[1:]]
+        yield pool
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        set_threads(before)
+
+
+def _fit_concurrently(fits: list, stop: threading.Event, pool: WorkerPool | None) -> list:
+    """Results of the ``fits`` callables, in order, run concurrently.
+
+    The first fit runs on this thread and the others on ``pool``'s, or
+    all one after another without a pool. The first exception in list
+    order is raised, after ``stop`` is set so that fits still running on
+    the pool's threads can end early.
+    """
+    if pool is None:
+        return [fit() for fit in fits]
+    rest = [pool.submit(fit) for fit in fits[1:]]
+    try:
         first = fits[0]()
         return [first, *(future.result() for future in rest)]
     except BaseException:
         stop.set()
+        for future in rest:
+            future.cancel()
         raise
-    finally:
-        pool.shutdown(cancel_futures=True)
-        set_threads(before)
 
 
 @contextlib.contextmanager
@@ -434,42 +450,44 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
         with _stage(manifest, "splits"):
             splits = derive_prediction_splits(mt, store)
 
-        with _stage(manifest, "train") as details:
-            train_rows = [i for i, s in enumerate(mt.splits) if s == "train"]
-            train_words = [mt.words[i] for i in train_rows]
-            X, tags = embed_matrix(store, train_words)
-            details["resolution"] = _resolution_counts(Counter(tags))
-            Y = mt.values[train_rows]
-            stop = threading.Event()
-            if settings.model == "mtlffn":
-                fit, hyper = functools.partial(fit_mtlffn, stop=stop), settings.train
-            else:
-                fit, hyper = fit_ridge, settings.alpha
-            models = _fit_concurrently([
-                functools.partial(fit, X, Y[:, [mt.variables.index(n) for n in group.names]],
-                                  hyper, group)
-                for group in variable_groups(mt.variables, joint=settings.joint_mtl)
-            ], stop)
-            del X, Y, tags  # expansion peaks at the store plus one chunk, not plus these
-            checkpoints_dir.mkdir(exist_ok=True)
-            for model in models:
-                label = "_".join(n.lower() for n in model.variables.names)
-                ckpt = checkpoints_dir / f"{settings.model}_{label}.ckpt"
-                save_checkpoint(model, ckpt)
-                manifest.add_output(f"checkpoint:{settings.model}_{label}", ckpt)
+        # train and expand only: the evaluation runs with the pool's threads ended
+        with _one_blas_thread() as pool:
+            with _stage(manifest, "train") as details:
+                train_rows = [i for i, s in enumerate(mt.splits) if s == "train"]
+                train_words = [mt.words[i] for i in train_rows]
+                X, tags = embed_matrix(store, train_words)
+                details["resolution"] = _resolution_counts(Counter(tags))
+                Y = mt.values[train_rows]
+                stop = threading.Event()
+                if settings.model == "mtlffn":
+                    fit, hyper = functools.partial(fit_mtlffn, stop=stop), settings.train
+                else:
+                    fit, hyper = fit_ridge, settings.alpha
+                models = _fit_concurrently([
+                    functools.partial(fit, X, Y[:, [mt.variables.index(n) for n in group.names]],
+                                      hyper, group)
+                    for group in variable_groups(mt.variables, joint=settings.joint_mtl)
+                ], stop, pool)
+                del X, Y, tags  # expansion peaks at the store plus one chunk, not plus these
+                checkpoints_dir.mkdir(exist_ok=True)
+                for model in models:
+                    label = "_".join(n.lower() for n in model.variables.names)
+                    ckpt = checkpoints_dir / f"{settings.model}_{label}.ckpt"
+                    save_checkpoint(model, ckpt)
+                    manifest.add_output(f"checkpoint:{settings.model}_{label}", ckpt)
 
-        with _stage(manifest, "expand") as details:
-            resolution = Counter()
-            pred_path = out / "target_pred.tsv"
-            with write_whole(pred_path) as stream:
-                # the rows of the gold words are all the evaluation reads
-                pred = write_expansion(
-                    models, store, mt, splits, stream, resolution=resolution,
-                    keep={w for gold in golds.values() for w in gold.words},
-                )
-            details["resolution"] = _resolution_counts(resolution)
-            details["merged"] = len(mt) - len(mt.row_index)  # MT duplicates
-            manifest.add_output("target_pred", pred_path)
+            with _stage(manifest, "expand") as details:
+                resolution = Counter()
+                pred_path = out / "target_pred.tsv"
+                with write_whole(pred_path) as stream:
+                    # the rows of the gold words are all the evaluation reads
+                    pred = write_expansion(
+                        models, store, mt, splits, stream, resolution=resolution,
+                        keep={w for gold in golds.values() for w in gold.words}, pool=pool,
+                    )
+                details["resolution"] = _resolution_counts(resolution)
+                details["merged"] = len(mt) - len(mt.row_index)  # MT duplicates
+                manifest.add_output("target_pred", pred_path)
 
         reports = evaluate_protocols(
             mt, pred, splits, golds, out / "reports",

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -9,12 +10,14 @@ import time
 import tracemalloc
 import unicodedata
 import weakref
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lexiforge.cli
 import lexiforge.pipeline
 from lexiforge import (
     BE5_NAMES,
@@ -286,20 +289,20 @@ def test_run_manifest_records_its_environment(tmp_path, small_bundle, monkeypatc
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     environment = manifest["environment"]
     assert environment.keys() == {"python", "numpy", "openblas_config", "openblas_core",
-                                  "usable_cores", "train_blas_threads", "network_dtype"}
+                                  "usable_cores", "blas_threads", "network_dtype"}
     assert environment["python"] == platform.python_version()
     assert environment["numpy"] == np.__version__
     assert environment["usable_cores"] == _usable_cores()
     assert environment["network_dtype"] == "float32"
     if lexiforge.pipeline._openblas_thread_control() is not None:
-        assert environment["train_blas_threads"] == 1
+        assert environment["blas_threads"] == 1
         assert environment["openblas_config"].startswith("OpenBLAS ")
         assert environment["openblas_core"]
-    # without OpenBLAS the fits run at the ambient thread count, which is not known
+    # without OpenBLAS, training and expansion run at the ambient count, which is not known
     monkeypatch.setattr(lexiforge.pipeline, "_openblas_functions", lambda *names: None)
     environment = lexiforge.pipeline._environment()
     assert (environment["openblas_config"], environment["openblas_core"],
-            environment["train_blas_threads"]) == (None, None, None)
+            environment["blas_threads"]) == (None, None, None)
 
 
 def test_run_is_deterministic_across_directories(tmp_path, small_bundle):
@@ -367,7 +370,7 @@ def test_concurrent_training_equals_sequential_training(tmp_path, monkeypatch):
         return fit_mtlffn(X, Y, cfg, group, **kwargs)
 
     def recording_expand(*args, **kwargs):
-        at_expansion.append(get_threads())
+        at_expansion.append((get_threads(), kwargs["pool"] is not None))
         return expand(*args, **kwargs)
 
     monkeypatch.setattr(lexiforge.pipeline, "fit_mtlffn", recording_fit)
@@ -378,6 +381,7 @@ def test_concurrent_training_equals_sequential_training(tmp_path, monkeypatch):
         # the default network shape, whose bits do not depend on the thread count
         assert main(_run_args(bundle, tmp_path / "concurrent", os.devnull,
                               extra=["--epochs", "2"])) == 0
+        assert get_threads() == 2
         concurrent_fits = fits[:]
         monkeypatch.setattr(lexiforge.pipeline, "_openblas_thread_control", lambda: None)
         assert main(_run_args(bundle, tmp_path / "sequential", os.devnull,
@@ -394,10 +398,72 @@ def test_concurrent_training_equals_sequential_training(tmp_path, monkeypatch):
     assert concurrent_fits[0][1] == main_thread
     assert (concurrent_fits[1][1] != main_thread) == (_usable_cores() > 1)
     assert sequential_fits == [(VAD_NAMES, main_thread, 2), (BE5_NAMES, main_thread, 2)]
-    assert at_expansion == [2, 2]
+    # expansion too runs at one thread, on the fits' pool, in the concurrent run
+    assert at_expansion == [(1, _usable_cores() > 1), (2, False)]
     concurrent = _outputs_but_manifest(tmp_path / "concurrent")
     assert len([p for p in concurrent if p.parts[0] == "checkpoints"]) == 2
     assert concurrent == _outputs_but_manifest(tmp_path / "sequential")
+
+
+def test_a_run_ends_its_threads_and_restores_the_blas_count_also_when_it_fails(
+    tmp_path, monkeypatch
+):
+    control = lexiforge.pipeline._openblas_thread_control()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get_threads, set_threads = control
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=300, n_vocab=600, dim=8,
+                                   split_sizes=(260, 20, 20), seed=5,
+                                   variables=VAD_NAMES + BE5_NAMES)
+    # two parse ranges even for this small file: each run forks one worker,
+    # which the parse does only while it is the process's one thread
+    monkeypatch.setattr(lexiforge.embeddings, "_n_parts", lambda store_bytes: 2)
+    fork_part, forks = lexiforge.embeddings._fork_part, []
+
+    def counting_fork(*args):
+        forks.append(threading.active_count())
+        return fork_part(*args)
+
+    monkeypatch.setattr(lexiforge.embeddings, "_fork_part", counting_fork)
+    fit_mtlffn, expand = lexiforge.pipeline.fit_mtlffn, lexiforge.pipeline.write_expansion
+    hidden_layer, failing = lexiforge.models._hidden_layer, []
+
+    def fit(X, Y, cfg, group, **kwargs):
+        if failing == ["train"] and group.names == BE5_NAMES:  # the fit beside this thread's
+            raise DivergenceError(7)
+        return fit_mtlffn(X, Y, cfg, group, **kwargs)
+
+    def expansion(*args, **kwargs):
+        if failing == ["expand"]:
+            failing.append("expanding")
+        return expand(*args, **kwargs)
+
+    def hidden(*args):
+        if failing == ["expand", "expanding"]:  # on every thread that predicts
+            raise MemoryError("no block buffer")
+        return hidden_layer(*args)
+
+    monkeypatch.setattr(lexiforge.pipeline, "fit_mtlffn", fit)
+    monkeypatch.setattr(lexiforge.pipeline, "write_expansion", expansion)
+    monkeypatch.setattr(lexiforge.models, "_hidden_layer", hidden)
+    threads_before = set(threading.enumerate())
+    before = get_threads()
+    set_threads(2)  # an ambient count that the run must not use, whatever the host's
+    try:
+        for stage in (None, "train", "expand", None):
+            failing[:] = [stage] if stage else []
+            out = tmp_path / f"out_{len(forks)}"
+            code = main(_run_args(bundle, out, _write_fast_config(tmp_path)))
+            assert code == (1 if stage else 0)
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            last = manifest["stages"][-1]
+            assert (manifest["status"], last["name"], last["status"]) == (
+                ("incomplete", stage, "failed") if stage else ("complete", "silver-eval", "ok"))
+            assert set(threading.enumerate()) == threads_before, stage
+            assert get_threads() == 2, stage
+    finally:
+        set_threads(before)
+    assert forks == [1, 1, 1, 1]
 
 
 def test_run_reports_a_fit_that_fails_in_a_worker_thread(tmp_path, monkeypatch, capsys):
@@ -632,11 +698,11 @@ def test_a_failed_expansion_leaves_no_predicted_lexicon(tmp_path, monkeypatch, c
     monkeypatch.setattr(lexiforge.models, "_PREDICT_CHUNK_ROWS", 64)
     predict, calls = lexiforge.models.predict, []
 
-    def failing_predict(model, X):
+    def failing_predict(model, X, **kwargs):
         calls.append(len(X))
         if failing == "vocabulary-chunk" and len(calls) == 4:  # the last chunk
             raise ValueError("no memory left for this chunk")
-        values = predict(model, X)
+        values = predict(model, X, **kwargs)
         # the second chunk holds MT duplicates of rows of the first: their values drift
         return values + 1.0 if failing == "duplicate" and len(calls) == 2 else values
 
@@ -1072,6 +1138,35 @@ def test_report_renders_and_meta(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("old", [None, "old table\n"])
+def test_a_report_table_that_fails_partway_leaves_the_old_file_or_none(
+    tmp_path, monkeypatch, capsys, old
+):
+    reports_dir = tmp_path / "reports"
+    reports_dir.mkdir()
+    save_reports([EvalReport("silver", ("de-mt", "de-pred"), "de", 10, {"Val": 0.5, "Aro": 0.4})],
+                 reports_dir / "silver.json")
+    tsv_path = tmp_path / "tables.tsv"
+    if old is not None:
+        tsv_path.write_text(old, encoding="utf-8")
+    write_reports_tsv = lexiforge.cli.write_reports_tsv
+
+    def failing_after_the_first_row(reports, stream):
+        lines = io.StringIO()
+        write_reports_tsv(reports, lines)
+        stream.write("".join(lines.getvalue().splitlines(keepends=True)[:2]))
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(lexiforge.cli, "write_reports_tsv", failing_after_the_first_row)
+    assert main(["report", str(reports_dir), "--tsv", str(tsv_path)]) == 1
+    assert capsys.readouterr().err == "error: no space left on device\n"
+    if old is None:
+        assert not tsv_path.exists()
+    else:
+        assert tsv_path.read_text(encoding="utf-8") == old
+    assert [p.name for p in tmp_path.iterdir()] == ["reports"] + (["tables.tsv"] if old else [])
+
+
 def test_report_conflicting_silver_reports_error(tmp_path, capsys):
     reports_dir = tmp_path / "reports"
     reports_dir.mkdir()
@@ -1173,15 +1268,40 @@ def test_every_config_key_reaches_the_manifest(tmp_path, small_bundle):
             parse_config_file(path)
 
 
-def test_traced_attributes_exist():
-    """perfbench/tracer.py wraps each (module, attribute) it lists; all must exist."""
+def _perfbench_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)  # defines TRACED and the tracer; runs no command
-    for caller, attr, _, _ in tracer.TRACED:
+    return tracer
+
+
+def test_traced_attributes_exist():
+    """perfbench/tracer.py wraps each (module, attribute) it lists; all must exist."""
+    for caller, attr, _, _ in _perfbench_tracer().TRACED:
         module = importlib.import_module(f"lexiforge.{caller}")
         assert callable(getattr(module, attr, None)), f"lexiforge.{caller}.{attr}"
+
+
+def test_a_run_calls_the_model_layer_through_the_traced_attributes(tmp_path, monkeypatch):
+    tracer = _perfbench_tracer()
+    spans = tracer.Tracer()
+    for caller, attr, name, counts in tracer.TRACED:
+        module = importlib.import_module(f"lexiforge.{caller}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # undone after the test
+        spans.wrap(module, attr, name, counts)
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=60, n_vocab=200, dim=8,
+                                   split_sizes=(40, 10, 10), seed=7,
+                                   variables=VAD_NAMES + BE5_NAMES)
+    assert main(_run_args(bundle, tmp_path / "out", _write_fast_config(tmp_path))) == 0
+    names = Counter(span["name"] for span in spans.spans)
+    assert names["models.fit_mtlffn"] == names["models.save_checkpoint"] == 2
+    assert names["models.predict_lexicon"] == names["lexicon.collapse_duplicates"] == 1
+    # one call for each chunk, with both networks
+    mt = load_lexicon(tmp_path / "out" / "target_mt.tsv")
+    store = load_embedding_store(bundle["embeddings"])
+    rows = [span["counts"]["rows"] for span in spans.spans if span["name"] == "models.predict"]
+    assert sum(rows) == len(mt) + sum(w not in mt.row_index for w in store.words) > 0
 
 
 def test_benchmark_selftest_passes():

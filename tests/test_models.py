@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import re
@@ -38,6 +39,7 @@ from lexiforge import (
     variable_groups,
     write_expansion,
 )
+from lexiforge.models import WorkerPool
 from helpers import (
     build_lexicon,
     expanded,
@@ -404,6 +406,27 @@ def test_checking_a_matrix_takes_no_matrix_sized_mask():
     assert peak < 2 * lexiforge.embeddings._BLOCK_ROWS * X.shape[1]
 
 
+def test_ridge_fit_on_store_rows_holds_one_float64_copy_and_one_block():
+    n, dim = 8192, 64
+    rng = np.random.default_rng(41)
+    store = EmbeddingStore([f"w{i}" for i in range(n)], rng.standard_normal((n, dim)))
+    X, _ = embed_matrix(store, store.words)
+    Y = rng.standard_normal((n, 2))
+    fit_ridge(X, Y, 1.0)  # the warm-up: first calls may set up caches
+    tracemalloc.start()
+    try:
+        model = fit_ridge(X, Y, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the centred float64 copy and one float32 block of widened rows; the
+    # float32 matrix of all rows that numpy would cast takes half a copy more
+    block = lexiforge.embeddings._BLOCK_ROWS * dim * store.vectors.itemsize
+    assert peak < n * dim * 8 + block + 2 * n * Y.shape[1] * 8 + 64 * 1024
+    widened = fit_ridge(store.vectors.astype(np.float64), Y, 1.0)
+    assert model.coef.tobytes() == widened.coef.tobytes()
+
+
 def test_ridge_checks_its_variables_before_the_solve():
     # the zero matrix makes the normal equations singular at alpha 0
     with pytest.raises(ValueError, match="variable set does not match Y width"):
@@ -615,7 +638,7 @@ def _word_rows(n_rows, dim, seed):
     return rows
 
 
-@pytest.mark.parametrize("n_rows", [53, 2 * BLOCK + 1])
+@pytest.mark.parametrize("n_rows", [53, 4 * BLOCK + 1])  # one hidden-layer block, and five
 def test_fit_and_predict_on_word_rows_equal_those_on_their_matrix(n_rows):
     rows = _word_rows(n_rows, 12, seed=16)
     matrix = np.asarray(rows)
@@ -664,15 +687,15 @@ def test_word_rows_serve_threads_that_share_them():
     assert sorted(finished) == list(range(6)) and mismatches == []
 
 
-def _hidden_buffer_bytes(model, n_rows):
+def _hidden_buffer_bytes(model, n_rows, workers=1):
     """What ``predict`` must hold over ``n_rows`` rows, in the network's
-    type: the hidden rows, the output (with the bias add's copy) and one
-    block's buffers for the input rows, the first layer, the leaky ReLU
-    factor and its signs."""
+    type: the hidden rows, the output (with the bias add's copy) and, for
+    each worker, one block's buffers for the input rows, the first layer,
+    the leaky ReLU factor and its signs."""
     (h1, h2), k = model.config.hidden, len(model.variables)
     block = min(n_rows, BLOCK)
-    floats = n_rows * h2 + 2 * n_rows * k + block * (model.input_dim + h1 + max(h1, h2))
-    return model.w1.itemsize * floats + block * max(h1, h2)
+    floats = n_rows * h2 + 2 * n_rows * k + workers * block * (model.input_dim + h1 + max(h1, h2))
+    return model.w1.itemsize * floats + workers * block * max(h1, h2)
 
 
 def test_predict_holds_the_hidden_rows_and_one_block_of_buffers():
@@ -684,20 +707,62 @@ def test_predict_holds_the_hidden_rows_and_one_block_of_buffers():
     X = rng.standard_normal((n_rows, dim))
     rows = _word_rows(n_rows, dim, seed=20)
     mask = lexiforge.embeddings._BLOCK_ROWS * dim  # the finiteness check's
-    # a second network shares the blocks and adds its hidden rows
-    second = model.w1.itemsize * n_rows * model.config.hidden[1]
-    for inputs in (X, rows):
-        for models, extra in ((model, 0), ([model, other], second)):
-            predict(models, inputs)  # the warm-up: first calls may set up caches
+    # the networks run one at a time: a second adds only the first's output,
+    # held while it runs, not its own hidden rows
+    second = model.w1.itemsize * n_rows * len(model.variables)
+    with WorkerPool(1) as pool:
+        for inputs, (models, extra), workers in itertools.product(
+                (X, rows), ((model, 0), ([model, other], second)), (None, pool)):
+            predict(models, inputs, pool=workers)  # the warm-up: first calls may set up caches
             tracemalloc.start()
             try:
-                predict(models, inputs)
+                predict(models, inputs, pool=workers)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             # a fresh array for each block's layer output takes 1 MiB more
-            bound = _hidden_buffer_bytes(model, n_rows) + extra + mask + 128 * 1024
-            assert peak < bound, (type(inputs), extra)
+            n_workers = 1 if workers is None else 2
+            bound = _hidden_buffer_bytes(model, n_rows, n_workers) + extra + mask + 128 * 1024
+            assert peak < bound, (type(inputs), extra, n_workers)
+
+
+@pytest.mark.parametrize("n_rows", [1, 53, BLOCK + 1, 4 * BLOCK + 1, 9 * BLOCK])
+def test_predict_on_a_pool_equals_predict_on_this_thread(n_rows):
+    rng = np.random.default_rng(42)
+    dim = 16
+    networks = [fit_mtlffn(rng.standard_normal((40, dim)), rng.standard_normal((40, k)),
+                           TrainConfig(hidden=(32, 8), epochs=1, seed=k)) for k in (1, 3)]
+    ridge = fit_ridge(rng.standard_normal((40, dim)), rng.standard_normal((40, 2)), 1.0)
+    models = [*networks, ridge]
+    # _word_rows holds every resolution tag, which takes more than a few rows
+    rows = _word_rows(n_rows, dim, seed=43) if n_rows > 7 else rng.standard_normal((n_rows, dim))
+    expected = predict(models, rows).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # one thread beside this one, then more than cores (and than blocks of few rows)
+        for workers in (1, 5):
+            with WorkerPool(workers) as pool:
+                for _ in range(3):
+                    assert predict(models, rows, pool=pool).tobytes() == expected, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failure_on_a_pool_thread_reaches_the_caller(monkeypatch):
+    rng = np.random.default_rng(44)
+    model = fit_mtlffn(rng.standard_normal((40, 8)), rng.standard_normal((40, 2)),
+                       TrainConfig(hidden=(16, 8), epochs=1, seed=1))
+    hidden_layer, main = lexiforge.models._hidden_layer, threading.get_ident()
+
+    def failing_on_other_threads(*args):
+        if threading.get_ident() != main:
+            raise MemoryError("no block buffer")
+        return hidden_layer(*args)
+
+    monkeypatch.setattr(lexiforge.models, "_hidden_layer", failing_on_other_threads)
+    with WorkerPool(1) as pool, pytest.raises(MemoryError, match="no block buffer"):
+        predict(model, rng.standard_normal((4 * BLOCK, 8)), pool=pool)
 
 
 def test_predict_dimension_mismatch():
@@ -1049,7 +1114,9 @@ def test_expansion_gathers_each_chunk_once(monkeypatch):
 
     monkeypatch.setattr(WordRows, "take", counting_take)
     pred = predicted(models, store, mt, splits)
-    assert sum(gathered) == len(pred) == CHUNK + 1000
+    # once for each network, one hidden block at a time
+    assert sum(gathered) == len(models) * len(pred) == 2 * (CHUNK + 1000)
+    assert max(gathered) <= BLOCK
 
 
 @pytest.mark.parametrize("kind", ["mtlffn", "ridge"])
