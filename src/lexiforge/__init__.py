@@ -64,7 +64,6 @@ from .models import (
     TrainConfig,
     fit_mtlffn,
     fit_ridge,
-    grad_check,
     load_checkpoint,
     predict,
     predict_lexicon,

@@ -4,7 +4,6 @@ prepare-source    filter a raw source lexicon and tag its splits
 run               full generation-and-evaluation pipeline
 evaluate          re-run the evaluation protocols on existing lexicons
 report            render stored evaluation reports as tables
-gradcheck         verify the network gradients against finite differences
 
 Options may also come from a flat ``key = value`` config file
 (``--config``); command-line flags take precedence over the file, the
@@ -19,8 +18,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
-
-import numpy as np
 
 from . import __version__
 from .errors import LexiforgeError, SchemaError
@@ -38,7 +35,7 @@ from .evaluation import (  # noqa: F401 -- perfbench/tracer.py wraps the protoco
     silver_eval,
 )
 from .lexicon import SplitSets, load_lexicon, write_whole
-from .models import TrainConfig, grad_check
+from .models import TrainConfig
 from .pipeline import (
     MODEL_KINDS,
     RunSettings,
@@ -170,14 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render stored reports as tables")
     p.add_argument("paths", nargs="+", help="report JSON files or directories")
     p.add_argument("--tsv", help="also write a machine-readable TSV table")
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of the network gradients")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--outputs", type=int, default=3)
-    p.add_argument("--hidden", default="16,8", help="hidden layer sizes, e.g. 16,8")
-    p.add_argument("--threshold", type=float, default=1e-4)
     return parser
 
 
@@ -305,23 +294,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    hidden = tuple(int(h) for h in args.hidden.split(","))
-    worst = 0.0
-    rng = np.random.default_rng(12345)
-    for seed in range(args.seeds):
-        cfg = TrainConfig(
-            hidden=hidden, input_dropout=0.0, hidden_dropout=0.0, seed=seed
-        )
-        X = rng.standard_normal((args.samples, args.dim))
-        Y = rng.standard_normal((args.samples, args.outputs))
-        err = grad_check(cfg, X, Y)
-        worst = max(worst, err)
-        print(f"seed {seed}: max relative error {err:.3e}")
-    print(f"worst over {args.seeds} seeds: {worst:.3e} (threshold {args.threshold:g})")
-    return 0 if worst < args.threshold else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
@@ -330,7 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "evaluate": _cmd_evaluate,
         "report": _cmd_report,
-        "gradcheck": _cmd_gradcheck,
     }
     try:
         return handlers[args.command](args)

@@ -97,8 +97,6 @@ def load_reports(path) -> list[EvalReport]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        if isinstance(data, dict):
-            data = [data]
         return [EvalReport.from_dict(item) for item in data]
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError(

@@ -316,7 +316,7 @@ class WorkerPool(ThreadPoolExecutor):
 def _forward(networks: Sequence[tuple[dict[str, np.ndarray], float]],
              X: WordRows, pool: WorkerPool | None = None) -> list[np.ndarray]:
     """The output of each network, a ``(params, leaky_slope)`` pair, for the
-    rows of X, in the parameters' type.
+    rows of X, in ``NETWORK_DTYPE``.
 
     One network at a time: its hidden rows are filled block by block, the
     blocks split into one contiguous range for this thread and one for
@@ -325,7 +325,6 @@ def _forward(networks: Sequence[tuple[dict[str, np.ndarray], float]],
     """
     if not networks:
         return []
-    dtype = networks[0][0]["w1"].dtype
     bounds = _near_equal_bounds(len(X), _HIDDEN_BLOCK_ROWS)
     blocks = list(zip(bounds, bounds[1:]))
     n_parts = min(len(blocks), 1 + (pool.workers if pool else 0))
@@ -337,9 +336,9 @@ def _forward(networks: Sequence[tuple[dict[str, np.ndarray], float]],
         # the range's own buffers, which serve its blocks: the gathered rows,
         # the first layer's output, one factor and one sign buffer
         h1, width = p["w1"].shape[1], max(p["w1"].shape[1], p["w2"].shape[1])
-        block = np.empty((rows, X.shape[1]), dtype)
-        first = np.empty(rows * h1, dtype)
-        factor = np.empty(rows * width, dtype)
+        block = np.empty((rows, X.shape[1]), NETWORK_DTYPE)
+        first = np.empty(rows * h1, NETWORK_DTYPE)
+        factor = np.empty(rows * width, NETWORK_DTYPE)
         sign = np.empty(rows * width, dtype=bool)
         for lo, hi in part:
             a = X.take(slice(lo, hi), block[: hi - lo])
@@ -349,7 +348,7 @@ def _forward(networks: Sequence[tuple[dict[str, np.ndarray], float]],
 
     outputs = []
     for p, slope in networks:
-        hidden = np.empty((len(X), p["w2"].shape[1]), dtype)
+        hidden = np.empty((len(X), p["w2"].shape[1]), NETWORK_DTYPE)
         futures = [pool.submit(fill, p, slope, hidden, part) for part in parts[1:]]
         try:
             fill(p, slope, hidden, parts[0])
@@ -378,26 +377,25 @@ def _views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, 
 
 
 class _TrainStep:
-    """One fit's state and its training step, allocated once, in ``dtype``.
+    """One fit's state and its training step, allocated once, in ``NETWORK_DTYPE``.
 
     The flat parameters, their gradient, Adam's m and v and the batch
     buffers (with Adam's temporary vector over them) share one workspace
-    of ``dtype``; the parameters are drawn in float64 and rounded to it.
+    of that type; the parameters are drawn in float64 and rounded to it.
     The batch buffers include each hidden layer's leaky ReLU factor,
     which the forward pass writes and the backward pass reads. The
     dropout keep flags and the sign tests behind the factors take turns
     in one bool workspace. A step allocates no array, so the step holds
     two arrays however long it trains and frees them whole when it ends,
     which keeps concurrent fits small. Every step computes the same
-    values as the out-of-place formulas in ``dtype``, bit for bit: the
+    values as the out-of-place formulas in that type, bit for bit: the
     same operations on the same operands, into ``out=`` buffers.
 
     A batch of ``n`` rows uses the first ``n`` rows of each batch buffer,
     which are C-contiguous like a fresh array of that shape.
     """
 
-    def __init__(self, d: int, k: int, cfg: TrainConfig, rows: int, rng: np.random.Generator,
-                 dtype: np.dtype = NETWORK_DTYPE):
+    def __init__(self, d: int, k: int, cfg: TrainConfig, rows: int, rng: np.random.Generator):
         h1, h2 = cfg.hidden
         self.cfg = cfg
         init = _init_params(d, h1, h2, k, rng)
@@ -410,7 +408,7 @@ class _TrainStep:
         if cfg.hidden_dropout > 0.0:
             batch["mask1"], batch["mask2"] = (rows, h1), (rows, h2)
         n_batch = sum(r * c for r, c in batch.values())
-        floats = np.zeros(4 * n_params + max(n_params, n_batch), dtype)
+        floats = np.zeros(4 * n_params + max(n_params, n_batch), NETWORK_DTYPE)
         flat = _views(floats, {"params": (n_params,), "grad": (n_params,), "m": (n_params,),
                                "v": (n_params,), **batch})
         # Adam's temporary vector overlays the batch buffers: the step is done with them
@@ -574,43 +572,6 @@ def predict(model: Model | Sequence[Model], X, *, pool: WorkerPool | None = None
     return np.hstack([_linear(np.asarray(X, dtype=np.float64), m.coef, m.intercept)
                       if isinstance(m, RidgeModel) else next(outputs).astype(np.float64)
                       for m in models])
-
-
-def grad_check(cfg: TrainConfig, X, Y, *, step: float = 1e-5) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    Uses the freshly initialized network defined by ``cfg`` (dropout
-    must be zero), in float64, and returns the maximum relative error
-    over all parameter entries.
-    """
-    if cfg.input_dropout != 0.0 or cfg.hidden_dropout != 0.0:
-        raise ValueError("grad_check requires zero dropout rates")
-    X, Y, _ = _fit_inputs(X, Y)
-    # their rows widened, once: a store's rows cannot be gathered into float64
-    X = WordRows.of(np.asarray(X, dtype=np.float64))
-    train = _TrainStep(X.shape[1], Y.shape[1], cfg, len(X), np.random.default_rng(cfg.seed),
-                       np.float64)
-    rows = train.load(X, Y, np.arange(len(X)))
-    train.forward(rows)
-    train.backward(rows)
-    params, analytic = train.params, train.grads
-
-    def loss() -> float:
-        return float(np.mean((_forward([(params, cfg.leaky_slope)], X)[0] - Y) ** 2))
-
-    worst = 0.0
-    for name in _PARAM_ORDER:
-        tensor, grad = params[name], analytic[name]
-        for ix in np.ndindex(tensor.shape):
-            original = tensor[ix]
-            tensor[ix] = original + step
-            up = loss()
-            tensor[ix] = original - step
-            down = loss()
-            tensor[ix] = original
-            fd, a = (up - down) / (2.0 * step), float(grad[ix])
-            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
-    return worst
 
 
 # ---------------------------------------------------------------------------

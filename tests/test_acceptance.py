@@ -25,7 +25,6 @@ from lexiforge import (
     embed_term,
     fit_mtlffn,
     fit_ridge,
-    grad_check,
     load_lexicon,
     pearson,
     project_lexicon,
@@ -33,7 +32,7 @@ from lexiforge import (
 )
 from lexiforge.pipeline import prepare_source
 from helpers import build_lexicon, expanded, predicted, write_pipeline_bundle
-from test_models import ridge_oracle_exact
+from test_models import grad_check, ridge_oracle_exact
 
 
 def check(cid: str, name: str, ok: bool, detail: str = ""):

@@ -1,8 +1,11 @@
+import argparse
 import importlib
 import importlib.util
 import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
@@ -852,6 +855,72 @@ def test_run_stage_failure_marks_manifest(tmp_path, small_bundle, capsys):
     assert (out / "target_pred.tsv").exists()
 
 
+# Runs `lexiforge run` with the arguments after the first and kills itself
+# with SIGKILL where the first says: at the start of the stage it names, or
+# ("mid-write") once the first rows of target_pred.tsv are on disk.
+_KILLED_RUN = """
+import os, signal, sys
+import lexiforge.models, lexiforge.pipeline
+from lexiforge.cli import main
+
+where = sys.argv[1]
+stage, write_rows = lexiforge.pipeline._stage, lexiforge.models.write_lexicon_rows
+
+def stage_killed_at_its_start(manifest, name):
+    if name == where:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return stage(manifest, name)
+
+def rows_killed_once_written(stream, *args):
+    write_rows(stream, *args)
+    stream.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+lexiforge.pipeline._stage = stage_killed_at_its_start
+if where == "mid-write":
+    lexiforge.models.write_lexicon_rows = rows_killed_once_written
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_a_killed_run_leaves_only_whole_files(tmp_path, small_bundle):
+    from lexiforge.pipeline import file_sha256
+
+    config = _write_fast_config(tmp_path)
+    golds = ["--gold", f"g1={small_bundle['gold']}", "--gold", f"g2={small_bundle['gold']}"]
+    whole = tmp_path / "whole"
+    assert main(_run_args(small_bundle, whole, config, golds)) == 0
+    manifest = json.loads((whole / "manifest.json").read_text(encoding="utf-8"))
+    stages = [stage["name"] for stage in manifest["stages"]]
+    assert len(stages) == 12  # six, then silver, two gold, one ISR and two MT-vs-pred
+    script = tmp_path / "killed_run.py"
+    script.write_text(_KILLED_RUN, encoding="utf-8")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(lexiforge.pipeline.__file__).resolve().parents[1])}
+    for where in [*stages, "mid-write"]:
+        out = tmp_path / f"killed-{where}"
+        child = subprocess.Popen(
+            [sys.executable, str(script), where, *_run_args(small_bundle, out, config, golds)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == -signal.SIGKILL, (where, err)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["status"] == "incomplete", where
+        for entry in manifest["outputs"].values():
+            assert file_sha256(entry["path"]) == entry["sha256"], where
+        assert int((out / ".lexiforge.lock").read_text(encoding="ascii")) == child.pid
+        for path in out.rglob("*"):
+            if path.is_dir() or path.suffix == ".tmp" or path.name in (
+                    "manifest.json", ".lexiforge.lock"):
+                continue
+            load = {".tsv": load_lexicon, ".json": load_reports, ".ckpt": load_checkpoint}
+            load[path.suffix](path)  # loads whole, and holds the bytes of the whole run
+            assert path.read_bytes() == (whole / path.relative_to(out)).read_bytes(), path
+        if where == "mid-write":
+            assert (out / "target_pred.tsv.tmp").stat().st_size > 0
+            assert not (out / "target_pred.tsv").exists()
+
+
 # ---------------------------------------------------------------------------
 # evaluate / report
 # ---------------------------------------------------------------------------
@@ -1093,10 +1162,13 @@ def test_run_has_no_duplicate_tolerance_flag(tmp_path, small_bundle):
 
 
 @pytest.mark.parametrize("content, problem", [
-    (None, "KeyError: 'lexicons'"),  # a run directory: its manifest.json
+    (None, "ValueError: dictionary update sequence"),  # a run directory: its manifest.json
     ('[{"protocol": "silver", "lexicons": ["a", "b"],', "JSONDecodeError: Expecting"),
     ("[1, 2]", "TypeError"),
-], ids=["run-dir", "truncated", "not-objects"])
+    # one report not in a list, which save_reports never writes
+    (json.dumps(EvalReport("silver", ("de-mt", "de-pred"), "de", 10, {"Val": 0.5}).to_dict()),
+     "ValueError: dictionary update sequence"),
+], ids=["run-dir", "truncated", "not-objects", "bare-report"])
 def test_report_names_a_file_that_is_not_a_report(
     tmp_path, small_bundle, capsys, content, problem
 ):
@@ -1183,16 +1255,38 @@ def test_report_conflicting_silver_reports_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# gradcheck and config parsing
+# subcommands and config parsing
 # ---------------------------------------------------------------------------
 
 
-def test_gradcheck_command(capsys):
-    code = main(["gradcheck", "--seeds", "3", "--dim", "6", "--outputs", "2",
-                 "--samples", "5", "--hidden", "8,4"])
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "worst over 3 seeds" in printed
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = lexiforge.cli._build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {"": parser, **action.choices}
+
+
+def test_gradcheck_is_not_a_subcommand(capsys):
+    # the gradient check runs in the test suite (test_models.grad_check)
+    assert list(_subcommands()) == ["", "prepare-source", "run", "evaluate", "report"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["gradcheck"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'gradcheck'" in capsys.readouterr().err
+
+
+def test_the_readme_and_the_cli_docstring_match_the_parser():
+    parsers = _subcommands()
+    commands = [name for name in parsers if name]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # every `lexiforge <command>`, also across a line break, but not `import lexiforge as lf`
+    assert set(re.findall(r"(?<!import )\blexiforge\s+([a-z][\w-]*)", readme)) == set(commands)
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme)) - {"--no-build-isolation"}
+    accepted = {flag for p in parsers.values() for a in p._actions for flag in a.option_strings}
+    assert flags <= accepted, sorted(flags - accepted)
+    keys = re.search(r"Recognized keys:(.*?)\.\n", readme, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", keys)) == sorted(lexiforge.cli._CONFIG_KEYS)
+    listed = re.findall(r"^([a-z][\w-]*) {2,}\S", lexiforge.cli.__doc__, re.M)
+    assert listed == commands
 
 
 def test_parse_config_file(tmp_path):

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -32,7 +33,6 @@ from lexiforge import (
     embed_matrix,
     fit_mtlffn,
     fit_ridge,
-    grad_check,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -184,15 +184,40 @@ def leaky_grad(z, slope):
 F32 = np.float32  # the network's type
 
 
+def reference_batch(params, xb, yb, slope, masks):
+    """The loss of one batch and its gradient, out of place, in the type of
+    ``params``, ``xb`` and ``yb``. ``masks`` holds the dropout masks
+    (``input``, ``h1``, ``h2``) that are drawn. A Python float operand is
+    rounded to that type, as numpy does with an array of it."""
+    x0 = xb * masks["input"] if "input" in masks else xb
+    z1 = x0 @ params["w1"] + params["b1"]
+    a1 = leaky(z1, slope)
+    a1 = a1 * masks["h1"] if "h1" in masks else a1
+    z2 = a1 @ params["w2"] + params["b2"]
+    a2 = leaky(z2, slope)
+    a2 = a2 * masks["h2"] if "h2" in masks else a2
+    y_hat = a2 @ params["w3"] + params["b3"]
+    loss = float(np.mean((y_hat - yb) ** 2))
+    g = (2.0 / yb.size) * (y_hat - yb)
+    grads = {"w3": a2.T @ g, "b3": g.sum(axis=0)}
+    g = g @ params["w3"].T
+    g = g * masks["h2"] if "h2" in masks else g
+    g = g * leaky_grad(z2, slope)
+    grads["w2"], grads["b2"] = a1.T @ g, g.sum(axis=0)
+    g = g @ params["w2"].T
+    g = g * masks["h1"] if "h1" in masks else g
+    g = g * leaky_grad(z1, slope)
+    grads["w1"], grads["b1"] = x0.T @ g, g.sum(axis=0)
+    return loss, grads
+
+
 def reference_fit(X, Y, cfg):
     """The out-of-place fit in float32: a fresh array for every intermediate
-    and update. A Python float operand is rounded to float32, as numpy
-    does with a float32 array."""
+    and update, each batch through ``reference_batch``."""
     X, Y = X.astype(F32), Y.astype(F32)
     n, d = X.shape
     k = Y.shape[1]
     h1, h2 = cfg.hidden
-    slope = cfg.leaky_slope
     rng = np.random.default_rng(cfg.seed)
     params = {name: p.astype(F32)
               for name, p in lexiforge.models._init_params(d, h1, h2, k, rng).items()}
@@ -208,33 +233,15 @@ def reference_fit(X, Y, cfg):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, yb = X[idx], Y[idx]
             masks = {}
             if cfg.input_dropout > 0.0:
-                masks["input"] = mask(xb.shape, cfg.input_dropout)
+                masks["input"] = mask((len(idx), d), cfg.input_dropout)
             if cfg.hidden_dropout > 0.0:
                 masks["h1"] = mask((len(idx), h1), cfg.hidden_dropout)
                 masks["h2"] = mask((len(idx), h2), cfg.hidden_dropout)
-            x0 = xb * masks["input"] if "input" in masks else xb
-            z1 = x0 @ params["w1"] + params["b1"]
-            a1 = leaky(z1, slope)
-            a1 = a1 * masks["h1"] if "h1" in masks else a1
-            z2 = a1 @ params["w2"] + params["b2"]
-            a2 = leaky(z2, slope)
-            a2 = a2 * masks["h2"] if "h2" in masks else a2
-            y_hat = a2 @ params["w3"] + params["b3"]
-            if not np.isfinite(float(np.mean((y_hat - yb) ** 2))):
+            loss, grads = reference_batch(params, X[idx], Y[idx], cfg.leaky_slope, masks)
+            if not np.isfinite(loss):
                 raise DivergenceError(step)
-            g = (2.0 / (len(idx) * k)) * (y_hat - yb)
-            grads = {"w3": a2.T @ g, "b3": g.sum(axis=0)}
-            g = g @ params["w3"].T
-            g = g * masks["h2"] if "h2" in masks else g
-            g = g * leaky_grad(z2, slope)
-            grads["w2"], grads["b2"] = a1.T @ g, g.sum(axis=0)
-            g = g @ params["w2"].T
-            g = g * masks["h1"] if "h1" in masks else g
-            g = g * leaky_grad(z1, slope)
-            grads["w1"], grads["b1"] = x0.T @ g, g.sum(axis=0)
             step += 1
             bias1, bias2 = 1.0 - beta1**step, 1.0 - beta2**step
             for name, grad in grads.items():
@@ -244,6 +251,33 @@ def reference_fit(X, Y, cfg):
                     np.sqrt(v[name] / bias2) + eps)
     assert all(p.dtype == F32 for p in params.values())
     return params, step
+
+
+def grad_check(cfg, X, Y, *, step=1e-5):
+    """The largest relative error, over all parameter entries, between
+    ``reference_batch``'s gradient and central finite differences of its
+    loss, in float64, at the network that ``cfg`` initializes (dropout
+    must be zero). X and Y are checked as the fitters check them."""
+    if cfg.input_dropout != 0.0 or cfg.hidden_dropout != 0.0:
+        raise ValueError("grad_check requires zero dropout rates")
+    X, Y, _ = lexiforge.models._fit_inputs(X, Y)
+    X = np.asarray(X, dtype=np.float64)
+    params = lexiforge.models._init_params(X.shape[1], *cfg.hidden, Y.shape[1],
+                                           np.random.default_rng(cfg.seed))
+    _, analytic = reference_batch(params, X, Y, cfg.leaky_slope, {})
+    assert all(g.dtype == np.float64 for g in analytic.values())
+    worst = 0.0
+    for name, tensor in params.items():
+        for ix in np.ndindex(tensor.shape):
+            original = tensor[ix]
+            tensor[ix] = original + step
+            up = reference_batch(params, X, Y, cfg.leaky_slope, {})[0]
+            tensor[ix] = original - step
+            down = reference_batch(params, X, Y, cfg.leaky_slope, {})[0]
+            tensor[ix] = original
+            fd, a = (up - down) / (2.0 * step), float(analytic[name][ix])
+            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
+    return worst
 
 
 @settings(max_examples=120, deadline=None)
@@ -810,21 +844,22 @@ def test_grad_check_requires_zero_dropout():
 
 def test_output_bias_gradient_equals_scaled_mean_residual():
     # with zero input and zero-initialized biases the forward output is
-    # exactly b3 = 0, so dL/db3 = 2/(n k) * sum of residuals = closed form
+    # exactly b3 = 0, so dL/db3 = 2/(n k) * sum of residuals = closed form,
+    # in float32 to the bit
     from lexiforge.models import _TrainStep
 
     rng = np.random.default_rng(17)
     n, d, k = 6, 3, 2
-    X = WordRows.of(np.zeros((n, d)))
-    Y = rng.standard_normal((n, k))
+    X = WordRows.of(np.zeros((n, d), F32))
+    Y = rng.standard_normal((n, k)).astype(F32)
     cfg = TrainConfig(hidden=(8, 4), input_dropout=0.0, hidden_dropout=0.0)
-    train = _TrainStep(d, k, cfg, n, np.random.default_rng(0), np.float64)
+    train = _TrainStep(d, k, cfg, n, np.random.default_rng(0))
     rows = train.load(X, Y, np.arange(n))
-    assert train.forward(rows) == np.mean(Y**2)
-    assert np.array_equal(train.flat["g"], -Y)  # the residual y_hat - Y, so y_hat == 0
+    assert train.forward(rows) == float(np.mean(Y**2))
+    assert train.flat["g"].tobytes() == (-Y).tobytes()  # the residual y_hat - Y: y_hat == 0
     train.backward(rows)
-    expected = (2.0 / (n * k)) * (-Y).sum(axis=0)
-    assert np.abs(train.grads["b3"] - expected).max() < 1e-15
+    expected = ((2.0 / (n * k)) * -Y).sum(axis=0)
+    assert expected.dtype == F32 and train.grads["b3"].tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +886,42 @@ def test_checkpoint_round_trip_mtlffn(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("old", [False, True])
+def test_a_checkpoint_write_that_fails_partway_leaves_the_old_file_or_none(
+    tmp_path, monkeypatch, old
+):
+    rng = np.random.default_rng(18)
+    X, Y = rng.standard_normal((20, 4)), rng.standard_normal((20, 2))
+    path = tmp_path / "model.ckpt"
+    if old:
+        save_checkpoint(fit_mtlffn(X, Y, TrainConfig(hidden=(8, 4), epochs=1, seed=1)), path)
+    old_bytes = path.read_bytes() if old else None
+    write_whole = lexiforge.models.write_whole
+
+    class FailingAfterTheFirstBytes:
+        def __init__(self, fh):
+            self.fh, self.calls = fh, 0
+
+        def write(self, data):
+            self.calls += 1
+            if self.calls > 1:
+                raise OSError("no space left on device")
+            self.fh.write(data)
+            self.fh.flush()  # the first bytes are on disk
+
+    @contextlib.contextmanager
+    def failing_write_whole(target, binary=False):
+        with write_whole(target, binary) as fh:
+            yield FailingAfterTheFirstBytes(fh)
+
+    monkeypatch.setattr(lexiforge.models, "write_whole", failing_write_whole)
+    model = fit_mtlffn(X, Y, TrainConfig(hidden=(8, 4), epochs=1, seed=2))
+    with pytest.raises(OSError, match="no space left on device"):
+        save_checkpoint(model, path)
+    assert (path.read_bytes() if path.exists() else None) == old_bytes
+    assert [p.name for p in tmp_path.iterdir()] == (["model.ckpt"] if old else [])
 
 
 def test_checkpoint_holds_the_float32_parameters_widened_to_float64(tmp_path):
