@@ -3,7 +3,9 @@
 Vector files use the common text format: a ``<count> <dim>`` header
 followed by one ``word v1 ... v_dim`` line per word, single-space
 separated; words are stored by ``lexicon.normalize_word``. A large file
-is parsed on several cores, with the same result as in one process.
+is parsed on several cores, with the same result as in one process; a
+store cache entry keeps the parse's result, so that later runs of the
+same file map its rows instead of parsing it again.
 Vectors are stored as float32, each component rounded to nearest from
 its float64 value; the network computes in that type, and ridge
 regression widens them to float64.
@@ -16,16 +18,22 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
+import hashlib
 import io
+import json
 import logging
 import mmap
 import os
 import pickle
 import re
 import signal
+import tempfile
 import threading
+import unicodedata
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -521,6 +529,153 @@ def _decodable(text: str) -> bool:
 def _check_decoded(text: str, line_no: int, path) -> None:
     if not _decodable(text):
         raise ParseError("invalid UTF-8 byte sequence", line_no=line_no, path=path)
+
+
+# Part of every store cache key: bump it whenever the parse's result for
+# the same bytes changes, so that no entry of an older parse is read.
+STORE_CACHE_FORMAT = 1
+
+# The files of one entry: the record of the other two's SHA-256, the rows
+# and the words. A write replaces the record last.
+_ENTRY_SUFFIXES = (".json", ".npy", ".words")
+
+
+def store_cache_dir() -> Path:
+    """Where store cache entries live: ``$XDG_CACHE_HOME/lexiforge/stores``,
+    under ``~/.cache`` if that variable is unset or not an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "lexiforge", "stores")
+
+
+def store_cache_key(file_sha256: str, max_vocab: int | None) -> str:
+    """The entry name of the store parsed from a vector file with this
+    SHA-256 and ``max_vocab``; it also covers the cache format and the
+    Unicode version that NFC follows."""
+    fields = [STORE_CACHE_FORMAT, unicodedata.unidata_version, file_sha256, max_vocab]
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+
+
+def read_cached_store(cache_dir: Path, key: str) -> EmbeddingStore | None:
+    """The store of entry ``key``, its rows mapped read-only; None if there is none.
+
+    The rows and the words must have the SHA-256 that the entry records,
+    and the store is built through ``EmbeddingStore``'s checks; an entry
+    that cannot be read or fails a check raises OSError or ValueError.
+    The duplicate count is logged as the parse logs it.
+    """
+    try:
+        record = json.loads((cache_dir / f"{key}.json").read_bytes())
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    try:
+        rows = np.load(cache_dir / f"{key}.npy", mmap_mode="r", allow_pickle=False)
+        text = (cache_dir / f"{key}.words").read_bytes()
+        if rows.dtype != STORE_DTYPE or not rows.flags.c_contiguous:
+            raise ValueError(f"rows are not C-ordered {STORE_DTYPE}")
+        if hashlib.sha256(rows).hexdigest() != record["rows_sha256"]:
+            raise ValueError("rows do not match their recorded SHA-256")
+        if hashlib.sha256(text).hexdigest() != record["words_sha256"]:
+            raise ValueError("words do not match their recorded SHA-256")
+        duplicates = record["n_duplicates"]
+        if type(duplicates) is not int or duplicates < 0:
+            raise ValueError(f"duplicate count {duplicates!r}")
+    except (EOFError, KeyError, TypeError) as exc:  # a short .npy header, a malformed record
+        raise ValueError(f"malformed entry: {exc!r}") from None
+    # joined on "\n" alone: a word may hold other characters that end a line
+    store = EmbeddingStore(text.decode("utf-8").split("\n") if text else [], rows,
+                           n_duplicates=duplicates)
+    if duplicates:
+        log.warning("embedding file: ignored %d duplicate words", duplicates)
+    return store
+
+
+def write_cached_store(
+    cache_dir: Path, key: str, store: EmbeddingStore, source, keyed: os.stat_result
+) -> None:
+    """Write ``store``, parsed from the vector file ``source``, as entry
+    ``key``, the only entry that the cache then holds.
+
+    ``keyed`` is the file's ``os.stat`` from before the SHA-256 in the key
+    was taken; a file whose size or mtime has changed since raises
+    ValueError, as its store may not be that of the key. Every other
+    entry's files, whole or not, and the temporary files of writers that
+    have ended are removed first. An entry that would leave less free
+    space on its disk than its own size is not written. Each file is
+    written under a unique temporary name, which then replaces it, so
+    concurrent writers of one entry do not clash; a write that fails
+    removes the entry's files already in place. Raises OSError.
+    """
+    now = os.stat(source)
+    if (now.st_size, now.st_mtime_ns) != (keyed.st_size, keyed.st_mtime_ns):
+        raise ValueError(f"{source} changed after its SHA-256 was taken")
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    _remove_other_entries(cache_dir, key)
+    text = "\n".join(store.words).encode("utf-8")
+    size = store.vectors.nbytes + len(text)
+    disk = os.statvfs(cache_dir)
+    free = disk.f_bavail * disk.f_frsize
+    if free - size < size:
+        raise OSError(errno.ENOSPC, f"{free} bytes free on its disk, less than twice "
+                                    f"the {size}-byte entry")
+    record = {
+        "n_duplicates": store.n_duplicates,
+        "rows_sha256": hashlib.sha256(store.vectors).hexdigest(),
+        "words_sha256": hashlib.sha256(text).hexdigest(),
+    }
+    try:
+        _replace(cache_dir / f"{key}.npy",
+                 lambda fh: np.save(fh, store.vectors, allow_pickle=False))
+        _replace(cache_dir / f"{key}.words", lambda fh: fh.write(text))
+        _replace(cache_dir / f"{key}.json", lambda fh: fh.write(json.dumps(record).encode()))
+    except BaseException:
+        for suffix in _ENTRY_SUFFIXES:
+            with contextlib.suppress(OSError):
+                os.unlink(cache_dir / f"{key}{suffix}")
+        raise
+
+
+def _replace(path: Path, write) -> None:
+    """Let ``write`` fill a new binary file that then replaces ``path``.
+
+    The file is named ``<path>.<pid>.<unique>.tmp`` until then, and is
+    removed if ``write`` or the replacement fails.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.{os.getpid()}.",
+                               suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _remove_other_entries(cache_dir: Path, keep: str) -> None:
+    """Remove the files of every entry but ``keep``, also those of an entry
+    whose writer stopped before its record, and the temporary files of
+    writers that have ended."""
+    for path in cache_dir.iterdir():
+        key, *parts = path.name.split(".")
+        if (len(parts) == 1 and f".{parts[0]}" in _ENTRY_SUFFIXES and key != keep) or (
+            len(parts) == 4 and parts[3] == "tmp" and parts[1].isdigit() and _ended(parts[1])
+        ):
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+
+
+def _ended(pid: str) -> bool:
+    """Whether no process has this id."""
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # another user's process
+        pass
+    return False
 
 
 def embed_term(store: EmbeddingStore, term: str) -> tuple[np.ndarray, str]:

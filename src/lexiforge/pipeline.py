@@ -33,7 +33,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .embeddings import embed_matrix, load_embedding_store, usable_cores
+from .embeddings import (
+    EmbeddingStore,
+    embed_matrix,
+    load_embedding_store,
+    read_cached_store,
+    store_cache_dir,
+    store_cache_key,
+    usable_cores,
+    write_cached_store,
+)
 from .errors import LexiforgeError, PipelineError
 from .evaluation import (
     EvalReport,
@@ -377,6 +386,39 @@ def _resolution_counts(tags: Counter) -> dict[str, int]:
     return {tag: tags[tag] for tag in ("direct", "averaged", "zero")}
 
 
+def _load_store(
+    settings: RunSettings, sha256: str, hashed: os.stat_result, details: dict
+) -> EmbeddingStore:
+    """The store of the embeddings input, whose SHA-256 is ``sha256``.
+
+    It is mapped from its store cache entry if that verifies, else parsed
+    and written to the cache, unless the file has changed since
+    ``hashed``, its ``os.stat`` from before the SHA-256 was taken, or the
+    cache's disk lacks room for the entry.
+    ``details`` records which (``store``), what became of the entry
+    (``store_entry``: ``written``, ``replaced`` or the error that stopped
+    the write) and why an entry was rejected (``store_rejected``). The
+    cache never changes the store or fails the run.
+    """
+    cache, key = store_cache_dir(), store_cache_key(sha256, settings.max_vocab)
+    try:
+        store = read_cached_store(cache, key)
+    except (OSError, ValueError) as exc:
+        store, details["store_rejected"] = None, str(exc)
+    if store is not None:
+        details["store"] = "cached"
+        return store
+    store = load_embedding_store(settings.embeddings, settings.max_vocab)
+    details["store"] = "parsed"
+    try:
+        write_cached_store(cache, key, store, settings.embeddings, hashed)
+    except (OSError, ValueError) as exc:
+        details["store_entry"] = str(exc)
+    else:
+        details["store_entry"] = "replaced" if "store_rejected" in details else "written"
+    return store
+
+
 def prepare_source(
     source_path, test_ref_path, dev_ref_path, out_path, *, language: str = "und"
 ) -> Lexicon:
@@ -410,6 +452,7 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
     manifest.add_input("source", settings.source)
     if settings.table is not None:
         manifest.add_input("table", settings.table)
+    embeddings_stat = os.stat(settings.embeddings)  # before its SHA-256: see _load_store
     manifest.add_input("embeddings", settings.embeddings)
     for gold_id, path in settings.gold.items():
         manifest.add_input(f"gold:{gold_id}", path)
@@ -444,7 +487,8 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
             manifest.add_output("target_mt", mt_path)
 
         with _stage(manifest, "embeddings") as details:
-            store = load_embedding_store(settings.embeddings, settings.max_vocab)
+            store = _load_store(settings, manifest.data["inputs"]["embeddings"]["sha256"],
+                                embeddings_stat, details)
             details["duplicates"] = store.n_duplicates
 
         with _stage(manifest, "splits"):

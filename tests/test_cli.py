@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -228,8 +229,9 @@ def test_run_failure_manifest_lists_stages_up_to_the_failed_one(
     assert [s["name"] for s in ok] == RUN_STAGES
 
     def keys(stage):  # train and expand also record how their rows got vectors,
-        # translate the entries it dropped, embeddings and expand the duplicates
-        extra = {"translate": {"skipped"}, "embeddings": {"duplicates"},
+        # translate the entries it dropped, embeddings and expand the duplicates,
+        # embeddings where its store came from and what became of its cache entry
+        extra = {"translate": {"skipped"}, "embeddings": {"duplicates", "store", "store_entry"},
                  "train": {"resolution"}, "expand": {"resolution", "merged"}}
         return {"name", "status", "seconds"} | extra.get(stage["name"], set())
 
@@ -456,6 +458,8 @@ def test_a_run_ends_its_threads_and_restores_the_blas_count_also_when_it_fails(
         for stage in (None, "train", "expand", None):
             failing[:] = [stage] if stage else []
             out = tmp_path / f"out_{len(forks)}"
+            # an empty store cache: the run parses, and forks, rather than map an entry
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"cache_{len(forks)}"))
             code = main(_run_args(bundle, out, _write_fast_config(tmp_path)))
             assert code == (1 if stage else 0)
             manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -919,6 +923,219 @@ def test_a_killed_run_leaves_only_whole_files(tmp_path, small_bundle):
         if where == "mid-write":
             assert (out / "target_pred.tsv.tmp").stat().st_size > 0
             assert not (out / "target_pred.tsv").exists()
+
+
+# ---------------------------------------------------------------------------
+# store cache
+# ---------------------------------------------------------------------------
+
+
+def _embeddings_stage(out: Path) -> dict:
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return next(stage for stage in manifest["stages"] if stage["name"] == "embeddings")
+
+
+def _cache_files(cache_home: Path) -> list[str]:
+    return sorted(p.name for p in (cache_home / "lexiforge" / "stores").iterdir())
+
+
+def _entry(cache_home: Path) -> dict[str, Path]:
+    """The files of the one entry in a store cache, by suffix."""
+    stores = cache_home / "lexiforge" / "stores"
+    return {path.suffix: path for path in stores.iterdir()}
+
+
+def _rewrite_record(entry: dict[str, Path], **changes) -> None:
+    record = json.loads(entry[".json"].read_bytes())
+    entry[".json"].write_text(json.dumps({**record, **changes}), encoding="utf-8")
+
+
+def _truncate_rows(entry):
+    entry[".npy"].write_bytes(entry[".npy"].read_bytes()[:-9])
+
+
+def _flip_a_row_byte(entry):
+    data = bytearray(entry[".npy"].read_bytes())
+    data[len(data) // 2] ^= 0x10
+    entry[".npy"].write_bytes(bytes(data))
+
+
+def _drop_the_last_word(entry):  # its SHA-256 recorded anew, so the store's check finds it
+    words = b"\n".join(entry[".words"].read_bytes().split(b"\n")[:-1])
+    entry[".words"].write_bytes(words)
+    _rewrite_record(entry, words_sha256=hashlib.sha256(words).hexdigest())
+
+
+def _widen_the_rows(entry):  # also recorded anew
+    rows = np.load(entry[".npy"]).astype(np.float64)
+    np.save(entry[".npy"], rows)
+    _rewrite_record(entry, rows_sha256=hashlib.sha256(rows).hexdigest())
+
+
+@pytest.mark.parametrize("spoil, rejected", [
+    (_truncate_rows, "mmap length is greater than file size"),
+    (_flip_a_row_byte, "rows do not match their recorded SHA-256"),
+    (_drop_the_last_word, "vectors shape (200, 8) does not match 199 words"),
+    (_widen_the_rows, "rows are not C-ordered float32"),
+])
+def test_a_spoiled_store_cache_entry_is_replaced_and_changes_no_output(
+    tmp_path, small_bundle, store_cache_home, spoil, rejected
+):
+    config = _write_fast_config(tmp_path)
+    assert main(_run_args(small_bundle, tmp_path / "cold", config)) == 0
+    assert _embeddings_stage(tmp_path / "cold") | {"seconds": 0, "peak_rss_mb": 0} == {
+        "name": "embeddings", "status": "ok", "seconds": 0, "store": "parsed",
+        "store_entry": "written", "duplicates": 0, "peak_rss_mb": 0}
+    cold = _outputs_but_manifest(tmp_path / "cold")
+    assert main(_run_args(small_bundle, tmp_path / "warm", config)) == 0
+    warm = _embeddings_stage(tmp_path / "warm")
+    assert warm["store"] == "cached" and "store_entry" not in warm
+    spoil(_entry(store_cache_home))
+    assert main(_run_args(small_bundle, tmp_path / "spoiled", config)) == 0
+    stage = _embeddings_stage(tmp_path / "spoiled")
+    assert (stage["store"], stage["store_entry"]) == ("parsed", "replaced")
+    assert rejected in stage["store_rejected"]
+    assert main(_run_args(small_bundle, tmp_path / "again", config)) == 0
+    assert _embeddings_stage(tmp_path / "again")["store"] == "cached"
+    for name in ("warm", "spoiled", "again"):
+        assert _outputs_but_manifest(tmp_path / name) == cold, name
+    assert len(_cache_files(store_cache_home)) == 3
+
+
+@pytest.mark.parametrize("blocked", ["stores is a file", "record is a directory"])
+def test_a_store_cache_that_cannot_be_written_changes_no_output(
+    tmp_path, small_bundle, store_cache_home, monkeypatch, blocked
+):
+    from lexiforge.pipeline import file_sha256
+
+    config = _write_fast_config(tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold-cache"))
+    assert main(_run_args(small_bundle, tmp_path / "cold", config)) == 0
+    monkeypatch.setenv("XDG_CACHE_HOME", str(store_cache_home))
+    stores = store_cache_home / "lexiforge" / "stores"
+    if blocked == "stores is a file":
+        stores.parent.mkdir()
+        stores.write_text("not a directory\n", encoding="utf-8")
+    else:
+        key = lexiforge.embeddings.store_cache_key(file_sha256(small_bundle["embeddings"]), None)
+        (stores / f"{key}.json").mkdir(parents=True)
+    for name in ("first", "second"):
+        assert main(_run_args(small_bundle, tmp_path / name, config)) == 0
+        assert _outputs_but_manifest(tmp_path / name) == _outputs_but_manifest(tmp_path / "cold")
+        stage = _embeddings_stage(tmp_path / name)
+        assert stage["store"] == "parsed"
+        if blocked == "stores is a file":
+            assert stage["store_entry"] == f"[Errno 17] File exists: '{stores}'"
+            assert "store_rejected" not in stage
+        else:
+            assert stage["store_entry"].startswith("[Errno 21] Is a directory")
+            assert stage["store_rejected"].startswith("[Errno 21] Is a directory")
+            assert not list(stores.glob("*.tmp"))
+
+
+def test_a_disk_without_room_for_an_entry_gets_none_and_changes_no_output(
+    tmp_path, small_bundle, store_cache_home, monkeypatch
+):
+    config = _write_fast_config(tmp_path)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold-cache"))
+    assert main(_run_args(small_bundle, tmp_path / "cold", config)) == 0
+    monkeypatch.setenv("XDG_CACHE_HOME", str(store_cache_home))
+    store = lexiforge.load_embedding_store(small_bundle["embeddings"])
+    size = store.vectors.nbytes + len("\n".join(store.words).encode())
+    free = 2 * size - 1  # room for the entry, but not for as much again after it
+    monkeypatch.setattr(os, "statvfs", lambda _: os.statvfs_result(
+        (4096, 1, 10**9, free, free, 0, 0, 0, 0, 255)))
+    assert main(_run_args(small_bundle, tmp_path / "full", config)) == 0
+    stage = _embeddings_stage(tmp_path / "full")
+    assert (stage["store"], stage["store_entry"]) == ("parsed", (
+        f"[Errno 28] {free} bytes free on its disk, less than twice the {size}-byte entry"))
+    assert not _cache_files(store_cache_home)
+    assert _outputs_but_manifest(tmp_path / "full") == _outputs_but_manifest(tmp_path / "cold")
+
+
+_CONCURRENT_RUN = """
+import sys
+import time
+from pathlib import Path
+
+import lexiforge.embeddings
+from lexiforge.cli import main
+
+barrier, me = Path(sys.argv[1]), sys.argv[2]
+replace = lexiforge.embeddings._replace
+
+
+def replace_when_both_wrote(path, write):
+    def write_then_wait(fh):
+        write(fh)
+        (barrier / f"{me}{path.suffix}").touch()
+        deadline = time.monotonic() + 60
+        while len(list(barrier.glob(f"*{path.suffix}"))) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    replace(path, write_then_wait)
+
+
+lexiforge.embeddings._replace = replace_when_both_wrote
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def test_two_concurrent_runs_fill_one_store_cache_entry(tmp_path, small_bundle, store_cache_home):
+    config = _write_fast_config(tmp_path)
+    script = tmp_path / "concurrent_run.py"
+    script.write_text(_CONCURRENT_RUN, encoding="utf-8")
+    barrier = tmp_path / "barrier"
+    barrier.mkdir()
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(lexiforge.pipeline.__file__).resolve().parents[1])}
+    # each run writes each file of the entry under its own temporary name
+    # before either moves that file into place, so neither finds an entry
+    children = [subprocess.Popen(
+        [sys.executable, str(script), str(barrier), name,
+         *_run_args(small_bundle, tmp_path / name, config)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for name in ("one", "two")]
+    for child in children:
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+    assert len(list(barrier.iterdir())) == 6
+    assert main(_run_args(small_bundle, tmp_path / "after", config)) == 0
+    assert _embeddings_stage(tmp_path / "after")["store"] == "cached"
+    for name in ("one", "two"):
+        stage = _embeddings_stage(tmp_path / name)
+        assert (stage["store"], stage["store_entry"]) == ("parsed", "written")
+        assert _outputs_but_manifest(tmp_path / name) == _outputs_but_manifest(tmp_path / "after")
+    assert len(_cache_files(store_cache_home)) == 3
+
+
+def test_a_parse_error_is_the_same_beside_an_entry_and_writes_none(
+    tmp_path, small_bundle, store_cache_home, capsys
+):
+    lines = small_bundle["embeddings"].read_text(encoding="utf-8").splitlines(keepends=True)
+    word, _, rest = lines[-1].partition(" ")
+    vectors = tmp_path / "defect.vec"
+    vectors.write_text("".join(lines[:-1]) + f"{word} x {rest.partition(' ')[2]}",
+                       encoding="utf-8")
+    bundle = {**small_bundle, "embeddings": vectors}
+    config = _write_fast_config(tmp_path)
+
+    def failed_run(name):
+        assert main(_run_args(bundle, tmp_path / name, config)) == 1
+        stage = _embeddings_stage(tmp_path / name)
+        return capsys.readouterr().err, stage["status"], stage["error"]
+
+    empty = failed_run("empty")
+    assert f"defect.vec:line {len(lines)}: non-numeric vector component" in empty[0]
+    assert not (store_cache_home / "lexiforge").exists()  # a failed parse writes no entry
+    # the lines before the defect parse, and their store is cached
+    cut = ["--max-vocab", str(len(lines) - 2)]
+    assert main(_run_args(bundle, tmp_path / "cut", config, extra=cut)) == 0
+    assert _embeddings_stage(tmp_path / "cut")["store_entry"] == "written"
+    assert failed_run("beside") == empty
+    assert main(_run_args(bundle, tmp_path / "cut-again", config, extra=cut)) == 0
+    assert _embeddings_stage(tmp_path / "cut-again")["store"] == "cached"
+    assert len(_cache_files(store_cache_home)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import subprocess
@@ -596,6 +597,203 @@ def test_a_component_beyond_float32_fails_alike_in_every_parse(tmp_path, data, m
         assert got[:2] == ("store", expected)
     else:
         assert got[0] == "error" and expected in got[1]
+
+
+# ---------------------------------------------------------------------------
+# store cache
+# ---------------------------------------------------------------------------
+
+
+# words that str.splitlines would split, but a text line does not; NFC/NFD
+# twins; a word whose edge is stripped
+_CACHE_WORDS = ["a", "b", "a\x85b", "a\u2028b", "a\x0bb", "a\x1cb", "a\x1fb", NFC, NFD, "\x85c"]
+# tokens that parse in any position, float32 rounding and range included
+_CACHE_TOKENS = ["0", "1.5", "-2", "+1", "1e5", "-0", "3.", "1_0", "\u0661", "0.1", "3.4e38"]
+
+
+@st.composite
+def parsable_vector_files(draw):
+    """A vector file without a defect: duplicates and zero lines included."""
+    dim = draw(st.integers(1, 3))
+    words = draw(st.lists(st.sampled_from(_CACHE_WORDS), max_size=10))
+    lines = [" ".join([word, *draw(st.lists(st.sampled_from(_CACHE_TOKENS),
+                                              min_size=dim, max_size=dim))]) + "\n"
+             for word in words]
+    return f"{len(lines)} {dim}\n" + "".join(lines), draw(st.none() | st.integers(1, 10))
+
+
+def cache_round_trip(cache_dir, path, max_vocab=None):
+    """The store of ``path`` written to a cache entry and read back, and the
+    entry's name."""
+    key = embeddings.store_cache_key("0" * 64, max_vocab)
+    embeddings.write_cached_store(cache_dir, key, load_embedding_store(path, max_vocab), path,
+                                  os.stat(path))
+    return embeddings.read_cached_store(cache_dir, key), key
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=parsable_vector_files())
+def test_a_cached_store_equals_the_reference_parse(tmp_path_factory, case):
+    text, max_vocab = case
+    root = tmp_path_factory.mktemp("cached")
+    path = write_text(root / "vecs.txt", text)
+    cached, _ = cache_round_trip(root / "stores", path, max_vocab)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        assert _outcome(lambda: cached) == _outcome(lambda: reference_parse(fh, max_vocab, path))
+    assert isinstance(cached.vectors.base, np.memmap) or not len(cached)  # mapped, not read
+
+
+def test_a_zero_count_file_and_lines_split_only_at_newline_survive_the_cache(tmp_path):
+    path = write_text(tmp_path / "empty.txt", "0 3\n")
+    cached, _ = cache_round_trip(tmp_path / "stores", path)
+    assert (cached.words, cached.vectors.shape) == ((), (0, 3))
+    path = write_text(tmp_path / "vecs.txt", f"4 1\na\x85b 1\n{NFD} 2\n{NFC} 3\na\u2028b 4\n")
+    cached, _ = cache_round_trip(tmp_path / "stores", path)
+    assert (cached.words, cached.n_duplicates) == (("a\x85b", NFC, "a\u2028b"), 1)
+
+
+def test_an_entry_is_read_only_where_its_key_and_hashes_hold(tmp_path, caplog):
+    path = write_text(tmp_path / "vecs.txt", "3 2\na 1 2\nb 3 4\na 5 6\n")
+    cached, key = cache_round_trip(tmp_path / "stores", path)
+    caplog.clear()
+    assert embeddings.read_cached_store(tmp_path / "stores", key).n_duplicates == 1
+    assert "ignored 1 duplicate words" in caplog.text  # logged as the parse logs it
+    assert cached.words == ("a", "b")
+    assert not cached.vectors.flags.writeable
+    keys = {embeddings.store_cache_key(sha, max_vocab)
+            for sha in ("0" * 64, "1" * 64) for max_vocab in (None, 1, 2)}
+    assert len(keys) == 6 and key in keys
+    assert embeddings.read_cached_store(tmp_path / "stores", embeddings.store_cache_key(
+        "0" * 64, 2)) is None
+    assert embeddings.read_cached_store(tmp_path / "absent", key) is None
+    rows = tmp_path / "stores" / f"{key}.npy"
+    data = bytearray(rows.read_bytes())
+    data[-1] ^= 1
+    rows.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="rows do not match"):
+        embeddings.read_cached_store(tmp_path / "stores", key)
+
+
+def test_a_file_changed_after_its_hash_was_taken_gets_no_entry(tmp_path):
+    path = write_text(tmp_path / "vecs.txt", "1 1\na 1\n")
+    hashed = os.stat(path)
+    store = load_embedding_store(write_text(path, "1 1\nbc 1\n"))
+    with pytest.raises(ValueError, match="changed after its SHA-256 was taken"):
+        embeddings.write_cached_store(tmp_path / "stores", "k", store, path, hashed)
+    assert not (tmp_path / "stores").exists()
+
+
+def test_the_cache_directory_follows_xdg_cache_home(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert embeddings.store_cache_dir() == tmp_path / "lexiforge" / "stores"
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for relative_or_unset in ("cache", ""):
+        monkeypatch.setenv("XDG_CACHE_HOME", relative_or_unset)
+        assert embeddings.store_cache_dir() == tmp_path / "home/.cache/lexiforge/stores"
+
+
+def test_the_parse_writes_no_cache_entry(store_cache_home, tmp_path):
+    load_embedding_store(write_text(tmp_path / "vecs.txt", "1 1\na 1\n"))
+    assert not any(store_cache_home.iterdir())
+
+
+def _entry_files(*keys):
+    return {f"{key}{suffix}" for key in keys for suffix in (".json", ".npy", ".words")}
+
+
+def test_a_miss_removes_every_other_entry_and_the_temporaries_of_ended_writers(tmp_path):
+    cache = tmp_path / "stores"
+    files = {name: write_text(tmp_path / f"{name}.txt", f"1 1\n{name} 1\n")
+             for name in ("kept", "deleted", "other")}
+    keys = {}
+    for i, (name, path) in enumerate(files.items()):
+        keys[name] = embeddings.store_cache_key(f"{i:064d}", None)
+        embeddings.write_cached_store(cache, keys[name], load_embedding_store(path), path,
+                                      os.stat(path))
+        assert {p.name for p in cache.iterdir()} == _entry_files(keys[name])
+    files["deleted"].unlink()
+    orphans = [cache / f"{'e' * 64}.npy", cache / f"{'e' * 64}.words"]  # no record
+    dead = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                          capture_output=True, text=True, check=True).stdout.strip()
+    temporaries = [cache / f"{keys['kept']}.npy.{pid}.x1_y.tmp" for pid in (dead, os.getpid())]
+    unrelated = cache / "notes.txt"
+    for path in (*orphans, *temporaries, unrelated):
+        path.write_bytes(b"part of a file")
+    embeddings.write_cached_store(cache, keys["kept"], load_embedding_store(files["kept"]),
+                                  files["kept"], os.stat(files["kept"]))
+    left = {p.name for p in cache.iterdir()}
+    assert left == _entry_files(keys["kept"]) | {temporaries[1].name, unrelated.name}
+    assert embeddings.read_cached_store(cache, keys["kept"]).words == ("kept",)
+
+
+_KILLED_WRITER = """
+import os
+import sys
+from pathlib import Path
+
+from lexiforge import embeddings
+
+replace = embeddings._replace
+
+
+def die_before_the_words(path, write):
+    if path.suffix == ".words":
+        os._exit(9)
+    replace(path, write)
+
+
+embeddings._replace = die_before_the_words
+path = Path(sys.argv[2])
+embeddings.write_cached_store(Path(sys.argv[1]), sys.argv[3],
+                              embeddings.load_embedding_store(path), path, os.stat(path))
+"""
+
+
+def test_a_writer_stopped_after_the_rows_leaves_no_entry_behind(tmp_path, monkeypatch):
+    cache = tmp_path / "stores"
+    path = write_text(tmp_path / "vecs.txt", "2 1\na 1\nb 2\n")
+    store = load_embedding_store(path)
+    key = embeddings.store_cache_key("0" * 64, None)
+    package_root = str(Path(embeddings.__file__).resolve().parents[1])
+    # killed: the rows stay in place without a record, until the next miss
+    killed = subprocess.run([sys.executable, "-c", _KILLED_WRITER, str(cache), str(path), key],
+                            env={**os.environ, "PYTHONPATH": package_root}, capture_output=True)
+    assert killed.returncode == 9, killed.stderr
+    assert {p.name for p in cache.iterdir()} == {f"{key}.npy"}
+    assert embeddings.read_cached_store(cache, key) is None
+    other = embeddings.store_cache_key("1" * 64, None)
+    embeddings.write_cached_store(cache, other, store, path, os.stat(path))
+    assert {p.name for p in cache.iterdir()} == _entry_files(other)
+    # failed: the writer removes the files that it had moved in
+    replace = embeddings._replace
+
+    def fail_at_the_record(target, write):
+        if target.suffix == ".json":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replace(target, write)
+
+    monkeypatch.setattr(embeddings, "_replace", fail_at_the_record)
+    with pytest.raises(OSError, match="No space left"):
+        embeddings.write_cached_store(cache, key, store, path, os.stat(path))
+    assert not any(cache.iterdir())
+
+
+def test_an_entry_is_written_only_where_its_size_stays_free_beside_it(tmp_path, monkeypatch):
+    path = write_text(tmp_path / "vecs.txt", "2 2\nab 1 2\ncd 3 4\n")
+    store = load_embedding_store(path)
+    size = store.vectors.nbytes + len("ab\ncd")
+
+    def disk_with(free):
+        return lambda _: os.statvfs_result((4096, 1, 10**9, free, free, 0, 0, 0, 0, 255))
+
+    monkeypatch.setattr(os, "statvfs", disk_with(2 * size - 1))
+    with pytest.raises(OSError, match=f"{2 * size - 1} bytes free on its disk, less than "
+                                      f"twice the {size}-byte entry"):
+        embeddings.write_cached_store(tmp_path / "stores", "k", store, path, os.stat(path))
+    assert not any((tmp_path / "stores").iterdir())
+    monkeypatch.setattr(os, "statvfs", disk_with(2 * size))
+    embeddings.write_cached_store(tmp_path / "stores", "k", store, path, os.stat(path))
+    assert embeddings.read_cached_store(tmp_path / "stores", "k").words == ("ab", "cd")
 
 
 def test_embed_term_widens_the_float32_rows_before_averaging():
