@@ -3,9 +3,10 @@
 Vector files use the common text format: a ``<count> <dim>`` header
 followed by one ``word v1 ... v_dim`` line per word, single-space
 separated; words are stored by ``lexicon.normalize_word``. A large file
-is parsed on several cores, with the same result as in one process; a
-store cache entry keeps the parse's result, so that later runs of the
-same file map its rows instead of parsing it again.
+is parsed on several cores, each process reading every line and parsing
+the numbers of its share of the row blocks, with the same result as in
+one process; a store cache entry keeps the parse's result, so that
+later runs of the same file map its rows instead of parsing it again.
 Vectors are stored as float32, each component rounded to nearest from
 its float64 value; the network computes in that type, and ridge
 regression widens them to float64.
@@ -25,7 +26,6 @@ import json
 import logging
 import mmap
 import os
-import pickle
 import re
 import signal
 import tempfile
@@ -47,14 +47,12 @@ log = logging.getLogger(__name__)
 _SEPARATOR_RE = re.compile("[ '’-]")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
-# Kept lines whose numbers are parsed in one call, and rows checked for
-# finiteness at once. It bounds the text held at once, and the check's
-# mask; larger blocks parsed no faster and left the process with more
-# resident memory after the parse.
+# Kept lines whose numbers are parsed in one call, which is the unit that
+# the parse's processes share out, and rows checked for finiteness at
+# once. It bounds the text held at once, and the check's mask; larger
+# blocks parsed no faster and left the process with more resident memory
+# after the parse.
 _BLOCK_ROWS = 512
-
-# Bytes read at once while counting the lines before a range's start.
-_COUNT_BYTES = 1 << 20
 
 # prctl option: the signal the kernel sends this process when its parent dies
 _PR_SET_PDEATHSIG = 1
@@ -146,38 +144,59 @@ def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
     its first vector (the number of ignored lines is logged and recorded
     on the store). The error raised is the first defect in file order.
 
-    The numbers of each block of kept lines go through numpy's C text
-    parser; a block it rejects, or cannot vouch for, is parsed again
-    line by line, which yields the same rows or the exact error.
+    The numbers of each block of ``_BLOCK_ROWS`` kept lines go through
+    numpy's C text parser; a block it rejects, or cannot vouch for, is
+    parsed again line by line, which yields the same rows or the exact
+    error.
 
-    Unless ``max_vocab`` stops the parse early or this process runs other
-    threads, the lines after the header are split into ``_n_parts``
-    contiguous byte ranges: this process parses the first and a forked
-    worker each other one, every range into one shared array. If a worker
-    fails, or the ranges do not hold the header's count of lines, the file
-    is parsed again in one process, so the store and any ParseError are
-    exactly those of one process. No worker outlives the call, nor this
-    process.
+    Unless this process runs other threads, the file is parsed in
+    ``_n_parts`` processes: this one and a forked worker for each other
+    part. Each reads every line and decides alike which lines are kept
+    and at which row, but parses the numbers of every ``_n_parts``-th
+    block only, into one shared array. If any of them fails, a fork
+    included, the file is parsed again in one process, so the store and
+    any ParseError are exactly those of one process. No worker outlives
+    the call, nor this process.
     """
     with _open_text(path) as stream:
         count, dim, n_keep = _read_header(stream, max_vocab, path)
-        size = os.fstat(stream.fileno()).st_size
-        cuts = []
         # A fork copies only this thread, so a lock another thread holds
-        # would stay held in the worker. Every line holds at least a word,
-        # dim spaces and an end, so a file too short for its count fails,
-        # in one process.
-        if (
-            hasattr(os, "fork") and threading.active_count() == 1
-            and n_keep == count and count * (dim + 2) <= size
-        ):
-            cuts = _cut_points(path, size, _n_parts(count * dim * STORE_DTYPE.itemsize), count)
-        store = _parse_parts(stream, path, count, dim, n_keep, cuts)
-        if store is None:
-            stream.seek(0)
-            stream.readline()
-            store = _parse_parts(stream, path, count, dim, n_keep, [])
-    return store
+        # would stay held in the worker; an empty map cannot be made.
+        n_parts = 1
+        if hasattr(os, "fork") and threading.active_count() == 1 and n_keep:
+            n_parts = _n_parts(n_keep * dim * STORE_DTYPE.itemsize)
+        parsed = None
+        if n_parts > 1:
+            shared = mmap.mmap(-1, n_keep * dim * STORE_DTYPE.itemsize)
+            vectors = np.frombuffer(shared, dtype=STORE_DTYPE).reshape(n_keep, dim)
+            workers: list[int] = []
+            try:
+                for part in range(1, n_parts):
+                    workers.append(_fork_part(path, vectors, count, part, n_parts))
+                parsed = _parse_lines(stream, vectors, count, path, 0, n_parts)
+                while workers:
+                    if os.waitpid(workers[-1], 0)[1]:
+                        parsed = None
+                    workers.pop()
+            except (OSError, ParseError):
+                # a fork or read that failed, or a defect that one in a
+                # worker's block may precede
+                parsed = None
+            finally:
+                for pid in workers:  # after an exception: end the workers left
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            if parsed is None:
+                del shared, vectors  # before the parse in one process fills its own
+                stream.seek(0)
+                stream.readline()
+        if parsed is None:
+            vectors = np.empty((n_keep, dim), dtype=STORE_DTYPE)
+            parsed = _parse_lines(stream, vectors, count, path)
+    words, index, duplicates = parsed
+    if duplicates:
+        log.warning("embedding file: ignored %d duplicate words", duplicates)
+    return EmbeddingStore(words, vectors[: len(words)], n_duplicates=duplicates, index=index)
 
 
 def usable_cores() -> int:
@@ -206,13 +225,9 @@ def _n_parts(store_bytes: int) -> int:
     return min(usable_cores(), 1 + store_bytes // (2 * resident))
 
 
-def _open_text(path, offset: int = 0) -> io.TextIOWrapper:
-    """The file as text from byte ``offset``, which starts a line."""
-    raw = open(path, "rb")
-    if offset:
-        raw.seek(offset)
+def _open_text(path) -> io.TextIOWrapper:
     # undecodable bytes become surrogates, so the parser can name their line
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
 def _read_header(stream: IO[str], max_vocab: int | None, path) -> tuple[int, int, int]:
@@ -236,189 +251,51 @@ def _read_header(stream: IO[str], max_vocab: int | None, path) -> tuple[int, int
     return count, dim, count if max_vocab is None else min(count, max_vocab)
 
 
-def _cut_points(path, size: int, n_parts: int, count: int) -> list[tuple[int, int]]:
-    """Where ranges 2..``n_parts`` start: (byte offset, vector lines before it).
+def _fork_part(path, vectors: np.ndarray, count: int, part: int, n_parts: int) -> int:
+    """Fork a worker that parses part ``part`` of ``n_parts`` into ``vectors``.
 
-    Each range starts just after the first ``\\n`` at or past an equal
-    share of the bytes, so it holds whole lines. A range that would
-    start after the header's ``count`` lines is left out.
-    """
-    cuts: list[tuple[int, int]] = []
-    lines, start = -1, 0  # the header is not a vector line
-    with open(path, "rb") as fh:
-        for k in range(1, n_parts):
-            target = size * k // n_parts
-            fh.seek(target)
-            offset = target + len(fh.readline())
-            if offset >= size:
-                break
-            if offset <= start:
-                continue
-            lines += _count_lines(fh, start, offset)
-            if lines >= count:
-                break
-            cuts.append((offset, lines))
-            start = offset
-    return cuts
-
-
-def _count_lines(fh: IO[bytes], start: int, stop: int) -> int:
-    """Lines in bytes ``start:stop``, split as the text parse splits them.
-
-    That is at ``\\n``, ``\\r\\n`` and a lone ``\\r``; byte ``stop - 1`` is
-    a ``\\n``.
-    """
-    fh.seek(start)
-    lines, last = 0, b""
-    while start < stop:
-        chunk = fh.read(min(_COUNT_BYTES, stop - start))
-        if not chunk:
-            break
-        start += len(chunk)
-        lines += chunk.count(b"\n")
-        if b"\r" in chunk:
-            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-        if last == b"\r" and chunk.startswith(b"\n"):
-            lines -= 1  # one "\r\n" across two chunks
-        last = chunk[-1:]
-    return lines
-
-
-def _parse_parts(
-    stream: IO[str], path, count: int, dim: int, n_keep: int, cuts: list[tuple[int, int]]
-) -> EmbeddingStore | None:
-    """The store from the lines after the header, in ``len(cuts) + 1`` ranges.
-
-    ``stream`` is read for the first range, and a forked worker parses
-    each other one. Once every worker has ended, the ranges are merged in
-    file order: a word keeps the vector of its first line, and the rows
-    after a dropped one move up. None means a worker failed or a range
-    did not hold its count of lines; the caller then parses in one range.
-    """
-    bounds = [0, *(lines for _, lines in cuts), count]  # vector lines before each range
-    if cuts:
-        shared = mmap.mmap(-1, n_keep * dim * STORE_DTYPE.itemsize)
-        vectors = np.frombuffer(shared, dtype=STORE_DTYPE).reshape(n_keep, dim)
-    else:
-        vectors = np.empty((n_keep, dim), dtype=STORE_DTYPE)
-    index: dict[str, int] = {}
-    workers: dict[int, IO[bytes]] = {}  # pid -> read end of its pipe
-    try:
-        for (offset, lo), hi in zip(cuts, bounds[2:]):
-            pid, pipe = _fork_part(path, offset, vectors[lo:hi], lo + 2, dim)
-            workers[pid] = pipe
-        parts = [_parse_lines(stream, vectors[: bounds[1]], index, bounds[1], 2, dim, path)]
-        for pid, pipe in list(workers.items()):
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[pid]
-            parts.append(pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None)
-    finally:
-        for pid, pipe in workers.items():  # after an exception: end the workers left
-            pipe.close()
-            with contextlib.suppress(ChildProcessError):  # reaped already
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-    if cuts and any(
-        part is None or part[2] != hi - lo for part, lo, hi in zip(parts, bounds, bounds[1:])
-    ):
-        return None
-
-    words, duplicates, lines_read = parts[0]
-    rows: list[int] = []  # where the later ranges' kept words have their vectors
-    for (part_words, part_duplicates, part_lines), lo in zip(parts[1:], bounds[1:]):
-        duplicates += part_duplicates
-        lines_read += part_lines
-        for row, word in enumerate(part_words, start=lo):
-            if word in index:
-                duplicates += 1  # its first line is in an earlier range
-            else:
-                index[word] = len(words)
-                words.append(word)
-                rows.append(row)
-    _move_rows_up(vectors, len(words) - len(rows), rows)
-    if lines_read < count and len(words) < n_keep:
-        raise ParseError(
-            f"header promised {count} vectors, file ends after {lines_read}",
-            line_no=lines_read + 1, path=path,
-        )
-    if duplicates:
-        log.warning("embedding file: ignored %d duplicate words", duplicates)
-    return EmbeddingStore(words, vectors[: len(words)], n_duplicates=duplicates, index=index)
-
-
-def _fork_part(
-    path, offset: int, vectors: np.ndarray, first_line_no: int, dim: int
-) -> tuple[int, IO[bytes]]:
-    """Fork a worker that parses ``len(vectors)`` lines from byte ``offset``.
-
-    The worker writes its rows into ``vectors`` and sends its words,
-    duplicate count and line count through a pipe; the pid and the
-    pipe's read end are returned. It leaves by ``os._exit``, so it runs
-    none of the caller's cleanup, with status 1 if it failed. Where libc
-    has ``prctl``, the kernel kills it when the caller dies.
+    The worker reads the file from its start on its own descriptor, and
+    leaves by ``os._exit``, so it runs none of the caller's cleanup, with
+    status 1 if it failed; its pid is returned. Where libc has
+    ``prctl``, the kernel kills it when the caller dies.
     """
     parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
             with contextlib.suppress(AttributeError, OSError):  # no prctl here
                 prctl = ctypes.CDLL(None).prctl
                 prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
                 prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
             if os.getppid() != parent:  # the caller died before the call
                 os._exit(1)
-            with _open_text(path, offset) as stream:
-                part = _parse_lines(stream, vectors, {}, len(vectors), first_line_no, dim, path)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+            with _open_text(path) as stream:
+                stream.readline()
+                _parse_lines(stream, vectors, count, path, part, n_parts)
             status = 0
         finally:
             os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _move_rows_up(vectors: np.ndarray, start: int, rows: list[int]) -> None:
-    """Copy rows ``rows``, increasing and none below its target, to ``start`` on."""
-    rows = np.asarray(rows, dtype=np.intp)
-    moved = np.flatnonzero(rows != np.arange(start, start + len(rows)))
-    if moved.size:
-        for lo in range(moved[0], len(rows), _BLOCK_ROWS):
-            targets = slice(start + lo, start + min(lo + _BLOCK_ROWS, len(rows)))
-            vectors[targets] = vectors[rows[lo : lo + _BLOCK_ROWS]]
+    return pid
 
 
 def _parse_lines(
-    stream: Iterable[str],
-    vectors: np.ndarray,
-    index: dict[str, int],
-    max_lines: int,
-    first_line_no: int,
-    dim: int,
-    path,
-) -> tuple[list[str], int, int]:
-    """Parse at most ``max_lines`` lines into ``vectors``, one row per new word.
+    stream: Iterable[str], vectors: np.ndarray, count: int, path, part: int = 0, n_parts: int = 1
+) -> tuple[list[str], dict[str, int], int]:
+    """Parse the at most ``count`` lines after the header into ``vectors``,
+    one row per new word, until ``vectors`` is full.
 
-    Stops early once ``vectors`` is full. ``index`` receives the row of
-    each new word. Returns the new words, the number of duplicate lines
-    and the number of lines read.
+    Of block b, rows ``b * _BLOCK_ROWS`` on, the numbers are parsed only
+    where b % ``n_parts`` is ``part``. Returns the words, their index and
+    the number of duplicate lines.
     """
+    dim = vectors.shape[1]
     words: list[str] = []
+    index: dict[str, int] = {}
     duplicates = 0
     lines_read = 0
-    # the kept lines not yet stored in ``vectors``: line numbers and the
-    # text after the word
+    # the kept lines of this part's block not yet stored in ``vectors``:
+    # line numbers and the text after the word
     line_nos: list[int] = []
     rests: list[str] = []
 
@@ -438,8 +315,8 @@ def _parse_lines(
         line_nos.clear()
         rests.clear()
 
-    for line_no, raw in enumerate(stream, start=first_line_no):
-        if lines_read >= max_lines or len(words) >= len(vectors):
+    for line_no, raw in enumerate(stream, start=2):
+        if lines_read >= count or len(words) >= len(vectors):
             break
         lines_read += 1
         word, sep, rest = raw.partition(" ")
@@ -454,14 +331,20 @@ def _parse_lines(
                 raise
             duplicates += 1
             continue
+        if len(words) // _BLOCK_ROWS % n_parts == part:
+            line_nos.append(line_no)
+            rests.append(rest)
         index[word] = len(words)
         words.append(word)
-        line_nos.append(line_no)
-        rests.append(rest)
-        if len(rests) == _BLOCK_ROWS:
+        if len(words) % _BLOCK_ROWS == 0:
             store_block()
     store_block()
-    return words, duplicates, lines_read
+    if lines_read < count and len(words) < len(vectors):
+        raise ParseError(
+            f"header promised {count} vectors, file ends after {lines_read}",
+            line_no=lines_read + 1, path=path,
+        )
+    return words, index, duplicates
 
 
 def _parse_numbers(rests: list[str], dim: int) -> np.ndarray | None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from collections import Counter
 from collections.abc import Callable, Container
@@ -732,31 +733,42 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CHECKPOINT_MAGIC))
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        (blob_len,) = struct.unpack(">Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        if header.get("format_version") != _CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version")
-        tensors = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
-            raw = fh.read(n_bytes)
-            if len(raw) != n_bytes:
-                raise ValueError(f"{path}: truncated checkpoint")
-            tensors[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    """The model saved at ``path``; any other file raises ValueError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh)
+    except (KeyError, TypeError, AttributeError) as exc:  # a header not of this format
+        raise ValueError(f"{path}: malformed checkpoint header ({exc!r})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(fh: IO[bytes]) -> Model:
+    size = os.fstat(fh.fileno()).st_size
+
+    def read(n_bytes: int) -> bytes:
+        if not 0 <= n_bytes <= size - fh.tell():
+            raise ValueError("truncated checkpoint")
+        return fh.read(n_bytes)
+
+    if fh.read(len(_CHECKPOINT_MAGIC)) != _CHECKPOINT_MAGIC:
+        raise ValueError("not a model checkpoint")
+    (blob_len,) = struct.unpack(">Q", read(8))
+    header = json.loads(read(blob_len).decode("utf-8"))
+    if header.get("format_version") != _CHECKPOINT_VERSION:
+        raise ValueError("unsupported checkpoint version")
+    tensors = {}
+    for spec in header["arrays"]:
+        shape = tuple(spec["shape"])
+        raw = read(int(np.prod(shape, dtype=np.int64)) * 8)
+        tensors[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     variables = VariableSet(tuple(header["variables"]["names"]))
     if header["variables"]["family"] != variables.family:
-        raise ValueError(f"{path}: stored family does not match variables {variables.names}")
+        raise ValueError(f"stored family does not match variables {variables.names}")
     if header["kind"] == "mtlffn":
-        try:  # parameters the network's type cannot hold, as from a float64 fit
-            return MtlffnModel(variables=variables, config=TrainConfig(**header["config"]),
-                               steps_trained=int(header["steps_trained"]), **tensors)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        # a ValueError for parameters the network's type cannot hold, as from a float64 fit
+        return MtlffnModel(variables=variables, config=TrainConfig(**header["config"]),
+                           steps_trained=int(header["steps_trained"]), **tensors)
     if header["kind"] == "ridge":
         return RidgeModel(
             variables=variables,
@@ -764,4 +776,4 @@ def load_checkpoint(path) -> Model:
             intercept=tensors["intercept"],
             alpha=float(header["alpha"]),
         )
-    raise ValueError(f"{path}: unknown model kind {header['kind']!r}")
+    raise ValueError(f"unknown model kind {header['kind']!r}")

@@ -420,7 +420,7 @@ def test_a_run_ends_its_threads_and_restores_the_blas_count_also_when_it_fails(
     bundle = write_pipeline_bundle(tmp_path / "data", n_source=300, n_vocab=600, dim=8,
                                    split_sizes=(260, 20, 20), seed=5,
                                    variables=VAD_NAMES + BE5_NAMES)
-    # two parse ranges even for this small file: each run forks one worker,
+    # two parse parts even for this small file: each run forks one worker,
     # which the parse does only while it is the process's one thread
     monkeypatch.setattr(lexiforge.embeddings, "_n_parts", lambda store_bytes: 2)
     fork_part, forks = lexiforge.embeddings._fork_part, []

@@ -238,7 +238,7 @@ def _outcome(parse):
 
 
 def assert_matches_reference(path, text, max_vocab=None, block_rows=2):
-    """Write ``text`` to ``path``; its parse in one range must equal the reference's."""
+    """Write ``text`` to ``path``; its parse in one part must equal the reference's."""
     write_text(path, text)
     with mock.patch.object(embeddings, "_BLOCK_ROWS", block_rows):
         got = load_outcome(path, 1, max_vocab)
@@ -357,12 +357,14 @@ def load_outcome(path, parts, max_vocab=None):
         return _outcome(lambda: load_embedding_store(path, max_vocab))
 
 
-def assert_split_matches_one_part(path, parts, max_vocab=None):
-    """The outcome of a parse in ``parts`` ranges, which must equal one range's,
-    and the number of workers it forked."""
-    with recorded_forks() as pids:
-        got = load_outcome(path, parts, max_vocab)
-    assert got == load_outcome(path, 1, max_vocab)
+def assert_split_matches_one_part(path, parts, max_vocab=None, block_rows=1):
+    """The outcome of a parse in ``parts`` parts, which must equal one part's,
+    and the number of workers it forked. The blocks are ``block_rows`` rows,
+    so that the workers' blocks hold rows of even a short file."""
+    with mock.patch.object(embeddings, "_BLOCK_ROWS", block_rows):
+        with recorded_forks() as pids:
+            got = load_outcome(path, parts, max_vocab)
+        assert got == load_outcome(path, 1, max_vocab)
     return got, len(pids)
 
 
@@ -370,11 +372,11 @@ NFC, NFD = unicodedata.normalize("NFC", "schön"), unicodedata.normalize("NFD", 
 
 
 @pytest.mark.parametrize("data, parts, max_vocab, expected", [
-    # duplicates whose first line is in an earlier range
+    # duplicates whose first line is in another part's block
     (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\na 9 9\nb 0 0\n", 2, None, ("a", "b", "c", "d")),
     (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\na 9 9\nb 0 0\n", 3, None, ("a", "b", "c", "d")),
     (f"4 2\n{NFD} 1 2\nb 3 4\nc 5 6\n{NFC} 7 8\n".encode(), 2, None, (NFC, "b", "c")),
-    # a duplicate whose numbers do not parse: skipped, as in one range
+    # a duplicate whose numbers do not parse: skipped, as in one part
     (b"4 2\na 1 2\nb 3 4\nc 5 6\na x y\n", 2, None, ("a", "b", "c")),
     # line ends the text parse splits at
     (b"4 2\r\na 1 2\r\nb 3 4\r\nc 5 6\r\nd 7 8\r\n", 2, None, ("a", "b", "c", "d")),
@@ -383,9 +385,9 @@ NFC, NFD = unicodedata.normalize("NFC", "schön"), unicodedata.normalize("NFD", 
     # header counts below and above the number of lines
     (b"3 2\na 1.000000 2.000000\nb 3 4\nc 5 6\nd x\ne 1\n", 2, None, ("a", "b", "c")),
     (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\n", 2, None, "header promised 6 vectors"),
-    # a max_vocab cut parses in one range
+    # a max_vocab cut parses in parts too; no process reads the lines after it
     (b"4 2\na 1 2\nb 3 4\nc 5 6\nd x\n", 2, 2, ("a", "b")),
-    # a word that holds a tab, or is empty under the word rule, in either range
+    # a word that holds a tab, or is empty under the word rule, in either part's block
     (b"6 2\na 1 2\nc\td 3 4\nb 5 6\nd 7 8\ne 9 0\nf 1 1\n", 2, None, "line 3: word holds a tab"),
     (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9 0\nc\td 1 1\n", 2, None, "line 7: word holds a tab"),
     ("6 2\na 1 2\n\u3000 3 4\nb 5 6\nd 7 8\ne 9 0\nf 1 1\n".encode(), 2, None, "line 3: empty word"),
@@ -395,7 +397,7 @@ def test_split_parse_matches_one_part_examples(tmp_path, data, parts, max_vocab,
     path = tmp_path / "vecs.txt"
     path.write_bytes(data)
     got, n_workers = assert_split_matches_one_part(path, parts, max_vocab)
-    assert n_workers == (0 if max_vocab else parts - 1)
+    assert n_workers == parts - 1
     if isinstance(expected, tuple):
         assert got[:2] == ("store", expected)
     else:
@@ -417,11 +419,12 @@ def test_split_parse_reports_a_defect_in_any_range(tmp_path, parts, defect):
 @given(
     case=vector_files(words=[*_WORDS, "b\udcff"], ends=("\n", "\r\n", "\r")),
     parts=st.integers(2, 3),
+    block_rows=st.integers(1, 4),
 )
-def test_split_parse_matches_one_part(tmp_path_factory, case, parts):
+def test_split_parse_matches_one_part(tmp_path_factory, case, parts, block_rows):
     text, max_vocab = case
     path = write_text(tmp_path_factory.getbasetemp() / "split.vec", text)
-    assert_split_matches_one_part(path, parts, max_vocab)
+    assert_split_matches_one_part(path, parts, max_vocab, block_rows)
 
 
 def _vector_file(tmp_path, n=30):
@@ -445,7 +448,7 @@ def test_a_killed_worker_leaves_the_exact_store(tmp_path):
     assert got[:2] == ("store", tuple(f"w{i}" for i in range(30)))
 
 
-def test_an_interrupt_in_the_first_range_ends_every_worker(tmp_path):
+def test_an_interrupt_in_the_parents_part_ends_every_worker(tmp_path):
     path = _vector_file(tmp_path)
     parent, parse_lines = os.getpid(), embeddings._parse_lines
 
@@ -475,7 +478,7 @@ def _ended(pid: int) -> bool:
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
 def test_a_worker_ends_when_its_parent_is_killed(tmp_path):
     path = _vector_file(tmp_path)
-    # the parent prints its worker's pid; both sleep in their range
+    # the parent prints its worker's pid; both sleep in their part
     script = (
         "import os, time\n"
         "from unittest import mock\n"
@@ -512,13 +515,29 @@ def test_a_worker_ends_when_its_parent_is_killed(tmp_path):
                 os.kill(worker, signal.SIGKILL)
 
 
+def test_a_fork_that_fails_leaves_the_exact_store(tmp_path):
+    path = _vector_file(tmp_path)
+    fork, calls = os.fork, []
+
+    def failing_second_fork():
+        calls.append(len(calls))
+        if len(calls) == 2:  # as under a process limit
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    with mock.patch.object(os, "fork", failing_second_fork):
+        got, n_workers = assert_split_matches_one_part(path, 3)
+    assert (n_workers, len(calls)) == (1, 2)
+    assert got[:2] == ("store", tuple(f"w{i}" for i in range(30)))
+
+
 def test_without_fork_the_parse_uses_one_part(tmp_path, monkeypatch):
     path = _vector_file(tmp_path)
     expected = load_outcome(path, 1)
     monkeypatch.delattr(os, "fork")
-    with mock.patch.object(embeddings, "_cut_points") as cut_points:
+    with mock.patch.object(embeddings, "_fork_part") as fork_part:
         assert load_outcome(path, 3) == expected
-    cut_points.assert_not_called()
+    fork_part.assert_not_called()
 
 
 def test_with_another_thread_the_parse_uses_one_part(tmp_path):
@@ -528,13 +547,13 @@ def test_with_another_thread_the_parse_uses_one_part(tmp_path):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        with mock.patch.object(embeddings, "_cut_points") as cut_points:
+        with mock.patch.object(embeddings, "_fork_part") as fork_part:
             assert load_outcome(path, 3) == expected
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    cut_points.assert_not_called()
+    fork_part.assert_not_called()
 
 
 @pytest.mark.parametrize("store_mib, resident_mib, cores, parts", [
@@ -571,7 +590,7 @@ _OUTSIDE = "vector component outside the float32 range"
 
 
 @pytest.mark.parametrize("data, max_vocab, expected", [
-    # in a kept line of the first or the second range
+    # in a kept line of the first or a later block
     (b"4 2\na 1 2\nb 1e39 4\nc 5 6\nd 7 8\n", None, f"line 3: {_OUTSIDE}"),
     (b"4 2\na 1 2\nb 3 4\nc 5 6\nd 7 -4e38\n", None, f"line 5: {_OUTSIDE}"),
     # in a block that numpy rejects for another token

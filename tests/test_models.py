@@ -1015,6 +1015,33 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         load_checkpoint(path)
 
 
+def test_every_malformed_checkpoint_raises_a_value_error_naming_it(tmp_path):
+    rng = np.random.default_rng(19)
+    model = fit_ridge(rng.standard_normal((10, 3)), rng.standard_normal((10, 2)), 0.7)
+    path = tmp_path / "ridge.ckpt"
+    save_checkpoint(model, path)
+    data = path.read_bytes()
+    start = len(b"LEXIFORGE-MODEL\n") + 8
+    (n_header,) = struct.unpack(">Q", data[start - 8:start])
+    header = json.loads(data[start:start + n_header])
+    # cut inside the magic, the header length, the header or the tensors
+    cuts = [data[:n] for n in range(start + n_header + 1)] + [data[:-1]]
+    # a header that is not an object, lacks keys or holds keys of other types
+    blobs = [[], {}, {"format_version": 1}, {**header, "variables": []},
+             {**header, "arrays": [{"name": "coef"}]}, {**header, "kind": "other"}]
+    for blob in blobs:
+        text = json.dumps(blob).encode("utf-8")
+        cuts.append(data[:start - 8] + struct.pack(">Q", len(text)) + text
+                    + data[start + n_header:])
+    # a header length past the end of the file
+    cuts.append(data[:start - 8] + struct.pack(">Q", 1 << 62) + data[start:])
+    for bad in cuts:
+        path.write_bytes(bad)
+        with pytest.raises(ValueError) as raised:
+            load_checkpoint(path)
+        assert type(raised.value) is ValueError and str(raised.value).startswith(f"{path}: ")
+
+
 # ---------------------------------------------------------------------------
 # variable grouping and expansion
 # ---------------------------------------------------------------------------
