@@ -5,8 +5,8 @@ followed by one ``word v1 ... v_dim`` line per word, single-space
 separated; words are stored by ``lexicon.normalize_word``. A large file
 is parsed on several cores, each process reading every line and parsing
 the numbers of its share of the row blocks, with the same result as in
-one process; a store cache entry keeps the parse's result, so that
-later runs of the same file map its rows instead of parsing it again.
+one process; a store cache entry, one file that appears whole, keeps the
+parse's result, and later runs of the same file map its rows instead.
 Vectors are stored as float32, each component rounded to nearest from
 its float64 value; the network computes in that type, and ridge
 regression widens them to float64.
@@ -28,7 +28,6 @@ import mmap
 import os
 import re
 import signal
-import tempfile
 import threading
 import unicodedata
 import warnings
@@ -39,7 +38,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .lexicon import normalize_word
+from .lexicon import normalize_word, process_ended, write_whole
 
 log = logging.getLogger(__name__)
 
@@ -160,27 +159,29 @@ def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
     """
     with _open_text(path) as stream:
         count, dim, n_keep = _read_header(stream, max_vocab, path)
+        # a kept line takes 2 * dim + 1 bytes or more: no rows for lines past the file
+        rows = min(n_keep, os.fstat(stream.fileno()).st_size // (2 * dim + 1))
         # A fork copies only this thread, so a lock another thread holds
         # would stay held in the worker; an empty map cannot be made.
         n_parts = 1
-        if hasattr(os, "fork") and threading.active_count() == 1 and n_keep:
-            n_parts = _n_parts(n_keep * dim * STORE_DTYPE.itemsize)
+        if hasattr(os, "fork") and threading.active_count() == 1 and rows:
+            n_parts = _n_parts(rows * dim * STORE_DTYPE.itemsize)
         parsed = None
         if n_parts > 1:
-            shared = mmap.mmap(-1, n_keep * dim * STORE_DTYPE.itemsize)
-            vectors = np.frombuffer(shared, dtype=STORE_DTYPE).reshape(n_keep, dim)
+            shared = mmap.mmap(-1, rows * dim * STORE_DTYPE.itemsize)
+            vectors = np.frombuffer(shared, dtype=STORE_DTYPE).reshape(rows, dim)
             workers: list[int] = []
             try:
                 for part in range(1, n_parts):
-                    workers.append(_fork_part(path, vectors, count, part, n_parts))
-                parsed = _parse_lines(stream, vectors, count, path, 0, n_parts)
+                    workers.append(_fork_part(path, vectors, count, n_keep, part, n_parts))
+                parsed = _parse_lines(stream, vectors, count, n_keep, path, 0, n_parts)
                 while workers:
                     if os.waitpid(workers[-1], 0)[1]:
                         parsed = None
                     workers.pop()
-            except (OSError, ParseError):
-                # a fork or read that failed, or a defect that one in a
-                # worker's block may precede
+            except (OSError, ParseError, ValueError):
+                # a fork or read that failed, or a defect that one in a worker's
+                # block may precede and so let this part's rows overrun ``vectors``
                 parsed = None
             finally:
                 for pid in workers:  # after an exception: end the workers left
@@ -191,8 +192,8 @@ def load_embedding_store(path, max_vocab: int | None = None) -> EmbeddingStore:
                 stream.seek(0)
                 stream.readline()
         if parsed is None:
-            vectors = np.empty((n_keep, dim), dtype=STORE_DTYPE)
-            parsed = _parse_lines(stream, vectors, count, path)
+            vectors = np.empty((rows, dim), dtype=STORE_DTYPE)
+            parsed = _parse_lines(stream, vectors, count, n_keep, path)
     words, index, duplicates = parsed
     if duplicates:
         log.warning("embedding file: ignored %d duplicate words", duplicates)
@@ -251,7 +252,7 @@ def _read_header(stream: IO[str], max_vocab: int | None, path) -> tuple[int, int
     return count, dim, count if max_vocab is None else min(count, max_vocab)
 
 
-def _fork_part(path, vectors: np.ndarray, count: int, part: int, n_parts: int) -> int:
+def _fork_part(path, vectors: np.ndarray, count: int, keep: int, part: int, n_parts: int) -> int:
     """Fork a worker that parses part ``part`` of ``n_parts`` into ``vectors``.
 
     The worker reads the file from its start on its own descriptor, and
@@ -272,7 +273,7 @@ def _fork_part(path, vectors: np.ndarray, count: int, part: int, n_parts: int) -
                 os._exit(1)
             with _open_text(path) as stream:
                 stream.readline()
-                _parse_lines(stream, vectors, count, path, part, n_parts)
+                _parse_lines(stream, vectors, count, keep, path, part, n_parts)
             status = 0
         finally:
             os._exit(status)
@@ -280,10 +281,11 @@ def _fork_part(path, vectors: np.ndarray, count: int, part: int, n_parts: int) -
 
 
 def _parse_lines(
-    stream: Iterable[str], vectors: np.ndarray, count: int, path, part: int = 0, n_parts: int = 1
+    stream: Iterable[str], vectors: np.ndarray, count: int, keep: int, path, part: int = 0,
+    n_parts: int = 1,
 ) -> tuple[list[str], dict[str, int], int]:
     """Parse the at most ``count`` lines after the header into ``vectors``,
-    one row per new word, until ``vectors`` is full.
+    one row per new word, until ``keep`` words are stored.
 
     Of block b, rows ``b * _BLOCK_ROWS`` on, the numbers are parsed only
     where b % ``n_parts`` is ``part``. Returns the words, their index and
@@ -316,7 +318,7 @@ def _parse_lines(
         rests.clear()
 
     for line_no, raw in enumerate(stream, start=2):
-        if lines_read >= count or len(words) >= len(vectors):
+        if lines_read >= count or len(words) >= keep:
             break
         lines_read += 1
         word, sep, rest = raw.partition(" ")
@@ -339,7 +341,7 @@ def _parse_lines(
         if len(words) % _BLOCK_ROWS == 0:
             store_block()
     store_block()
-    if lines_read < count and len(words) < len(vectors):
+    if lines_read < count and len(words) < keep:
         raise ParseError(
             f"header promised {count} vectors, file ends after {lines_read}",
             line_no=lines_read + 1, path=path,
@@ -414,13 +416,9 @@ def _check_decoded(text: str, line_no: int, path) -> None:
         raise ParseError("invalid UTF-8 byte sequence", line_no=line_no, path=path)
 
 
-# Part of every store cache key: bump it whenever the parse's result for
-# the same bytes changes, so that no entry of an older parse is read.
-STORE_CACHE_FORMAT = 1
-
-# The files of one entry: the record of the other two's SHA-256, the rows
-# and the words. A write replaces the record last.
-_ENTRY_SUFFIXES = (".json", ".npy", ".words")
+# Part of every store cache key: bump it whenever the entry's layout or
+# the parse's result for the same bytes changes, so no older entry is read.
+STORE_CACHE_FORMAT = 2
 
 
 def store_cache_dir() -> Path:
@@ -443,18 +441,19 @@ def store_cache_key(file_sha256: str, max_vocab: int | None) -> str:
 def read_cached_store(cache_dir: Path, key: str) -> EmbeddingStore | None:
     """The store of entry ``key``, its rows mapped read-only; None if there is none.
 
-    The rows and the words must have the SHA-256 that the entry records,
-    and the store is built through ``EmbeddingStore``'s checks; an entry
-    that cannot be read or fails a check raises OSError or ValueError.
-    The duplicate count is logged as the parse logs it.
+    ``<key>.store`` holds the rows as ``.npy``, the words joined on "\\n"
+    alone, and a last line with the record: the duplicate count and the
+    SHA-256 of the rows and of the words, which must hold. The store is
+    built through ``EmbeddingStore``'s checks; an entry that cannot be
+    read or fails a check raises OSError or ValueError.
     """
+    path = cache_dir / f"{key}.store"
     try:
-        record = json.loads((cache_dir / f"{key}.json").read_bytes())
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    try:
-        rows = np.load(cache_dir / f"{key}.npy", mmap_mode="r", allow_pickle=False)
-        text = (cache_dir / f"{key}.words").read_bytes()
+        rows = np.load(path, mmap_mode="r", allow_pickle=False)
+        with open(path, "rb") as fh:
+            fh.seek(rows.offset + rows.nbytes)
+            text, _, record = fh.read().rpartition(b"\n")
+        record = json.loads(record)
         if rows.dtype != STORE_DTYPE or not rows.flags.c_contiguous:
             raise ValueError(f"rows are not C-ordered {STORE_DTYPE}")
         if hashlib.sha256(rows).hexdigest() != record["rows_sha256"]:
@@ -464,9 +463,10 @@ def read_cached_store(cache_dir: Path, key: str) -> EmbeddingStore | None:
         duplicates = record["n_duplicates"]
         if type(duplicates) is not int or duplicates < 0:
             raise ValueError(f"duplicate count {duplicates!r}")
+    except (FileNotFoundError, NotADirectoryError):
+        return None
     except (EOFError, KeyError, TypeError) as exc:  # a short .npy header, a malformed record
         raise ValueError(f"malformed entry: {exc!r}") from None
-    # joined on "\n" alone: a word may hold other characters that end a line
     store = EmbeddingStore(text.decode("utf-8").split("\n") if text else [], rows,
                            n_duplicates=duplicates)
     if duplicates:
@@ -477,18 +477,15 @@ def read_cached_store(cache_dir: Path, key: str) -> EmbeddingStore | None:
 def write_cached_store(
     cache_dir: Path, key: str, store: EmbeddingStore, source, keyed: os.stat_result
 ) -> None:
-    """Write ``store``, parsed from the vector file ``source``, as entry
-    ``key``, the only entry that the cache then holds.
+    """Write ``store``, parsed from the vector file ``source``, through
+    ``write_whole`` as entry ``key``, the only entry the cache then holds.
 
     ``keyed`` is the file's ``os.stat`` from before the SHA-256 in the key
     was taken; a file whose size or mtime has changed since raises
     ValueError, as its store may not be that of the key. Every other
-    entry's files, whole or not, and the temporary files of writers that
-    have ended are removed first. An entry that would leave less free
-    space on its disk than its own size is not written. Each file is
-    written under a unique temporary name, which then replaces it, so
-    concurrent writers of one entry do not clash; a write that fails
-    removes the entry's files already in place. Raises OSError.
+    entry and the temporary files of writers that have ended are removed
+    first. An entry that would leave less free space on its disk than its
+    own size is not written. Raises OSError.
     """
     now = os.stat(source)
     if (now.st_size, now.st_mtime_ns) != (keyed.st_size, keyed.st_mtime_ns):
@@ -502,63 +499,26 @@ def write_cached_store(
     if free - size < size:
         raise OSError(errno.ENOSPC, f"{free} bytes free on its disk, less than twice "
                                     f"the {size}-byte entry")
-    record = {
-        "n_duplicates": store.n_duplicates,
-        "rows_sha256": hashlib.sha256(store.vectors).hexdigest(),
-        "words_sha256": hashlib.sha256(text).hexdigest(),
-    }
-    try:
-        _replace(cache_dir / f"{key}.npy",
-                 lambda fh: np.save(fh, store.vectors, allow_pickle=False))
-        _replace(cache_dir / f"{key}.words", lambda fh: fh.write(text))
-        _replace(cache_dir / f"{key}.json", lambda fh: fh.write(json.dumps(record).encode()))
-    except BaseException:
-        for suffix in _ENTRY_SUFFIXES:
-            with contextlib.suppress(OSError):
-                os.unlink(cache_dir / f"{key}{suffix}")
-        raise
-
-
-def _replace(path: Path, write) -> None:
-    """Let ``write`` fill a new binary file that then replaces ``path``.
-
-    The file is named ``<path>.<pid>.<unique>.tmp`` until then, and is
-    removed if ``write`` or the replacement fails.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.{os.getpid()}.",
-                               suffix=".tmp")
-    try:
-        with open(fd, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    record = {"n_duplicates": store.n_duplicates,
+              "rows_sha256": hashlib.sha256(store.vectors).hexdigest(),
+              "words_sha256": hashlib.sha256(text).hexdigest()}
+    with write_whole(cache_dir / f"{key}.store", binary=True) as fh:
+        np.save(fh, store.vectors, allow_pickle=False)
+        fh.write(text + b"\n" + json.dumps(record).encode())
 
 
 def _remove_other_entries(cache_dir: Path, keep: str) -> None:
-    """Remove the files of every entry but ``keep``, also those of an entry
-    whose writer stopped before its record, and the temporary files of
-    writers that have ended."""
+    """Remove every entry but ``keep``, of any format, and the temporary
+    files ``<name>.<pid>.tmp`` of writers that have ended."""
     for path in cache_dir.iterdir():
         key, *parts = path.name.split(".")
-        if (len(parts) == 1 and f".{parts[0]}" in _ENTRY_SUFFIXES and key != keep) or (
-            len(parts) == 4 and parts[3] == "tmp" and parts[1].isdigit() and _ended(parts[1])
+        if len(key) == 64 and (
+            (len(parts) == 1 and key != keep)
+            or (len(parts) > 2 and parts[-1] == "tmp" and parts[1].isdigit()
+                and process_ended(int(parts[1])))
         ):
             with contextlib.suppress(OSError):
                 os.unlink(path)
-
-
-def _ended(pid: str) -> bool:
-    """Whether no process has this id."""
-    try:
-        os.kill(int(pid), 0)
-    except ProcessLookupError:
-        return True
-    except OSError:  # another user's process
-        pass
-    return False
 
 
 def embed_term(store: EmbeddingStore, term: str) -> tuple[np.ndarray, str]:

@@ -380,13 +380,13 @@ def serialize_lexicon(lex: Lexicon, stream: IO[str]) -> None:
 def write_whole(path, binary: bool = False):
     """A UTF-8 text (or binary) stream whose file replaces ``path`` only when whole.
 
-    The stream writes ``<path>.tmp``, which replaces ``path`` when the
-    block ends and is removed when it raises. So ``path`` holds its old
-    bytes or all the new ones, never a part; a killed process may leave
-    the temporary file.
+    The stream writes ``<path>.<pid>.tmp``, which replaces ``path`` when
+    the block ends and is removed when it raises. So ``path`` holds its
+    old bytes or all the new ones, never a part, also with several
+    writers at once; a killed process may leave its temporary file.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         text = {} if binary else {"encoding": "utf-8", "newline": ""}
         with open(tmp, "wb" if binary else "w", **text) as fh:
@@ -396,6 +396,18 @@ def write_whole(path, binary: bool = False):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def process_ended(pid: int) -> bool:
+    """Whether no process has id ``pid``; none has an id below 1."""
+    try:
+        if pid > 0:  # os.kill would signal a process group
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:  # another user's process
+        pass
+    return pid < 1
 
 
 def load_lexicon(path, *, provenance="human", language="und") -> Lexicon:

@@ -71,6 +71,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if not isinstance(self.seed, int) or self.seed < 0:  # as default_rng takes it
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # the network's type: beyond its range is inf, below half its least
         # subnormal 0
         with np.errstate(over="ignore", under="ignore"):

@@ -60,6 +60,7 @@ from .lexicon import (
     filter_source_entries,
     load_lexicon,
     load_word_list,
+    process_ended,
     save_lexicon,
     split_by_reference,
     write_whole,
@@ -348,13 +349,9 @@ def _dead_owner(lock_path: Path) -> int | None:
     """
     try:
         pid = int(lock_path.read_text(encoding="ascii"))
-        if pid > 0:  # os.kill would signal a process group
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return pid
-    except (OSError, ValueError):  # unreadable, not a number, or another user's process
-        pass
-    return None
+    except (OSError, ValueError):  # unreadable or not a number
+        return None
+    return pid if process_ended(pid) else None
 
 
 @contextlib.contextmanager

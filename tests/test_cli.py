@@ -207,7 +207,7 @@ def test_run_writes_manifest_at_start_and_end(tmp_path, small_bundle, monkeypatc
     if Path("/proc/self/status").exists():
         peaks = [s["peak_rss_mb"] for s in stages]
         assert peaks[0] > 0 and peaks == sorted(peaks)  # a high-water mark
-    assert not (out / "manifest.json.tmp").exists()
+    assert not list(out.glob("*.tmp"))
 
 
 def test_run_failure_manifest_lists_stages_up_to_the_failed_one(
@@ -239,7 +239,7 @@ def test_run_failure_manifest_lists_stages_up_to_the_failed_one(
     assert failed.keys() == {"name", "status", "error"}
     assert failed["name"] == "gold-eval-bad" and failed["status"] == "failed"
     assert "need at least 2" in failed["error"]
-    assert not (out / "manifest.json.tmp").exists()
+    assert not list(out.glob("*.tmp"))
 
 
 def test_manifest_attributes_outputs_by_hash(tmp_path, small_bundle):
@@ -499,7 +499,7 @@ def test_run_reports_a_fit_that_fails_in_a_worker_thread(tmp_path, monkeypatch, 
         "train", "failed", "non-finite training loss at optimizer step 7")
     assert [s["name"] for s in manifest["stages"]] == RUN_STAGES[:5]
     assert not any(name.startswith("checkpoint:") for name in manifest["outputs"])
-    assert not (out / "manifest.json.tmp").exists()
+    assert not list(out.glob("*.tmp"))
 
 
 def test_run_reports_the_first_failure_in_group_order(tmp_path, monkeypatch, capsys):
@@ -733,7 +733,7 @@ def test_a_failed_expansion_leaves_no_predicted_lexicon(tmp_path, monkeypatch, c
                                       **{k: v for k, v in manifest["stages"][-1].items()
                                          if k == "peak_rss_mb"}}
     assert not (out / "target_pred.tsv").exists()
-    assert not (out / "target_pred.tsv.tmp").exists()
+    assert not list(out.glob("*.tmp"))
     assert "target_pred" not in manifest["outputs"]
 
 
@@ -921,7 +921,7 @@ def test_a_killed_run_leaves_only_whole_files(tmp_path, small_bundle):
             load[path.suffix](path)  # loads whole, and holds the bytes of the whole run
             assert path.read_bytes() == (whole / path.relative_to(out)).read_bytes(), path
         if where == "mid-write":
-            assert (out / "target_pred.tsv.tmp").stat().st_size > 0
+            assert (out / f"target_pred.tsv.{child.pid}.tmp").stat().st_size > 0
             assert not (out / "target_pred.tsv").exists()
 
 
@@ -939,44 +939,77 @@ def _cache_files(cache_home: Path) -> list[str]:
     return sorted(p.name for p in (cache_home / "lexiforge" / "stores").iterdir())
 
 
-def _entry(cache_home: Path) -> dict[str, Path]:
-    """The files of the one entry in a store cache, by suffix."""
-    stores = cache_home / "lexiforge" / "stores"
-    return {path.suffix: path for path in stores.iterdir()}
+def _entry(cache_home: Path) -> Path:
+    """The one entry in a store cache."""
+    [entry] = (cache_home / "lexiforge" / "stores").iterdir()
+    return entry
 
 
-def _rewrite_record(entry: dict[str, Path], **changes) -> None:
-    record = json.loads(entry[".json"].read_bytes())
-    entry[".json"].write_text(json.dumps({**record, **changes}), encoding="utf-8")
+def _entry_parts(entry: Path) -> tuple[bytes, bytes, dict]:
+    """An entry's ``.npy`` bytes, its words and its record."""
+    data = entry.read_bytes()
+    rows = np.load(entry, mmap_mode="r")
+    end = rows.offset + rows.nbytes
+    words, _, record = data[end:].rpartition(b"\n")
+    return data[:end], words, json.loads(record)
+
+
+def _rewrite(entry: Path, npy: bytes, words: bytes, record: dict, **changes) -> None:
+    entry.write_bytes(npy + words + b"\n" + json.dumps({**record, **changes}).encode())
+
+
+def _truncate_the_header(entry):
+    entry.write_bytes(entry.read_bytes()[:20])
 
 
 def _truncate_rows(entry):
-    entry[".npy"].write_bytes(entry[".npy"].read_bytes()[:-9])
+    entry.write_bytes(_entry_parts(entry)[0][:-9])
 
 
 def _flip_a_row_byte(entry):
-    data = bytearray(entry[".npy"].read_bytes())
-    data[len(data) // 2] ^= 0x10
-    entry[".npy"].write_bytes(bytes(data))
+    npy, words, record = _entry_parts(entry)
+    npy = bytearray(npy)
+    npy[len(npy) // 2] ^= 0x10
+    _rewrite(entry, bytes(npy), words, record)
 
 
 def _drop_the_last_word(entry):  # its SHA-256 recorded anew, so the store's check finds it
-    words = b"\n".join(entry[".words"].read_bytes().split(b"\n")[:-1])
-    entry[".words"].write_bytes(words)
-    _rewrite_record(entry, words_sha256=hashlib.sha256(words).hexdigest())
+    npy, words, record = _entry_parts(entry)
+    words = b"\n".join(words.split(b"\n")[:-1])
+    _rewrite(entry, npy, words, record, words_sha256=hashlib.sha256(words).hexdigest())
 
 
 def _widen_the_rows(entry):  # also recorded anew
-    rows = np.load(entry[".npy"]).astype(np.float64)
-    np.save(entry[".npy"], rows)
-    _rewrite_record(entry, rows_sha256=hashlib.sha256(rows).hexdigest())
+    npy, words, record = _entry_parts(entry)
+    rows, wide = np.load(io.BytesIO(npy)).astype(np.float64), io.BytesIO()
+    np.save(wide, rows)
+    _rewrite(entry, wide.getvalue(), words, record,
+             rows_sha256=hashlib.sha256(rows).hexdigest())
+
+
+def _count_duplicates_in_a_string(entry):
+    _rewrite(entry, *_entry_parts(entry), n_duplicates="0")
+
+
+def _drop_the_record(entry):
+    npy, words, _ = _entry_parts(entry)
+    entry.write_bytes(npy + words)
+
+
+def _spoil_the_record(entry):
+    npy, words, _ = _entry_parts(entry)
+    entry.write_bytes(npy + words + b"\n{not json")
 
 
 @pytest.mark.parametrize("spoil, rejected", [
+    (_truncate_the_header, "EOF: reading array header"),
     (_truncate_rows, "mmap length is greater than file size"),
     (_flip_a_row_byte, "rows do not match their recorded SHA-256"),
     (_drop_the_last_word, "vectors shape (200, 8) does not match 199 words"),
     (_widen_the_rows, "rows are not C-ordered float32"),
+    (_count_duplicates_in_a_string, "duplicate count '0'"),
+    (_drop_the_record, "Expecting value: line 1 column 1"),
+    (_spoil_the_record, "Expecting property name enclosed in double quotes"),
 ])
 def test_a_spoiled_store_cache_entry_is_replaced_and_changes_no_output(
     tmp_path, small_bundle, store_cache_home, spoil, rejected
@@ -999,10 +1032,10 @@ def test_a_spoiled_store_cache_entry_is_replaced_and_changes_no_output(
     assert _embeddings_stage(tmp_path / "again")["store"] == "cached"
     for name in ("warm", "spoiled", "again"):
         assert _outputs_but_manifest(tmp_path / name) == cold, name
-    assert len(_cache_files(store_cache_home)) == 3
+    assert len(_cache_files(store_cache_home)) == 1
 
 
-@pytest.mark.parametrize("blocked", ["stores is a file", "record is a directory"])
+@pytest.mark.parametrize("blocked", ["stores is a file", "entry is a directory"])
 def test_a_store_cache_that_cannot_be_written_changes_no_output(
     tmp_path, small_bundle, store_cache_home, monkeypatch, blocked
 ):
@@ -1018,7 +1051,7 @@ def test_a_store_cache_that_cannot_be_written_changes_no_output(
         stores.write_text("not a directory\n", encoding="utf-8")
     else:
         key = lexiforge.embeddings.store_cache_key(file_sha256(small_bundle["embeddings"]), None)
-        (stores / f"{key}.json").mkdir(parents=True)
+        (stores / f"{key}.store").mkdir(parents=True)
     for name in ("first", "second"):
         assert main(_run_args(small_bundle, tmp_path / name, config)) == 0
         assert _outputs_but_manifest(tmp_path / name) == _outputs_but_manifest(tmp_path / "cold")
@@ -1054,6 +1087,7 @@ def test_a_disk_without_room_for_an_entry_gets_none_and_changes_no_output(
 
 
 _CONCURRENT_RUN = """
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -1062,21 +1096,20 @@ import lexiforge.embeddings
 from lexiforge.cli import main
 
 barrier, me = Path(sys.argv[1]), sys.argv[2]
-replace = lexiforge.embeddings._replace
+write_whole = lexiforge.embeddings.write_whole
 
 
-def replace_when_both_wrote(path, write):
-    def write_then_wait(fh):
-        write(fh)
-        (barrier / f"{me}{path.suffix}").touch()
+@contextlib.contextmanager
+def write_whole_when_both_wrote(path, binary):
+    with write_whole(path, binary) as fh:
+        yield fh
+        (barrier / me).touch()
         deadline = time.monotonic() + 60
-        while len(list(barrier.glob(f"*{path.suffix}"))) < 2 and time.monotonic() < deadline:
+        while len(list(barrier.iterdir())) < 2 and time.monotonic() < deadline:
             time.sleep(0.01)
 
-    replace(path, write_then_wait)
 
-
-lexiforge.embeddings._replace = replace_when_both_wrote
+lexiforge.embeddings.write_whole = write_whole_when_both_wrote
 sys.exit(main(sys.argv[3:]))
 """
 
@@ -1089,8 +1122,8 @@ def test_two_concurrent_runs_fill_one_store_cache_entry(tmp_path, small_bundle, 
     barrier.mkdir()
     env = {**os.environ,
            "PYTHONPATH": str(Path(lexiforge.pipeline.__file__).resolve().parents[1])}
-    # each run writes each file of the entry under its own temporary name
-    # before either moves that file into place, so neither finds an entry
+    # each run writes the entry under its own temporary name before either
+    # moves it into place, so neither finds an entry
     children = [subprocess.Popen(
         [sys.executable, str(script), str(barrier), name,
          *_run_args(small_bundle, tmp_path / name, config)],
@@ -1099,14 +1132,14 @@ def test_two_concurrent_runs_fill_one_store_cache_entry(tmp_path, small_bundle, 
     for child in children:
         _, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
-    assert len(list(barrier.iterdir())) == 6
+    assert len(list(barrier.iterdir())) == 2
     assert main(_run_args(small_bundle, tmp_path / "after", config)) == 0
     assert _embeddings_stage(tmp_path / "after")["store"] == "cached"
     for name in ("one", "two"):
         stage = _embeddings_stage(tmp_path / name)
         assert (stage["store"], stage["store_entry"]) == ("parsed", "written")
         assert _outputs_but_manifest(tmp_path / name) == _outputs_but_manifest(tmp_path / "after")
-    assert len(_cache_files(store_cache_home)) == 3
+    assert len(_cache_files(store_cache_home)) == 1
 
 
 def test_a_parse_error_is_the_same_beside_an_entry_and_writes_none(
@@ -1135,7 +1168,7 @@ def test_a_parse_error_is_the_same_beside_an_entry_and_writes_none(
     assert failed_run("beside") == empty
     assert main(_run_args(bundle, tmp_path / "cut-again", config, extra=cut)) == 0
     assert _embeddings_stage(tmp_path / "cut-again")["store"] == "cached"
-    assert len(_cache_files(store_cache_home)) == 3
+    assert len(_cache_files(store_cache_home)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1287,6 +1320,19 @@ def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_a_negative_seed_from_the_config_file(tmp_path, small_bundle, capsys):
+    config = _write_fast_config(tmp_path)
+    config.write_text(config.read_text(encoding="utf-8") + "seed = -1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = _run_args(small_bundle, out, config)
+    assert args[-2:] == ["--seed", "11"]
+    assert main(args[:-2]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad run settings: seed must be a non-negative integer, got -1\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, config_line, message", [
     (["--epochs", "0"], "", "batch_size and epochs must be >= 1"),
     ([], "hidden_dropout = 1\n", "hidden_dropout must be in [0, 1)"),
@@ -1295,6 +1341,7 @@ def test_run_rejects_max_vocab_below_one(tmp_path, small_bundle, capsys):
     ([], "leaky_slope = nan\n", "leaky_slope must be finite, got nan"),
     ([], "leaky_slope = -inf\n", "leaky_slope must be finite, got -inf"),
     ([], "learning_rate = nan\n", "learning_rate must be positive and finite, got nan"),
+    (["--seed", "-1"], "", "seed must be a non-negative integer, got -1"),
 ])
 def test_run_reports_bad_settings_in_one_line(
     tmp_path, small_bundle, capsys, flags, config_line, message

@@ -385,6 +385,13 @@ NFC, NFD = unicodedata.normalize("NFC", "schön"), unicodedata.normalize("NFD", 
     # header counts below and above the number of lines
     (b"3 2\na 1.000000 2.000000\nb 3 4\nc 5 6\nd x\ne 1\n", 2, None, ("a", "b", "c")),
     (b"6 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\n", 2, None, "header promised 6 vectors"),
+    # a count beyond what the file can hold: rows are made only for lines that fit, here
+    # exactly these three with "5 4"
+    (b"5 4\na 1 2 3 4\nb 5 6 7 8\nc 9 0 1 2", 2, None,
+     "header promised 5 vectors, file ends after 3"),
+    (b"1000000000000000 4\na 1 2 3 4\nb 5 6 7 8\nc 9 0 1 2", 2, None,
+     "header promised 1000000000000000 vectors, file ends after 3"),
+    (b"1000000000000000 4\na 1 2 3 4\nb 5 6 7 8\nc 9 0 1 2", 2, 2, ("a", "b")),
     # a max_vocab cut parses in parts too; no process reads the lines after it
     (b"4 2\na 1 2\nb 3 4\nc 5 6\nd x\n", 2, 2, ("a", "b")),
     # a word that holds a tab, or is empty under the word rule, in either part's block
@@ -402,6 +409,16 @@ def test_split_parse_matches_one_part_examples(tmp_path, data, parts, max_vocab,
         assert got[:2] == ("store", expected)
     else:
         assert got[0] == "error" and expected in got[1]
+
+
+def test_short_lines_in_a_workers_blocks_let_no_rows_past_the_array(tmp_path):
+    # the file's size leaves room for 9 rows; this process's blocks hold 6 good lines
+    lines = ["a 1 2 3 4\n", "b 1 2 3 4\n", "c x\n", "d x\n", "e 1 2 3 4\n", "f 1 2 3 4\n",
+             "g x\n", "h x\n", "i 1 2 3 4\n", "j 1 2 3 4\n"]
+    path = write_text(tmp_path / "vecs.txt", "10 4\n" + "".join(lines))
+    got, n_workers = assert_split_matches_one_part(path, 2, block_rows=2)
+    assert (n_workers, got) == (1, ("error", f"{path}:line 4: expected word plus 4 values, "
+                                              "found 1", 4))
 
 
 @pytest.mark.parametrize("parts", [2, 3])
@@ -685,10 +702,12 @@ def test_an_entry_is_read_only_where_its_key_and_hashes_hold(tmp_path, caplog):
     assert embeddings.read_cached_store(tmp_path / "stores", embeddings.store_cache_key(
         "0" * 64, 2)) is None
     assert embeddings.read_cached_store(tmp_path / "absent", key) is None
-    rows = tmp_path / "stores" / f"{key}.npy"
-    data = bytearray(rows.read_bytes())
-    data[-1] ^= 1
-    rows.write_bytes(bytes(data))
+    entry = tmp_path / "stores" / f"{key}.store"
+    rows = np.load(entry, mmap_mode="r")
+    data = bytearray(entry.read_bytes())
+    data[rows.offset + rows.nbytes - 1] ^= 1  # the last row's last byte
+    del rows
+    entry.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="rows do not match"):
         embeddings.read_cached_store(tmp_path / "stores", key)
 
@@ -717,7 +736,7 @@ def test_the_parse_writes_no_cache_entry(store_cache_home, tmp_path):
 
 
 def _entry_files(*keys):
-    return {f"{key}{suffix}" for key in keys for suffix in (".json", ".npy", ".words")}
+    return {f"{key}.store" for key in keys}
 
 
 def test_a_miss_removes_every_other_entry_and_the_temporaries_of_ended_writers(tmp_path):
@@ -731,17 +750,20 @@ def test_a_miss_removes_every_other_entry_and_the_temporaries_of_ended_writers(t
                                       os.stat(path))
         assert {p.name for p in cache.iterdir()} == _entry_files(keys[name])
     files["deleted"].unlink()
-    orphans = [cache / f"{'e' * 64}.npy", cache / f"{'e' * 64}.words"]  # no record
     dead = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
                           capture_output=True, text=True, check=True).stdout.strip()
-    temporaries = [cache / f"{keys['kept']}.npy.{pid}.x1_y.tmp" for pid in (dead, os.getpid())]
+    # an entry of format 1, whole or not, and one of its writer's temporary files
+    format_1 = [cache / f"{'e' * 64}{suffix}" for suffix in (".json", ".npy", ".words")]
+    format_1.append(cache / f"{keys['kept']}.npy.{dead}.x1_y.tmp")
+    # pid 0 is no process's: os.kill(0, 0) would signal this process group
+    temporaries = [cache / f"{keys['kept']}.store.{pid}.tmp" for pid in (dead, 0, os.getppid())]
     unrelated = cache / "notes.txt"
-    for path in (*orphans, *temporaries, unrelated):
+    for path in (*format_1, *temporaries, unrelated):
         path.write_bytes(b"part of a file")
     embeddings.write_cached_store(cache, keys["kept"], load_embedding_store(files["kept"]),
                                   files["kept"], os.stat(files["kept"]))
     left = {p.name for p in cache.iterdir()}
-    assert left == _entry_files(keys["kept"]) | {temporaries[1].name, unrelated.name}
+    assert left == _entry_files(keys["kept"]) | {temporaries[2].name, unrelated.name}
     assert embeddings.read_cached_store(cache, keys["kept"]).words == ("kept",)
 
 
@@ -750,51 +772,44 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from lexiforge import embeddings
 
-replace = embeddings._replace
+save = np.save
 
 
-def die_before_the_words(path, write):
-    if path.suffix == ".words":
-        os._exit(9)
-    replace(path, write)
+def save_then_die(fh, *args, **kwargs):
+    save(fh, *args, **kwargs)
+    fh.flush()
+    os._exit(9)
 
 
-embeddings._replace = die_before_the_words
+np.save = save_then_die
 path = Path(sys.argv[2])
 embeddings.write_cached_store(Path(sys.argv[1]), sys.argv[3],
                               embeddings.load_embedding_store(path), path, os.stat(path))
 """
 
 
-def test_a_writer_stopped_after_the_rows_leaves_no_entry_behind(tmp_path, monkeypatch):
+def test_a_writer_stopped_after_the_rows_leaves_no_entry_behind(tmp_path):
     cache = tmp_path / "stores"
     path = write_text(tmp_path / "vecs.txt", "2 1\na 1\nb 2\n")
-    store = load_embedding_store(path)
     key = embeddings.store_cache_key("0" * 64, None)
     package_root = str(Path(embeddings.__file__).resolve().parents[1])
-    # killed: the rows stay in place without a record, until the next miss
-    killed = subprocess.run([sys.executable, "-c", _KILLED_WRITER, str(cache), str(path), key],
-                            env={**os.environ, "PYTHONPATH": package_root}, capture_output=True)
-    assert killed.returncode == 9, killed.stderr
-    assert {p.name for p in cache.iterdir()} == {f"{key}.npy"}
+    # killed: its temporary file stays, until the next miss
+    killed = subprocess.Popen([sys.executable, "-c", _KILLED_WRITER, str(cache), str(path), key],
+                              env={**os.environ, "PYTHONPATH": package_root},
+                              stderr=subprocess.PIPE)
+    _, err = killed.communicate(timeout=60)
+    assert killed.returncode == 9, err
+    temporary = cache / f"{key}.store.{killed.pid}.tmp"
+    assert [p.name for p in cache.iterdir()] == [temporary.name]
+    assert temporary.stat().st_size > 0
     assert embeddings.read_cached_store(cache, key) is None
     other = embeddings.store_cache_key("1" * 64, None)
-    embeddings.write_cached_store(cache, other, store, path, os.stat(path))
+    embeddings.write_cached_store(cache, other, load_embedding_store(path), path, os.stat(path))
     assert {p.name for p in cache.iterdir()} == _entry_files(other)
-    # failed: the writer removes the files that it had moved in
-    replace = embeddings._replace
-
-    def fail_at_the_record(target, write):
-        if target.suffix == ".json":
-            raise OSError(errno.ENOSPC, "No space left on device")
-        replace(target, write)
-
-    monkeypatch.setattr(embeddings, "_replace", fail_at_the_record)
-    with pytest.raises(OSError, match="No space left"):
-        embeddings.write_cached_store(cache, key, store, path, os.stat(path))
-    assert not any(cache.iterdir())
 
 
 def test_an_entry_is_written_only_where_its_size_stays_free_beside_it(tmp_path, monkeypatch):

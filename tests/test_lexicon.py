@@ -1,6 +1,8 @@
 import io
+import os
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +270,7 @@ def test_write_whole_replaces_the_file_only_when_the_block_ends(tmp_path):
     with write_whole(path) as fh:
         fh.write("new\n")
         assert path.read_text(encoding="utf-8") == "old\n"
+        assert Path(fh.name).name == f"lex.tsv.{os.getpid()}.tmp"  # one writer's own name
     assert path.read_text(encoding="utf-8") == "new\n"
     with pytest.raises(KeyError):
         with write_whole(path) as fh:
