@@ -52,6 +52,7 @@ from .lexicon import (
     filter_source_entries,
     load_lexicon,
     parse_lexicon,
+    read_predictions,
     restrict_to_split,
     restrict_to_words,
     save_lexicon,

@@ -34,7 +34,7 @@ from .evaluation import (  # noqa: F401 -- perfbench/tracer.py wraps the protoco
     save_reports,
     silver_eval,
 )
-from .lexicon import SplitSets, load_lexicon, write_whole
+from .lexicon import load_lexicon, write_whole
 from .models import TrainConfig
 from .pipeline import (
     MODEL_KINDS,
@@ -209,12 +209,10 @@ def _cmd_run(args) -> int:
 def _cmd_evaluate(args) -> int:
     gold_paths = _parse_gold_args(args.gold)
     mt = load_lexicon(args.mt, provenance="translated", language=args.target_lang)
-    pred = load_lexicon(args.pred, provenance="predicted", language=args.target_lang)
     golds = {gold_id: load_lexicon(path, language=args.target_lang)
              for gold_id, path in gold_paths.items()}
     reports = evaluate_protocols(
-        mt, pred, SplitSets.from_lexicons(mt, pred), golds,
-        Path(args.out) if args.out else None, lang=args.target_lang,
+        mt, Path(args.pred), golds, Path(args.out) if args.out else None, lang=args.target_lang,
     )
     _print_reports(reports.values())
     return 0

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .lexicon import (
     Lexicon,
-    SplitSets,
     _take,
     canonical_variable_order,
     restrict_to_split,
@@ -37,11 +36,14 @@ from .lexicon import (
 PROTOCOLS = ("silver", "gold", "isr", "mt_vs_pred", "meta")
 
 
-def restrict_to_test_predictions(lex: Lexicon, splits: SplitSets) -> Lexicon:
-    """Entries whose word is in the prediction test split, the slice every
-    gold-data protocol evaluates on; tested word by word, without
-    building the split."""
-    return _take(lex, [i for i, w in enumerate(lex.words) if splits.in_test(w)])
+def _tagged(pred: Lexicon, tag: str) -> set[str]:
+    return {w for w, s in zip(pred.words, pred.splits) if s == tag}
+
+
+def restrict_to_test_predictions(lex: Lexicon, pred: Lexicon) -> Lexicon:
+    """Entries whose word ``pred`` tags test, the slice every gold-data
+    protocol evaluates on."""
+    return restrict_to_words(lex, _tagged(pred, "test"))
 
 
 @dataclass(frozen=True)
@@ -207,20 +209,19 @@ def _lexicon_id(lex: Lexicon) -> str:
 
 
 def silver_eval(
-    mt: Lexicon, pred: Lexicon, splits: SplitSets, *, ids: tuple[str, str] | None = None
+    mt: Lexicon, pred: Lexicon, *, ids: tuple[str, str] | None = None
 ) -> EvalReport:
     """Correlate the MT and predicted lexicons on their shared test words.
 
-    Restricts MT to its test word types and the predictions to the
-    prediction test split, then intersects. MT words with partial
+    Restricts MT to its test word types and the predictions to their
+    test-tagged words, then intersects. MT words with partial
     duplicates contribute one aligned pair per duplicate, all against
     the single predicted value. By construction, no word available at
     training time can enter this comparison.
     """
     pred.require_unique("silver_eval")
     x, y = _align(
-        # the MT test words in pred_test
-        restrict_to_words(mt, splits.mt_test - splits.mt_dev - splits.mt_train), pred,
+        restrict_to_words(mt, mt.split_words("test") & _tagged(pred, "test")), pred,
         "shared test word(s)",
     )
     names = [v for v in mt.variables.names if v in pred.variables]
@@ -235,16 +236,15 @@ def silver_eval(
 def gold_eval(
     gold: Lexicon,
     pred: Lexicon,
-    splits: SplitSets,
     *,
     gold_id: str | None = None,
 ) -> EvalReport:
     """Correlate a human-annotated lexicon against the prediction test split.
 
-    Only predicted entries in the prediction test split participate, so
-    the model is never evaluated on translational equivalents it saw
-    during training. Variables absent from the gold lexicon are
-    skipped. ``coverage`` reports shared words relative to gold size.
+    Only predicted entries tagged test participate, so the model is
+    never evaluated on translational equivalents it saw during
+    training. Variables absent from the gold lexicon are skipped.
+    ``coverage`` reports shared words relative to gold size.
     """
     gold.require_unique("gold_eval")
     pred.require_unique("gold_eval")
@@ -252,7 +252,7 @@ def gold_eval(
     if not names:
         raise SchemaError("gold lexicon shares no variables with the predictions")
     x, y = _align(
-        restrict_to_test_predictions(gold, splits), pred,
+        restrict_to_test_predictions(gold, pred), pred,
         "gold word(s) inside the prediction test split",
     )
     return _correlate(
@@ -274,15 +274,14 @@ def isr_compare(
     gold1: Lexicon,
     gold2: Lexicon,
     pred: Lexicon,
-    splits: SplitSets,
     *,
     ids: tuple[str, str, str] | None = None,
 ) -> IsrResult:
     """Compare two human studies and the predictions on common support.
 
     All three pairwise correlations are computed on the words of both
-    golds that are predicted inside the prediction test split, per
-    variable shared by all three lexicons.
+    golds that the predictions tag test, per variable shared by all
+    three lexicons.
     """
     for lex in (gold1, gold2, pred):
         lex.require_unique("isr_compare")
@@ -290,9 +289,7 @@ def isr_compare(
         _lexicon_id(gold1), _lexicon_id(gold2), _lexicon_id(pred)
     )
     shared = "words shared by all three lexicons"
-    pred_rows = pred.row_index
-    tested = [i for i, w in enumerate(gold1.words) if w in pred_rows and splits.in_test(w)]
-    g1, g2 = _align(_take(gold1, tested), gold2, shared)
+    g1, g2 = _align(restrict_to_test_predictions(gold1, pred), gold2, shared)
     _, p = _align(g1, pred, shared)
     names = [
         v for v in gold1.variables.names if v in gold2.variables and v in pred.variables
@@ -324,7 +321,6 @@ def mt_vs_pred(
     gold: Lexicon,
     mt: Lexicon,
     pred: Lexicon,
-    splits: SplitSets,
     *,
     gold_id: str | None = None,
 ) -> MtVsPredResult:
@@ -332,8 +328,8 @@ def mt_vs_pred(
 
     Using MT values instead of predictions is only an option for words
     known at training time, so the comparison is restricted to the
-    train split. MT partial duplicates each contribute one pair against
-    the gold value. ``diff`` is r(pred) - r(mt) per variable.
+    words that the predictions tag train. MT partial duplicates each
+    contribute one pair against the gold value. ``diff`` is r(pred) - r(mt) per variable.
     """
     gold.require_unique("mt_vs_pred")
     pred.require_unique("mt_vs_pred")
@@ -342,7 +338,7 @@ def mt_vs_pred(
     ]
     if not names:
         raise SchemaError("no variable is shared by gold, MT, and predictions")
-    common = {w for w in splits.pred_train if w in pred.row_index and w in mt.row_index}
+    common = {w for w in _tagged(pred, "train") if w in mt.row_index}
     shared = "gold words inside the train split"
     g, p = _align(restrict_to_words(gold, common), pred, shared)
     gid = gold_id if gold_id is not None else _lexicon_id(gold)

@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 import unicodedata
-from collections.abc import Collection, Container, Sequence
+from collections.abc import Collection, Container, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -185,9 +185,8 @@ class SplitSets:
     - pred_test  = (mt_test union embedding_vocab) minus (mt_dev union mt_train)
 
     ``embedding_vocab`` is held as given, never copied: any collection
-    of words with a fast ``in``, such as a set or the vector store.
-    ``tag`` and ``in_test`` test a word against it; only ``pred_test``
-    builds the whole set.
+    of words with a fast ``in``, such as a set or the vector store;
+    ``tag`` gives a word's prediction split without building any.
     """
 
     mt_train: frozenset[str]
@@ -199,24 +198,6 @@ class SplitSets:
         for name in ("mt_train", "mt_dev", "mt_test"):
             object.__setattr__(self, name, frozenset(getattr(self, name)))
 
-    @property
-    def pred_train(self) -> frozenset[str]:
-        return self.mt_train
-
-    @cached_property
-    def pred_dev(self) -> frozenset[str]:
-        return self.mt_dev - self.mt_train
-
-    @cached_property
-    def pred_test(self) -> frozenset[str]:
-        """The test split as a set, built by a pass over the vocabulary."""
-        return frozenset(w for w in itertools.chain(self.mt_test, self.embedding_vocab)
-                         if self.in_test(w))
-
-    def in_test(self, word: str) -> bool:
-        """Whether a word is in pred_test, without building it."""
-        return self.tag(word) == "test"
-
     def tag(self, word: str) -> str:
         """The prediction split of a word, or "none" outside all three."""
         if word in self.mt_train:
@@ -226,24 +207,6 @@ class SplitSets:
         if word in self.mt_test or word in self.embedding_vocab:
             return "test"
         return "none"
-
-    @classmethod
-    def from_lexicons(cls, mt: "Lexicon", pred: "Lexicon") -> "SplitSets":
-        """Split sets from the tags stored in an MT and a predicted lexicon.
-
-        The embedding vocabulary is recovered only up to what the
-        evaluation protocols need (membership of pred_test words).
-        Raises IntegrityError unless the predicted lexicon's train, dev
-        and test words are exactly the splits derived from the MT tags.
-        """
-        mt_test = mt.split_words("test")
-        splits = cls(mt.split_words("train"), mt.split_words("dev"), mt_test,
-                     pred.split_words("test") | mt_test)
-        for tag, rule in (("train", "mt_train"), ("dev", "mt_dev minus mt_train"),
-                          ("test", "(mt_test | embedding_vocab) - (mt_dev | mt_train)")):
-            if pred.split_words(tag) != getattr(splits, f"pred_{tag}"):
-                raise IntegrityError(f"pred_{tag} must equal {rule}")
-        return splits
 
 
 def derive_prediction_splits(mt: Lexicon, embedding_vocab: Collection[str]) -> SplitSets:
@@ -265,15 +228,11 @@ def derive_prediction_splits(mt: Lexicon, embedding_vocab: Collection[str]) -> S
 # ---------------------------------------------------------------------------
 
 
-def parse_lexicon(
-    stream: IO[str], *, provenance: str = "human", language: str = "und", path=None
-) -> Lexicon:
-    """Parse a lexicon TSV.
-
-    Words are stored by :func:`normalize_word`; no case folding is applied.
-    Human-provenance values must lie within the variable family's scale
-    when one is known (predicted lexicons are allowed to exceed it).
-    Raises ParseError with a line number on malformed input.
+def _lexicon_rows(stream: IO[str], path) -> tuple[VariableSet, Iterator[tuple]]:
+    """The variables of a lexicon TSV's header, and an iterator of its
+    rows as ``(line_no, word, fields, tag)``, each checked for its field
+    count, a non-empty word (stored by :func:`normalize_word`) and a
+    valid tag, "none" without a split column; the values stay unread.
     """
     header_line = stream.readline()
     if not header_line:
@@ -284,65 +243,114 @@ def parse_lexicon(
             "header must be 'word<TAB>var1...<TAB>[split]'", line_no=1, path=path
         )
     has_split = len(header) > 2 and header[-1] == "split"
-    names = tuple(header[1:-1] if has_split else header[1:])
     try:
-        variables = VariableSet(names)
+        variables = VariableSet(header[1:-1] if has_split else header[1:])
     except ValueError as exc:
         raise ParseError(f"bad header: {exc}", line_no=1, path=path) from exc
-    scale = _SCALES.get(variables.family) if provenance == "human" else None
 
-    k = len(names)
-    arity = 1 + k + (1 if has_split else 0)
-    words: list[str] = []
-    splits: list[str] = []
-    rows: list[list[float]] = []
-    for line_no, raw in enumerate(stream, start=2):
-        fields = raw.rstrip("\r\n").split("\t")
-        if len(fields) != arity:
-            raise ParseError(
-                f"expected {arity} fields, found {len(fields)}", line_no=line_no, path=path
-            )
-        word = normalize_word(fields[0])
-        if not word:
-            raise ParseError("empty word", line_no=line_no, path=path)
-        row = []
-        for name, tok in zip(names, fields[1 : 1 + k]):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric value {tok!r} for variable {name}",
-                    line_no=line_no, path=path,
-                ) from None
-            if not math.isfinite(v):
-                raise ParseError(
-                    f"non-finite value for variable {name}", line_no=line_no, path=path
-                )
-            if scale and not scale[0] <= v <= scale[1]:
-                raise ParseError(
-                    f"value {v} for {name} outside scale [{scale[0]}, {scale[1]}]",
-                    line_no=line_no, path=path,
-                )
-            row.append(v)
-        if has_split:
-            tag = fields[-1]
+    def rows():
+        for line_no, raw in enumerate(stream, start=2):
+            fields = raw.rstrip("\r\n").split("\t")
+            if len(fields) != len(header):
+                raise ParseError(f"expected {len(header)} fields, found {len(fields)}",
+                                 line_no=line_no, path=path)
+            word = normalize_word(fields[0])
+            if not word:
+                raise ParseError("empty word", line_no=line_no, path=path)
+            tag = fields[-1] if has_split else "none"
             if tag not in SPLIT_TAGS:
                 raise ParseError(f"invalid split tag {tag!r}", line_no=line_no, path=path)
-        else:
-            tag = "none"
-        words.append(word)
-        splits.append(tag)
-        rows.append(row)
+            yield line_no, word, fields, tag
 
-    values = np.asarray(rows, dtype=np.float64).reshape(len(words), k)
-    return Lexicon(
-        variables=variables,
-        words=tuple(words),
-        values=values,
-        splits=tuple(splits),
-        provenance=provenance,
-        language=language,
-    )
+    return variables, rows()
+
+
+def _row_values(fields: list[str], names: tuple[str, ...], line_no: int, path,
+                scale: tuple[float, float] | None = None) -> list[float]:
+    """The values of a row's fields: finite numbers, within ``scale`` if given."""
+    row = []
+    for name, tok in zip(names, fields[1:]):
+        try:
+            v = float(tok)
+        except ValueError:
+            raise ParseError(
+                f"non-numeric value {tok!r} for variable {name}", line_no=line_no, path=path,
+            ) from None
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite value for variable {name}", line_no=line_no, path=path)
+        if scale and not scale[0] <= v <= scale[1]:
+            raise ParseError(
+                f"value {v} for {name} outside scale [{scale[0]}, {scale[1]}]",
+                line_no=line_no, path=path,
+            )
+        row.append(v)
+    return row
+
+
+def _lexicon(variables: VariableSet, rows: list[tuple], provenance: str, language: str
+             ) -> Lexicon:
+    """The lexicon of ``(word, values, tag)`` rows."""
+    words, values, splits = zip(*rows) if rows else ((), (), ())
+    values = np.asarray(values, dtype=np.float64).reshape(len(words), len(variables))
+    return Lexicon(variables, words, values, splits, provenance, language)
+
+
+def parse_lexicon(
+    stream: IO[str], *, provenance: str = "human", language: str = "und", path=None
+) -> Lexicon:
+    """Parse a lexicon TSV.
+
+    Words are stored by :func:`normalize_word`; no case folding is applied.
+    Human-provenance values must lie within the variable family's scale
+    when one is known (predicted lexicons are allowed to exceed it).
+    Raises ParseError with a line number on malformed input.
+    """
+    variables, rows = _lexicon_rows(stream, path)
+    scale = _SCALES.get(variables.family) if provenance == "human" else None
+    return _lexicon(variables, [
+        (word, _row_values(fields, variables.names, line_no, path, scale), tag)
+        for line_no, word, fields, tag in rows
+    ], provenance, language)
+
+
+# The IntegrityError message of a tag that breaks the rule deriving each
+# prediction split from the MT splits, in the order the rules are checked.
+_SPLIT_RULES = {
+    "train": "pred_train must equal mt_train",
+    "dev": "pred_dev must equal mt_dev minus mt_train",
+    "test": "pred_test must equal (mt_test | embedding_vocab) - (mt_dev | mt_train)",
+}
+
+
+def read_predictions(path, mt: Lexicon, keep: Container[str], *, language: str = "und"
+                     ) -> Lexicon:
+    """The rows of a predicted lexicon TSV that the evaluation scores,
+    those of MT words and of words in ``keep``, read as a stream.
+
+    Every row is checked as :func:`parse_lexicon` checks it, and its tag
+    against the rule of :class:`SplitSets`: train iff its word is in
+    mt_train, dev iff in mt_dev minus mt_train, test only outside both;
+    every MT word must have a row. Only the kept rows' values are read.
+    A malformed row raises ParseError, and a broken rule IntegrityError,
+    naming the file (and line).
+    """
+    # each MT word's prediction split: a later tag overrides an earlier one
+    derived = {w: tag for tag in ("test", "dev", "train") for w in mt.split_words(tag)}
+    kept = []
+    with open(path, encoding="utf-8") as fh:
+        variables, rows = _lexicon_rows(fh, path)
+        for line_no, word, fields, tag in rows:
+            want = derived.get(word)
+            if tag != want and (want is not None or tag in ("train", "dev")):
+                rule = next(t for t in _SPLIT_RULES if t in (tag, want))
+                raise IntegrityError(f"{path}:line {line_no}: {_SPLIT_RULES[rule]}")
+            if want is not None or word in keep:
+                kept.append((word, _row_values(fields, variables.names, line_no, path), tag))
+    unseen = {derived[w] for w in derived.keys() - {row[0] for row in kept}}
+    if unseen:
+        rule = next(t for t in _SPLIT_RULES if t in unseen)
+        raise IntegrityError(f"{path}: {_SPLIT_RULES[rule]}")
+    return _lexicon(variables, kept, "predicted", language)
 
 
 def write_lexicon_header(stream: IO[str], variables: VariableSet, has_split: bool) -> None:

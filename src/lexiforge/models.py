@@ -18,7 +18,7 @@ import json
 import os
 import struct
 from collections import Counter
-from collections.abc import Callable, Container
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
@@ -35,7 +35,6 @@ from .lexicon import (
     collapse_duplicates,
     concat_lexicons,
     infer_family,
-    restrict_to_words,
     write_lexicon_header,
     write_lexicon_rows,
     write_whole,
@@ -648,9 +647,8 @@ def predict_lexicon(
 
 def write_expansion(
     models: Sequence[Model], store: EmbeddingStore, mt: Lexicon, splits: SplitSets,
-    stream: IO[str], *, keep: Container[str] = frozenset(),
-    resolution: Counter | None = None, pool: WorkerPool | None = None,
-) -> Lexicon:
+    stream: IO[str], *, resolution: Counter | None = None, pool: WorkerPool | None = None,
+) -> None:
     """Write the predicted lexicon over all MT and embedding words, one
     entry per type, to ``stream`` as a TSV, chunk by chunk.
 
@@ -661,37 +659,31 @@ def write_expansion(
     word, same vector, deterministic forward pass), and a value spread
     above the tolerance would mean the prediction step is broken and
     raises IntegrityError. Then each chunk of vocabulary words is
-    written as soon as it is predicted. Returns the rows the evaluation
-    needs: the merged MT rows, then the vocabulary words in ``keep``.
-    ``resolution`` and ``pool`` are passed to :func:`predict_lexicon`.
+    written as soon as it is predicted. ``resolution`` and ``pool`` are
+    passed to :func:`predict_lexicon`.
     """
     mt_rows = mt.row_index
     # serialize_lexicon's split column: there if any row carries a tag, as
     # the first MT row nearly always does
     has_split = any(splits.tag(w) != "none" for w in itertools.chain(
         mt.words, (w for w in store.words if w not in mt_rows)))
-    head: list[Lexicon] = []  # the MT rows, until the last of them is predicted
-    kept: list[Lexicon] = []  # empty until the merged MT rows are written
+    head: list[Lexicon] | None = []  # the MT rows, until the last of them is predicted
 
     def write(chunk: Lexicon) -> None:
-        if not kept:
+        nonlocal head
+        if head is not None:
             n_head = len(mt) - sum(map(len, head))  # MT rows still to come
             head.append(_take(chunk, range(min(n_head, len(chunk)))))
             if n_head > len(chunk):
                 return
             merged = collapse_duplicates(concat_lexicons(head))
-            head.clear()
+            head = None
             write_lexicon_header(stream, merged.variables, has_split)
             write_lexicon_rows(stream, merged, has_split)
-            kept.append(merged)
             chunk = _take(chunk, range(n_head, len(chunk)))
         write_lexicon_rows(stream, chunk, has_split)
-        chunk = restrict_to_words(chunk, keep)
-        if len(chunk):
-            kept.append(chunk)
 
     predict_lexicon(models, store, mt, splits, write, resolution=resolution, pool=pool)
-    return concat_lexicons(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ A run's stages: load-source (the source and any gold lexicons) ->
 translate -> embeddings -> splits -> train -> expand (predict, collapse
 the MT duplicates and write the predicted lexicon chunk by chunk) ->
 silver evaluation, plus the gold protocols when gold lexicons are
-supplied. It writes every artifact plus a manifest that records content
-hashes of all inputs and outputs. Re-running an unchanged manifest
-reproduces all outputs bit for bit. A stage failure aborts the run with
-the stage name; artifacts written so far are kept and the manifest is
-marked incomplete.
+supplied, of the lexicons as written. It writes every artifact plus a
+manifest that records content hashes of all inputs and outputs.
+Re-running an unchanged manifest reproduces all outputs bit for bit. A
+stage failure aborts the run with the stage name; artifacts written so
+far are kept and the manifest is marked incomplete.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ from .evaluation import (
 from .evaluation import restrict_to_test_predictions  # noqa: F401 -- perfbench/tracer.py wraps it
 from .lexicon import (
     Lexicon,
-    SplitSets,
     derive_prediction_splits,
     filter_source_entries,
     load_lexicon,
     load_word_list,
     process_ended,
+    read_predictions,
     save_lexicon,
     split_by_reference,
     write_whole,
@@ -521,18 +521,17 @@ def run_pipeline(settings: RunSettings) -> dict[str, list[EvalReport]]:
                 resolution = Counter()
                 pred_path = out / "target_pred.tsv"
                 with write_whole(pred_path) as stream:
-                    # the rows of the gold words are all the evaluation reads
-                    pred = write_expansion(
-                        models, store, mt, splits, stream, resolution=resolution,
-                        keep={w for gold in golds.values() for w in gold.words}, pool=pool,
-                    )
+                    write_expansion(models, store, mt, splits, stream, resolution=resolution,
+                                    pool=pool)
                 details["resolution"] = _resolution_counts(resolution)
                 details["merged"] = len(mt) - len(mt.row_index)  # MT duplicates
                 manifest.add_output("target_pred", pred_path)
 
+        # the evaluation's rows reuse the memory of the store, the splits and the models
+        del store, splits, models, model
+        # mt as saved: save_lexicon round-trips it bit for bit
         reports = evaluate_protocols(
-            mt, pred, splits, golds, out / "reports",
-            lang=settings.target_lang, manifest=manifest,
+            mt, pred_path, golds, out / "reports", lang=settings.target_lang, manifest=manifest,
         )
         manifest.data["status"] = "complete"
         manifest.write()
@@ -561,27 +560,30 @@ def isr_report_names(gold_ids: Collection[str]) -> dict[tuple[str, str], str]:
 
 def evaluate_protocols(
     mt: Lexicon,
-    pred: Lexicon,
-    splits: SplitSets,
+    pred_path: Path,
     golds: dict[str, Lexicon],
     out_dir: Path | None,
     *,
     lang: str,
     manifest: _Manifest | None = None,
 ) -> dict[str, list[EvalReport]]:
-    """Run every evaluation protocol on an MT and a predicted lexicon.
+    """Run every evaluation protocol on an MT lexicon and a predicted
+    lexicon TSV; both ``run`` and ``evaluate`` score their files here.
 
-    In order: silver; gold for each gold lexicon; inter-study
-    reliability for each pair of golds sharing a variable; MT vs.
-    prediction for each gold. Each comparison is one stage and one
-    report file, named ``silver``, ``gold_<id>``, ``isr_<id1>_<id2>``
-    and ``mt_vs_pred_<id>``. The protocols read only the predicted rows
-    of MT and gold words, so ``pred`` may hold just those. Returns each
-    name's reports in run order and, unless ``out_dir`` is None, writes
-    them to ``<name>.json`` there. A manifest records the stages and
-    files.
+    The predictions are read by :func:`read_predictions`, which checks
+    every row and keeps those of MT and gold words; their tags give the
+    protocols' train and test words. In order: silver; gold for each
+    gold lexicon; inter-study reliability for each pair of golds sharing
+    a variable with the predictions; MT vs. prediction for each gold.
+    Each comparison is one stage and one report file, named ``silver``,
+    ``gold_<id>``, ``isr_<id1>_<id2>`` and ``mt_vs_pred_<id>``. Returns
+    each name's reports in run order and, unless ``out_dir`` is None,
+    writes them to ``<name>.json`` there. A manifest records the stages
+    and files.
     """
     isr_names = isr_report_names(golds)
+    pred = read_predictions(pred_path, mt, {w for gold in golds.values() for w in gold.words},
+                            language=lang)
     reports: dict[str, list[EvalReport]] = {}
 
     def save(name: str, *file_reports: EvalReport) -> None:
@@ -595,21 +597,22 @@ def evaluate_protocols(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     with _stage(manifest, "silver-eval"):
-        save("silver", silver_eval(mt, pred, splits, ids=(f"{lang}-mt", f"{lang}-pred")))
+        save("silver", silver_eval(mt, pred, ids=(f"{lang}-mt", f"{lang}-pred")))
 
     for gold_id, gold in golds.items():
         with _stage(manifest, f"gold-eval-{gold_id}"):
-            save(f"gold_{gold_id}", gold_eval(gold, pred, splits, gold_id=gold_id))
+            save(f"gold_{gold_id}", gold_eval(gold, pred, gold_id=gold_id))
 
     for (id_a, id_b), name in isr_names.items():
-        if not any(n in golds[id_b].variables for n in golds[id_a].variables.names):
+        if not any(n in golds[id_b].variables and n in pred.variables
+                   for n in golds[id_a].variables.names):
             continue
         with _stage(manifest, f"isr-{id_a}-{id_b}"):
-            save(name, *isr_compare(golds[id_a], golds[id_b], pred, splits,
+            save(name, *isr_compare(golds[id_a], golds[id_b], pred,
                                     ids=(id_a, id_b, f"{lang}-pred")))
 
     for gold_id, gold in golds.items():
         with _stage(manifest, f"mt-vs-pred-{gold_id}"):
-            comparison = mt_vs_pred(gold, mt, pred, splits, gold_id=gold_id)
+            comparison = mt_vs_pred(gold, mt, pred, gold_id=gold_id)
             save(f"mt_vs_pred_{gold_id}", comparison.pred_report, comparison.mt_report)
     return reports

@@ -36,6 +36,11 @@ def serialize_embedding_store(store: EmbeddingStore, stream) -> None:
         stream.write(" ".join([word, *(repr(float(v)) for v in store.vectors[i])]) + "\n")
 
 
+def pred_split(splits, words, tag: str) -> set[str]:
+    """The words of ``words`` that ``splits`` puts in the prediction split ``tag``."""
+    return {w for w in words if splits.tag(w) == tag}
+
+
 def save_embedding_store(store: EmbeddingStore, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         serialize_embedding_store(store, fh)

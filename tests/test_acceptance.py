@@ -31,7 +31,7 @@ from lexiforge import (
     run_pipeline,
 )
 from lexiforge.pipeline import prepare_source
-from helpers import build_lexicon, expanded, predicted, write_pipeline_bundle
+from helpers import build_lexicon, expanded, pred_split, predicted, write_pipeline_bundle
 from test_models import grad_check, ridge_oracle_exact
 
 
@@ -73,13 +73,15 @@ def test_c1_split_algebra_property_suite():
             w for w in everything
             if (w in mt_test or w in vocab) and w not in mt_dev and w not in mt_train
         }
+        pred_train, pred_dev, pred_test = (
+            pred_split(splits, everything, tag) for tag in ("train", "dev", "test"))
         ok = (
-            splits.pred_train == oracle_train
-            and splits.pred_dev == oracle_dev
-            and splits.pred_test == oracle_test
-            and not splits.pred_train & splits.pred_dev
-            and not splits.pred_train & splits.pred_test
-            and not splits.pred_dev & splits.pred_test
+            pred_train == oracle_train
+            and pred_dev == oracle_dev
+            and pred_test == oracle_test
+            and not pred_train & pred_dev
+            and not pred_train & pred_test
+            and not pred_dev & pred_test
         )
         if not ok:
             violations += 1

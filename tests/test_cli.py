@@ -31,7 +31,6 @@ from lexiforge import (
     IntegrityError,
     LexiforgeError,
     RunSettings,
-    SplitSets,
     TrainConfig,
     collapse_duplicates,
     derive_prediction_splits,
@@ -40,6 +39,7 @@ from lexiforge import (
     load_embedding_store,
     load_lexicon,
     load_reports,
+    restrict_to_words,
     run_pipeline,
     save_lexicon,
     save_reports,
@@ -765,20 +765,28 @@ def test_run_reads_the_gold_lexicons_before_training(tmp_path, small_bundle, cap
 
 def test_run_splits_hold_the_store_and_never_build_the_test_split(tmp_path, small_bundle,
                                                                 monkeypatch):
-    derive = lexiforge.pipeline.derive_prediction_splits
-    derived = []
+    derive, evaluate = (lexiforge.pipeline.derive_prediction_splits,
+                        lexiforge.pipeline.evaluate_protocols)
+    derived, alive_at_evaluation = [], []
 
     def recording_derive(mt, vocab):
-        derived.append((derive(mt, vocab), vocab))
-        return derived[-1][0]
+        splits = derive(mt, vocab)
+        derived.append((splits.embedding_vocab is vocab, type(vocab).__name__,
+                        weakref.ref(splits), weakref.ref(vocab)))
+        return splits
+
+    def recording_evaluate(*args, **kwargs):
+        alive_at_evaluation.append([ref() is not None for ref in derived[0][2:]])
+        return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(lexiforge.pipeline, "derive_prediction_splits", recording_derive)
+    monkeypatch.setattr(lexiforge.pipeline, "evaluate_protocols", recording_evaluate)
     args = _run_args(small_bundle, tmp_path / "out", _write_fast_config(tmp_path),
                      ["--gold", f"g={small_bundle['gold']}"])
     assert main(args) == 0
-    [(splits, store)] = derived
-    assert splits.embedding_vocab is store and type(store).__name__ == "EmbeddingStore"
-    assert "pred_test" not in vars(splits)  # the cached set was never built
+    assert [entry[:2] for entry in derived] == [(True, "EmbeddingStore")]
+    # the evaluation reads the files with the splits and the store dropped
+    assert alive_at_evaluation == [[False, False]]
 
 
 def test_run_skip_translation_copies_source(tmp_path, small_bundle):
@@ -1259,6 +1267,57 @@ def test_evaluate_rewrites_the_run_report_files(tmp_path, small_bundle):
     assert json.loads(run_files["silver.json"])[0]["lexicons"] == ["und-mt", "und-pred"]
 
 
+def _run_and_evaluate_reports(tmp_path, bundle, golds: list[str]) -> tuple[dict, dict]:
+    """The report files of a run and of ``evaluate --out`` on its two TSVs."""
+    out, eval_out = tmp_path / "out", tmp_path / "eval_reports"
+    assert main(_run_args(bundle, out, _write_fast_config(tmp_path), golds)) == 0
+    assert main(["evaluate", "--mt", str(out / "target_mt.tsv"),
+                 "--pred", str(out / "target_pred.tsv"), *golds, "--out", str(eval_out)]) == 0
+    return ({p.name: p.read_bytes() for p in (out / "reports").iterdir()},
+            {p.name: p.read_bytes() for p in eval_out.iterdir()})
+
+
+def test_run_scores_the_predicted_lexicon_it_wrote(tmp_path, small_bundle, monkeypatch):
+    def rounded_rows(stream, lex, has_split):  # values that no longer round-trip
+        for word, row, split in zip(lex.words, lex.values.tolist(), lex.splits):
+            stream.write("\t".join([word, *("%.6g" % v for v in row)]
+                                   + [split] * has_split) + "\n")
+
+    monkeypatch.setattr(lexiforge.models, "write_lexicon_rows", rounded_rows)
+    gold2 = tmp_path / "gold2.tsv"
+    save_lexicon(restrict_to_words(load_lexicon(small_bundle["gold"]),
+                                   set(small_bundle["words"][::2])), gold2)
+    run_files, evaluated = _run_and_evaluate_reports(
+        tmp_path, small_bundle, ["--gold", f"g1={small_bundle['gold']}", "--gold", f"g2={gold2}"])
+    pred_text = (tmp_path / "out" / "target_pred.tsv").read_text(encoding="utf-8")
+    assert re.search(r"\t-?0\.\d{6}\t", pred_text)  # six digits, as written
+    assert sorted(run_files) == [
+        "gold_g1.json", "gold_g2.json", "isr_g1_g2.json",
+        "mt_vs_pred_g1.json", "mt_vs_pred_g2.json", "silver.json",
+    ]
+    assert evaluated == run_files
+
+
+def test_a_gold_pair_sharing_no_variable_with_the_predictions_gets_no_isr_report(tmp_path):
+    bundle = write_pipeline_bundle(tmp_path / "data", n_source=60, n_vocab=200, dim=8,
+                                   split_sizes=(40, 10, 10), seed=7,
+                                   variables=("Joy", "Sad", "y1"))
+    rng = np.random.default_rng(3)
+    golds = []
+    for gold_id, variables in (("g1", ("Ang", "Joy")), ("g2", ("Ang", "Sad"))):
+        path = tmp_path / f"{gold_id}.tsv"  # both golds have Ang, which no prediction has
+        save_lexicon(build_lexicon(
+            [(w, rng.uniform(1, 5, 2).tolist()) for w in bundle["words"]], variables=variables,
+        ), path)
+        golds += ["--gold", f"{gold_id}={path}"]
+    run_files, evaluated = _run_and_evaluate_reports(tmp_path, bundle, golds)
+    assert sorted(run_files) == [
+        "gold_g1.json", "gold_g2.json", "mt_vs_pred_g1.json", "mt_vs_pred_g2.json", "silver.json",
+    ]
+    assert [list(report["r"]) for report in json.loads(run_files["gold_g1.json"])] == [["Joy"]]
+    assert evaluated == run_files
+
+
 def test_run_evaluate_and_report_print_the_same_tables(tmp_path, small_bundle, capsys):
     gold2 = tmp_path / "gold2.tsv"
     save_lexicon(load_lexicon(small_bundle["gold"]), gold2)
@@ -1306,7 +1365,8 @@ def test_evaluate_refuses_split_tags_not_derived_from_mt(tmp_path, small_bundle,
         "evaluate", "--mt", str(out / "target_mt.tsv"), "--pred", str(pred_path),
         "--gold", f"g1={small_bundle['gold']}", "--out", str(eval_out),
     ]) == 1
-    assert capsys.readouterr().err == "error: pred_train must equal mt_train\n"
+    assert capsys.readouterr().err == (
+        f"error: {pred_path}:line {leaked + 1}: pred_train must equal mt_train\n")
     assert not list(eval_out.glob("*"))
 
 
@@ -1393,8 +1453,7 @@ def test_library_calls_reject_bad_gold_ids_before_any_output(
                                      embeddings=small_bundle["embeddings"],
                                      table=small_bundle["table"]))
         else:  # the source lexicon's tags pass as an MT and a predicted lexicon's
-            source = load_lexicon(small_bundle["source"])
-            evaluate_protocols(source, source, SplitSets.from_lexicons(source, source),
+            evaluate_protocols(load_lexicon(small_bundle["source"]), small_bundle["source"],
                                {gold_id: load_lexicon(path) for gold_id, path in gold.items()},
                                out, lang="und")
     assert str(raised.value) == message
@@ -1635,10 +1694,14 @@ def _perfbench_tracer():
 
 
 def test_traced_attributes_exist():
-    """perfbench/tracer.py wraps each (module, attribute) it lists; all must exist."""
-    for caller, attr, _, _ in _perfbench_tracer().TRACED:
+    """perfbench/tracer.py wraps each (module, attribute) it lists; all must exist,
+    as the function that the span's name gives."""
+    for caller, attr, name, _ in _perfbench_tracer().TRACED:
         module = importlib.import_module(f"lexiforge.{caller}")
         assert callable(getattr(module, attr, None)), f"lexiforge.{caller}.{attr}"
+        layer, function = name.split(".")
+        assert getattr(module, attr) is getattr(importlib.import_module(f"lexiforge.{layer}"),
+                                                function), name
 
 
 def test_a_run_calls_the_model_layer_through_the_traced_attributes(tmp_path, monkeypatch):

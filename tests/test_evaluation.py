@@ -2,6 +2,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -174,24 +175,22 @@ def _silver_fixture(transform=None, seed=3):
             vals = rng.standard_normal(2)
         if transform is not None:
             vals = transform(np.asarray(vals))
-        tag = ("train" if w in splits.pred_train else
-               "dev" if w in splits.pred_dev else "test")
-        pred_rows.append((w, np.asarray(vals).tolist(), tag))
+        pred_rows.append((w, np.asarray(vals).tolist(), splits.tag(w)))
     pred = build_lexicon(pred_rows, variables=("y1", "y2"), provenance="predicted")
     return mt, pred, splits
 
 
 def test_silver_copy_case_r_is_one():
-    mt, pred, splits = _silver_fixture()
-    report = silver_eval(mt, pred, splits)
+    mt, pred, _ = _silver_fixture()
+    report = silver_eval(mt, pred)
     assert report.r == {"y1": 1.0, "y2": 1.0}
     assert report.n_shared == 15
     assert report.protocol == "silver"
 
 
 def test_silver_affine_invariance():
-    mt, pred, splits = _silver_fixture(transform=lambda v: 2.0 * v + 3.0)
-    report = silver_eval(mt, pred, splits)
+    mt, pred, _ = _silver_fixture(transform=lambda v: 2.0 * v + 3.0)
+    report = silver_eval(mt, pred)
     assert abs(report.r["y1"] - 1.0) < 1e-12
     assert abs(report.r["y2"] - 1.0) < 1e-12
 
@@ -203,13 +202,12 @@ def test_silver_pairs_every_duplicate_against_single_prediction():
         variables=("y1",),
         provenance="translated",
     )
-    splits = derive_prediction_splits(mt, set())
     pred = build_lexicon(
         [("a", (1.4,), "test"), ("b", (3.1,), "test"), ("c", (0.5,), "train")],
         variables=("y1",),
         provenance="predicted",
     )
-    report = silver_eval(mt, pred, splits)
+    report = silver_eval(mt, pred)
     # manual pair-expansion oracle: (1,1.4),(2,1.4),(3,3.1)
     expected = pearson_oracle([1.0, 2.0, 3.0], [1.4, 1.4, 3.1])
     assert abs(report.r["y1"] - expected) < 1e-12
@@ -219,22 +217,22 @@ def test_silver_pairs_every_duplicate_against_single_prediction():
         variables=("y1",), provenance="predicted",
     )
     with pytest.raises(IntegrityError, match="silver_eval requires unique word types"):
-        silver_eval(mt, dup_pred, splits)
+        silver_eval(mt, dup_pred)
 
 
 def test_silver_never_reads_outside_test_split():
     mt, pred, splits = _silver_fixture()
-    # poison predictions outside pred_test; the report must not change
+    # poison predictions outside the prediction test split; the report must not change
     poisoned_vals = pred.values.copy()
     for i, w in enumerate(pred.words):
-        if w not in splits.pred_test:
+        if splits.tag(w) != "test":
             poisoned_vals[i] = 1e6 + i
     poisoned = build_lexicon(
         list(zip(pred.words, poisoned_vals.tolist(), pred.splits)),
         variables=("y1", "y2"),
         provenance="predicted",
     )
-    assert silver_eval(mt, poisoned, splits).r == silver_eval(mt, pred, splits).r
+    assert silver_eval(mt, poisoned).r == silver_eval(mt, pred).r
 
 
 def test_silver_insufficient_overlap():
@@ -242,13 +240,12 @@ def test_silver_insufficient_overlap():
         [("a", (1.0,), "train"), ("b", (2.0,), "train")],
         variables=("y1",), provenance="translated",
     )
-    splits = derive_prediction_splits(mt, set())
     pred = build_lexicon(
         [("a", (1.0,), "train"), ("b", (2.0,), "train")],
         variables=("y1",), provenance="predicted",
     )
     with pytest.raises(InsufficientOverlapError):
-        silver_eval(mt, pred, splits)
+        silver_eval(mt, pred)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +255,12 @@ def test_silver_insufficient_overlap():
 
 def test_gold_copy_case_full_coverage():
     mt, pred, splits = _silver_fixture()
-    gold_words = [w for w in pred.words if w in splits.pred_test][:10]
+    gold_words = [w for w in pred.words if splits.tag(w) == "test"][:10]
     gold = restrict_to_words(pred, set(gold_words))
     gold = build_lexicon(
         list(zip(gold.words, gold.values.tolist())), variables=("y1", "y2")
     )
-    report = gold_eval(gold, pred, splits, gold_id="toy1")
+    report = gold_eval(gold, pred, gold_id="toy1")
     assert report.r == {"y1": 1.0, "y2": 1.0}
     assert report.coverage == 1.0
     assert report.n_shared == len(gold)
@@ -272,13 +269,13 @@ def test_gold_copy_case_full_coverage():
 
 def test_gold_inside_train_split_is_leakage_guarded():
     mt, pred, splits = _silver_fixture()
-    train_words = sorted(splits.pred_train)[:10]
+    train_words = sorted(splits.mt_train)[:10]
     gold = build_lexicon(
         [(w, pred.values[pred.row_index[w]].tolist()) for w in train_words],
         variables=("y1", "y2"),
     )
     with pytest.raises(InsufficientOverlapError):
-        gold_eval(gold, pred, splits)
+        gold_eval(gold, pred)
 
 
 def test_gold_half_overlap_counts_and_oracle():
@@ -289,19 +286,18 @@ def test_gold_half_overlap_counts_and_oracle():
         provenance="translated",
     )
     vocab = [f"t{i}" for i in range(5)] + [f"p{i}" for i in range(500)]
-    splits = derive_prediction_splits(mt, vocab)
     pred_rows = [
         (w, rng.standard_normal(1).tolist(), "train" if w.startswith("t") else "test")
         for w in vocab
     ]
     pred = build_lexicon(pred_rows, variables=("y1",), provenance="predicted")
-    # gold: 250 words inside pred_test, 250 unknown words
+    # gold: 250 words inside the prediction test split, 250 unknown words
     pred_p = [pred.values[pred.row_index[f"p{i}"]][0] for i in range(250)]
     gold_rows = [(f"p{i}", (float(pred_p[i] + rng.standard_normal() * 0.5),))
                  for i in range(250)]
     gold_rows += [(f"g{i}", (float(rng.standard_normal()),)) for i in range(250)]
     gold = build_lexicon(gold_rows, variables=("y1",))
-    report = gold_eval(gold, pred, splits)
+    report = gold_eval(gold, pred)
     assert report.n_shared == 250
     assert report.coverage == 0.5
     aligned_gold = [gold.values[gold.row_index[f"p{i}"]][0] for i in range(250)]
@@ -310,15 +306,15 @@ def test_gold_half_overlap_counts_and_oracle():
 
 def test_gold_skips_variables_missing_from_gold():
     mt, pred, splits = _silver_fixture()
-    gold_words = [w for w in pred.words if w in splits.pred_test][:10]
+    gold_words = [w for w in pred.words if splits.tag(w) == "test"][:10]
     gold = build_lexicon(
         [(w, (pred.values[pred.row_index[w]][0],)) for w in gold_words], variables=("y1",)
     )
-    report = gold_eval(gold, pred, splits)
+    report = gold_eval(gold, pred)
     assert set(report.r) == {"y1"}
     no_shared = build_lexicon([(w, (1.0,)) for w in gold_words], variables=("zzz",))
     with pytest.raises(SchemaError):
-        gold_eval(no_shared, pred, splits)
+        gold_eval(no_shared, pred)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +331,9 @@ def test_isr_identical_lexicons_all_one():
     words = [f"w{i}" for i in range(20)]
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((20, 2))
-    make = lambda: build_lexicon(list(zip(words, vals.tolist())), variables=("Val", "Aro"))
-    result = isr_compare(make(), make(), make(), _all_test(words), ids=("g1", "g2", "pred"))
+    make = lambda tag="none": build_lexicon([(w, v, tag) for w, v in zip(words, vals.tolist())],
+                                            variables=("Val", "Aro"))
+    result = isr_compare(make(), make(), make("test"), ids=("g1", "g2", "pred"))
     for report in result:
         assert report.r == {"Val": 1.0, "Aro": 1.0}
         assert report.n_shared == 20
@@ -352,9 +349,10 @@ def test_isr_matches_triple_intersection_oracle():
     g1 = build_lexicon([(w, (v,)) for w, v in zip(words[:150], g1_vals[:150])], variables=("Val",))
     g2 = build_lexicon([(w, (v,)) for w, v in zip(words[50:], g2_vals[50:])], variables=("Val",))
     pred = build_lexicon(
-        [(w, (v,)) for w, v in zip(words, p_vals)], variables=("Val",), provenance="predicted"
+        [(w, (v,), "test") for w, v in zip(words, p_vals)], variables=("Val",),
+        provenance="predicted",
     )
-    result = isr_compare(g1, g2, pred, _all_test(words))
+    result = isr_compare(g1, g2, pred)
     common = words[50:150]
     assert result.gold1_vs_gold2.n_shared == 100
     idx = {w: i for i, w in enumerate(words)}
@@ -380,31 +378,30 @@ def _mt_vs_pred_fixture(pred_equals_mt: bool):
         [(w, (v,), "train") for w, v in zip(words, mt_vals)],
         variables=("y1",), provenance="translated",
     )
-    splits = derive_prediction_splits(mt, set())
     pred = build_lexicon(
         [(w, (v,), "train") for w, v in zip(words, pred_vals)],
         variables=("y1",), provenance="predicted",
     )
     gold = build_lexicon([(w, (v,)) for w, v in zip(words, truth)], variables=("y1",))
-    return gold, mt, pred, splits
+    return gold, mt, pred
 
 
 def test_mt_vs_pred_equal_inputs_zero_diff():
-    gold, mt, pred, splits = _mt_vs_pred_fixture(pred_equals_mt=True)
-    result = mt_vs_pred(gold, mt, pred, splits, gold_id="toy")
+    gold, mt, pred = _mt_vs_pred_fixture(pred_equals_mt=True)
+    result = mt_vs_pred(gold, mt, pred, gold_id="toy")
     assert result.diff == {"y1": 0.0}
 
 
 def test_mt_vs_pred_denoising_gives_positive_diff():
-    gold, mt, pred, splits = _mt_vs_pred_fixture(pred_equals_mt=False)
-    result = mt_vs_pred(gold, mt, pred, splits)
+    gold, mt, pred = _mt_vs_pred_fixture(pred_equals_mt=False)
+    result = mt_vs_pred(gold, mt, pred)
     assert result.diff["y1"] > 0
     assert result.pred_report.r["y1"] > result.mt_report.r["y1"]
     assert result.pred_report.n_shared == 60
 
 
 def test_mt_vs_pred_restricted_to_train_words():
-    gold, mt, pred, splits = _mt_vs_pred_fixture(pred_equals_mt=False)
+    gold, mt, pred = _mt_vs_pred_fixture(pred_equals_mt=False)
     # add a test-tagged MT entry with a poison value; must not affect r
     poisoned_mt = build_lexicon(
         [(w, (v,), s) for w, v, s in zip(mt.words, mt.values[:, 0], mt.splits)]
@@ -420,9 +417,8 @@ def test_mt_vs_pred_restricted_to_train_words():
         + [("extra", (-1e9,), "test")],
         variables=("y1",), provenance="predicted",
     )
-    splits_plus = derive_prediction_splits(poisoned_mt, set())
-    base = mt_vs_pred(gold, mt, pred, splits)
-    poisoned = mt_vs_pred(gold_plus, poisoned_mt, pred_plus, splits_plus)
+    base = mt_vs_pred(gold, mt, pred)
+    poisoned = mt_vs_pred(gold_plus, poisoned_mt, pred_plus)
     assert abs(base.pred_report.r["y1"] - poisoned.pred_report.r["y1"]) < 1e-12
     assert abs(base.mt_report.r["y1"] - poisoned.mt_report.r["y1"]) < 1e-12
 
@@ -434,12 +430,11 @@ def test_mt_vs_pred_duplicates_pair_against_gold():
          ("c", (2.9,), "train")],
         variables=("y1",), provenance="translated",
     )
-    splits = derive_prediction_splits(mt, set())
     pred = build_lexicon(
         [("a", (1.0,), "train"), ("b", (2.1,), "train"), ("c", (3.0,), "train")],
         variables=("y1",), provenance="predicted",
     )
-    result = mt_vs_pred(gold, mt, pred, splits)
+    result = mt_vs_pred(gold, mt, pred)
     expected_mt = pearson_oracle([1.0, 1.0, 2.0, 3.0], [1.1, 0.9, 2.2, 2.9])
     assert abs(result.mt_report.r["y1"] - expected_mt) < 1e-12
 
@@ -469,7 +464,7 @@ def _ref_lexicon_id(lex):
 
 def reference_silver_eval(mt, pred, splits, *, ids=None):
     pred.require_unique("silver_eval")
-    common = splits.mt_test & splits.pred_test
+    common = {w for w in splits.mt_test if splits.tag(w) == "test"}
     pred_rows = pred.row_index
     mt_idx, pred_idx = [], []
     for i, w in enumerate(mt.words):
@@ -502,7 +497,7 @@ def reference_gold_eval(gold, pred, splits, *, gold_id=None):
     pred_rows = pred.row_index
     gold_idx, pred_idx = [], []
     for i, w in enumerate(gold.words):
-        if w in splits.pred_test and w in pred_rows:
+        if splits.tag(w) == "test" and w in pred_rows:
             gold_idx.append(i)
             pred_idx.append(pred_rows[w])
     n = len(gold_idx)
@@ -532,7 +527,7 @@ def reference_isr_compare(gold1, gold2, pred, splits, *, ids=None):
     triples = [
         (gold1.row_index[w], rows2[w], rowsp[w])
         for w in gold1.words
-        if w in rows2 and w in rowsp and w in splits.pred_test
+        if w in rows2 and w in rowsp and splits.tag(w) == "test"
     ]
     if len(triples) < 2:
         raise InsufficientOverlapError(
@@ -569,7 +564,7 @@ def reference_mt_vs_pred(gold, mt, pred, splits, *, gold_id=None):
     gold_rows, pred_rows = gold.row_index, pred.row_index
     common = {
         w for w in gold.words
-        if w in splits.pred_train and w in pred_rows and w in mt.row_index
+        if splits.tag(w) == "train" and w in pred_rows and w in mt.row_index
     }
     if len(common) < 2:
         raise InsufficientOverlapError(
@@ -632,9 +627,7 @@ def _protocol_inputs(draw):
     vocab = draw(st.sets(st.sampled_from(_POOL + ("v0", "v1", "v2"))))
     splits = derive_prediction_splits(mt, vocab)
     pred_words = draw(st.permutations(sorted(set(mt_words) | vocab)))
-    pred_tags = ["train" if w in splits.pred_train else "dev" if w in splits.pred_dev
-                 else "test" if w in splits.pred_test else "none" for w in pred_words]
-    pred = draw(_lexicon(pred_words, "predicted", pred_tags))
+    pred = draw(_lexicon(pred_words, "predicted", [splits.tag(w) for w in pred_words]))
     golds = [
         draw(_lexicon(draw(st.lists(st.sampled_from(_POOL + ("g0", "g1")), min_size=2,
                                     unique=True))))
@@ -657,8 +650,11 @@ def _same(result, expected):
 
 
 def _check_against_reference(protocol, reference, *args, **kwargs):
+    """The protocol on ``args`` against the reference on ``args`` and the
+    splits that the predictions' tags were derived from."""
+    *args, splits = args
     try:
-        expected = reference(*args, **kwargs)
+        expected = reference(*args, splits, **kwargs)
     except LexiforgeError as exc:
         with pytest.raises(type(exc)) as raised:
             protocol(*args, **kwargs)
@@ -681,12 +677,11 @@ def test_protocols_match_reference_implementations(inputs):
     _check_against_reference(isr_compare, reference_isr_compare, gold1, gold2, pred, splits)
     # the split filter gives the intersection with the test predictions, copied or not
     _check_against_reference(
-        isr_compare,
-        lambda g1, g2, p, s: isr_compare(g1, g2, restrict_to_test_predictions(p, s),
-                                         _all_test(p.words)),
-        gold1, gold2, pred, splits,
+        lambda g1, g2, p: isr_compare(g1, g2, restrict_to_test_predictions(p, p)),
+        reference_isr_compare, gold1, gold2, pred, splits,
     )
-    _check_against_reference(isr_compare, reference_isr_compare, gold1, gold2, pred,
+    all_test = replace(pred, splits=("test",) * len(pred))
+    _check_against_reference(isr_compare, reference_isr_compare, gold1, gold2, all_test,
                              _all_test(pred.words), ids=("a", "b", "de-pred"))
 
 

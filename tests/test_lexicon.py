@@ -23,6 +23,7 @@ from lexiforge import (
     load_lexicon,
     load_translation_table,
     parse_lexicon,
+    read_predictions,
     restrict_to_split,
     restrict_to_words,
     serialize_lexicon,
@@ -35,7 +36,7 @@ from lexiforge.lexicon import (
     write_lexicon_rows,
     write_whole,
 )
-from helpers import build_lexicon
+from helpers import build_lexicon, pred_split
 
 EIGHT_VARS = ("Val", "Aro", "Dom", "Joy", "Ang", "Sad", "Fea", "Dis")
 
@@ -160,14 +161,17 @@ def test_parse_normalizes_nfc():
 
 
 def _stored_words(tmp_path, raw: str) -> dict[str, object]:
-    """The words each of the four readers stores for a line holding ``raw``."""
+    """The words each of the five readers stores for a line holding ``raw``."""
     files = {"lexicon": f"word\tVal\n{raw}\t5\n", "table": f"{raw}\t{raw}\n",
              "vectors": f"1 2\n{raw} 1 2\n", "word list": f"{raw}\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     table = load_translation_table(tmp_path / "table")
+    lexicon = load_lexicon(tmp_path / "lexicon")
     return {
-        "lexicon": load_lexicon(tmp_path / "lexicon").words,
+        "lexicon": lexicon.words,
+        # the rows of the words to keep, read by their stored form
+        "predictions": read_predictions(tmp_path / "lexicon", lexicon, lexicon.words).words,
         "table source": tuple(table),
         "table target": tuple(table.values()),
         "vectors": load_embedding_store(tmp_path / "vectors").words,
@@ -186,7 +190,8 @@ def _stored_words(tmp_path, raw: str) -> dict[str, object]:
 ])
 def test_every_reader_stores_the_same_word(tmp_path, raw, stored):
     assert _stored_words(tmp_path, raw) == dict.fromkeys(
-        ["lexicon", "table source", "table target", "vectors", "word list"], (stored,)
+        ["lexicon", "predictions", "table source", "table target", "vectors", "word list"],
+        (stored,)
     )
 
 
@@ -383,17 +388,15 @@ def _mt_from_sets(mt_train, mt_dev, mt_test):
 def test_derive_prediction_splits_example():
     mt = _mt_from_sets({"x"}, {"x", "y"}, {"x", "z"})
     splits = derive_prediction_splits(mt, {"w"})
-    assert splits.pred_train == {"x"}
-    assert splits.pred_dev == {"y"}
-    assert splits.pred_test == {"z", "w"}
+    assert [splits.tag(w) for w in ("x", "y", "z", "w", "v")] == [
+        "train", "dev", "test", "test", "none"
+    ]
 
 
 def test_derive_prediction_splits_empty_vocab_identity():
     mt = _mt_from_sets({"a"}, {"b"}, {"c"})
     splits = derive_prediction_splits(mt, set())
-    assert splits.pred_train == {"a"}
-    assert splits.pred_dev == {"b"}
-    assert splits.pred_test == {"c"}
+    assert [splits.tag(w) for w in ("a", "b", "c", "d")] == ["train", "dev", "test", "none"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -411,51 +414,66 @@ def test_derive_prediction_splits_matches_brute_force(data):
         if (w in mt_test or w in vocab) and not (w in mt_dev or w in mt_train)
     }
     expected_dev = {w for w in set(universe) if w in mt_dev and w not in mt_train}
-    assert splits.pred_train == mt_train
-    assert splits.pred_dev == expected_dev
-    assert splits.pred_test == expected_test
-    assert not splits.pred_train & splits.pred_dev
-    assert not splits.pred_train & splits.pred_test
-    assert not splits.pred_dev & splits.pred_test
-    assert not splits.pred_dev & splits.mt_train
-    assert not splits.pred_test & (splits.mt_train | splits.mt_dev)
+    pred_train, pred_dev, pred_test = (
+        pred_split(splits, universe, tag) for tag in ("train", "dev", "test"))
+    assert pred_train == mt_train
+    assert pred_dev == expected_dev
+    assert pred_test == expected_test
+    assert not pred_dev & splits.mt_train
+    assert not pred_test & (splits.mt_train | splits.mt_dev)
 
 
-def test_split_sets_from_lexicons_round_trip():
+def _predictions(tmp_path, lines) -> Path:
+    """A predicted lexicon TSV of the variables y1 and y2 with ``lines`` as its rows."""
+    path = tmp_path / "pred.tsv"
+    path.write_text("word\ty1\ty2\tsplit\n" + "".join(lines), encoding="utf-8")
+    return path
+
+
+def test_read_predictions_returns_only_the_scored_rows(tmp_path):
     mt = _mt_from_sets({"a", "b"}, {"c"}, {"d"})
-    splits = derive_prediction_splits(mt, {"e", "f", "a"})
-    pred_rows = [
-        (w, (0.0, 0.0), tag)
-        for tag, ws in (
-            ("train", splits.pred_train),
-            ("dev", splits.pred_dev),
-            ("test", splits.pred_test),
-        )
-        for w in sorted(ws)
-    ]
-    pred = build_lexicon(pred_rows, variables=("y1", "y2"), provenance="predicted")
-    rebuilt = SplitSets.from_lexicons(mt, pred)
-    assert rebuilt.pred_train == splits.pred_train
-    assert rebuilt.pred_dev == splits.pred_dev
-    assert rebuilt.pred_test == splits.pred_test
-    assert rebuilt.mt_test == splits.mt_test
+    splits = derive_prediction_splits(mt, {"e", "f", "g", "a"})
+    lines = [f"{w}\t{i}.0\t-0.5\t{splits.tag(w)}\n" for i, w in enumerate("gfedcba")]
+    lines[1] = "f\tnot a number\tinf\ttest\n"  # an unscored row's values are never read
+    pred = read_predictions(_predictions(tmp_path, lines), mt, {"e", "x"}, language="de")
+    assert pred.words == ("e", "d", "c", "b", "a")
+    assert pred.splits == ("test", "test", "dev", "train", "train")
+    assert pred.values.tolist() == [[i, -0.5] for i in (2.0, 3.0, 4.0, 5.0, 6.0)]
+    assert (pred.provenance, pred.language, pred.variables.names) == (
+        "predicted", "de", ("y1", "y2"))
+    # the sets that the tags it accepts give, as SplitSets.from_lexicons rebuilt them
+    assert [pred_split(splits, "abcdefg", tag) for tag in ("train", "dev", "test")] == [
+        {"a", "b"}, {"c"}, {"d", "e", "f", "g"}]
 
 
-@pytest.mark.parametrize("word, tag, message", [
-    ("a", "test", "pred_train must equal mt_train"),  # an MT train word leaks into test
-    ("c", "test", "pred_dev must equal mt_dev minus mt_train"),
-    ("d", "none", "pred_test must equal (mt_test | embedding_vocab) - (mt_dev | mt_train)"),
-], ids=["train", "dev", "test"])
-def test_split_sets_from_lexicons_rejects_tags_not_derived_from_mt(word, tag, message):
+@pytest.mark.parametrize("line, message", [
+    ("a\t1\t2\ttest\n", "line 3: pred_train must equal mt_train"),  # an MT train word leaks
+    ("c\t1\t2\ttest\n", "line 3: pred_dev must equal mt_dev minus mt_train"),
+    ("d\t1\t2\tnone\n",
+     "line 3: pred_test must equal (mt_test | embedding_vocab) - (mt_dev | mt_train)"),
+    (None, " pred_test must equal (mt_test | embedding_vocab) - (mt_dev | mt_train)"),  # no d
+    # unscored rows: e is no MT word and no word to keep
+    ("e\t1\t2\ttrain\n", "line 3: pred_train must equal mt_train"),
+    ("e\t1\t2\tdev\n", "line 3: pred_dev must equal mt_dev minus mt_train"),
+    ("e\t1\t2\tlater\n", "line 3: invalid split tag 'later'"),
+    ("e\t1\ttest\n", "line 3: expected 4 fields, found 3"),
+    ("\xa0\t1\t2\ttest\n", "line 3: empty word"),
+    # scored rows
+    ("a\t1\tnan\ttrain\n", "line 3: non-finite value for variable y2"),
+    ("a\t1\tx\ttrain\n", "line 3: non-numeric value 'x' for variable y2"),
+], ids=["train", "dev", "test", "unseen", "unscored-train", "unscored-dev", "unscored-tag",
+        "unscored-fields", "unscored-word", "non-finite", "non-numeric"])
+def test_read_predictions_rejects_rows_not_derived_from_mt(tmp_path, line, message):
     mt = _mt_from_sets({"a", "b"}, {"c"}, {"d"})
-    splits = derive_prediction_splits(mt, {"e"})
-    pred_rows = [
-        (w, (0.0, 0.0), tag if w == word else splits.tag(w)) for w in ("a", "b", "c", "d", "e")
-    ]
-    pred = build_lexicon(pred_rows, variables=("y1", "y2"), provenance="predicted")
-    with pytest.raises(IntegrityError) as raised:
-        SplitSets.from_lexicons(mt, pred)
-    assert str(raised.value) == message
+    valid = dict(zip("abcde", ("train", "train", "dev", "test", "test")))
+    word = line.split("\t")[0] if line else "d"
+    path = _predictions(tmp_path, [
+        "b\t0\t0\ttrain\n", *[line] * (line is not None),
+        *(f"{w}\t0\t0\t{tag}\n" for w, tag in valid.items() if w not in ("b", word)),
+    ])
+    with pytest.raises(IntegrityError if "must equal" in message else ParseError) as raised:
+        read_predictions(path, mt, set())
+    assert str(raised.value) == f"{path}:{message}"
 
 
 def test_split_sets_store_only_their_inputs():
@@ -476,11 +494,7 @@ def test_split_sets_test_words_through_the_store_without_copying_it():
     assert [splits.tag(w) for w in ("a", "b", "c", "e", "f", "g")] == [
         "train", "dev", "test", "test", "test", "none"
     ]
-    assert [splits.in_test(w) for w in ("a", "b", "c", "e", "g")] == [
-        False, False, True, True, False
-    ]
-    assert "pred_test" not in vars(splits)  # tag and in_test never build it
-    assert splits.pred_test == {"c", "e", "f"}
+    assert pred_split(splits, [*store.words, *mt.words, "g"], "test") == {"c", "e", "f"}
 
 
 # ---------------------------------------------------------------------------

@@ -1187,8 +1187,8 @@ def test_chunked_prediction_equals_one_call(n_rows, monkeypatch):
     assert pred.words == tuple(words)
     assert pred.values.tobytes() == expected.tobytes()
     assert pred.splits == tuple(
-        "train" if w in splits.pred_train else "dev" if w in splits.pred_dev
-        else "test" if w in splits.pred_test else "none"
+        "train" if w in splits.mt_train else "dev" if w in splits.mt_dev
+        else "test" if w in splits.mt_test or w in store else "none"
         for w in words
     )
     assert pred.variables.names == mt.variables.names
@@ -1224,19 +1224,12 @@ def test_streamed_expansion_equals_the_serialized_collapse_of_one_call(kind):
         X, _ = embed_matrix(store, mt.words[:256])
         models = [fit_ridge(X, mt.values[:256, [mt.variables.index(n) for n in m.variables.names]],
                             1.0, m.variables) for m in models]
-    keep = {"m7", "m9 m10", "e5", "e9000", "absent"}
     stream = io.StringIO()
-    kept = write_expansion(models, store, mt, splits, stream, keep=keep)
+    assert write_expansion(models, store, mt, splits, stream) is None
     expected = one_call_expansion(models, store, mt, splits)
     # 40 MT duplicates, in the second chunk, of entries in the first
     assert len(expected) == 2 * CHUNK + 1000 - 40
     assert stream.getvalue() == tsv_text(expected)
-    # the merged MT rows, then the vocabulary words asked for
-    n_mt = len(mt.row_index)
-    assert kept.words == expected.words[:n_mt] + ("e5", "e9000")
-    rows = [expected.row_index[w] for w in kept.words]
-    assert kept.values.tobytes() == expected.values[rows].tobytes()
-    assert kept.splits == tuple(expected.splits[i] for i in rows)
 
 
 def test_streamed_expansion_merges_duplicates_across_small_chunks(monkeypatch):
@@ -1252,9 +1245,8 @@ def test_streamed_expansion_merges_duplicates_across_small_chunks(monkeypatch):
         # with the rows of the same chunks, merged in memory
         expected = collapse_duplicates(predicted([model], store, dup, splits))
         stream = io.StringIO()
-        kept = write_expansion([model], store, dup, splits, stream, keep={"new3"})
+        write_expansion([model], store, dup, splits, stream)
         assert stream.getvalue() == tsv_text(expected), rows
-        assert kept.words == ("a", "b", "c", "d", "new3")
 
 
 def test_streamed_expansion_without_split_tags_has_no_split_column():
@@ -1286,7 +1278,7 @@ def test_expansion_memory_does_not_grow_with_the_vocabulary(monkeypatch, tmp_pat
         with open(tmp_path / "pred.tsv", "w", encoding="utf-8") as sink:
             tracemalloc.start()
             try:
-                write_expansion([model], store, mt, splits, sink, keep={"v5", "v19999"})
+                write_expansion([model], store, mt, splits, sink)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
